@@ -132,68 +132,86 @@ class DropEvent:
         return self.c_before - self.c_after
 
 
-def _sequence_terms(c: int, limit: int) -> np.ndarray:
-    """Split-sequence terms through the first one exceeding ``limit``.
+def _sequence_terms(c: int, limit: int, buf: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+    """Split-sequence terms p_c(1), p_c(2), ... through the first one exceeding ``limit``.
 
     Transient int64 companion to the exact caches: scans sweep thousands of
-    c values and must not pin a big-integer cache per c.  Values stay far
-    below 2^63 for every limit a scan can reach.
+    c values and must not pin a big-integer cache per c.  The terms are
+    written in place into ``buf``, which is replaced by one twice as large
+    whenever a block of c terms would not fit; returns the buffer (reuse it
+    for the next call) and the number of terms written, a multiple of c.
+    Values stay below 2 * limit, far below 2^63 for every limit a scan can
+    reach.
     """
-    arr = np.ones(2 * c, dtype=np.int64)
-    while arr[-1] <= limit:
-        size = arr.size
-        block = arr[size - c - 1: size - 1] + arr[size - c: size]
-        arr = np.concatenate((arr, block))
-    return arr
+    size = 2 * c
+    if buf is None or buf.size < size:
+        buf = np.empty(max(64, 2 * size), dtype=np.int64)
+    buf[:size] = 1
+    while buf[size - 1] <= limit:
+        if size + c > buf.size:  # one doubling suffices, as buf.size >= max(size, 2c)
+            grown = np.empty(2 * buf.size, dtype=np.int64)
+            grown[:size] = buf[:size]
+            buf = grown
+        np.add(buf[size - c - 1: size - 1], buf[size - c: size], out=buf[size: size + c])
+        size += c
+    return buf, size
 
 
-def _column(c: int, n_max: int) -> np.ndarray:
-    """Thresholds of all members with this c, indexed by n' = n - c - 1.
+def _columns(n_max: int):
+    """Thresholds of all members up to n_max, one column per c = 0 .. n_max-2.
 
-    Entry j (0-based) is the threshold for n = c + 2 + j.  Uses one
-    twinverse sweep plus a cumulative sum instead of per-n queries.
+    Yields ``(c, column)``, where entry j (0-based) of ``column`` is the
+    threshold for n' = j + 1, that is n = c + 2 + j.  Each column is
+    n'(n'-1) + c + 1 + f_c(n'), with f_c(n') the partial sums of
+    m_c(j) = twinverse(j) over j < n', found by one sorted search over the
+    split-sequence terms.  All scratch is allocated once, so ``column`` is a
+    view that the next column overwrites: consume or copy it before
+    advancing.
     """
-    count = n_max - c - 1
-    nprime = np.arange(1, count + 1, dtype=np.int64)
-    if c == 0:
-        f = nprime - 1
-    else:
-        terms = _sequence_terms(c, count)
-        m = np.searchsorted(terms, nprime, side="right") + 1
-        f = np.concatenate(([0], np.cumsum(m[:-1])))
-    return nprime * (nprime - 1) + c + 1 + f
+    top = max(n_max - 1, 0)  # largest n'
+    nprime = np.arange(1, top + 1, dtype=np.int64)
+    base = nprime * (nprime - 1)
+    f = np.empty(top, dtype=np.int64)
+    column = np.empty(top, dtype=np.int64)
+    terms = None
+    for c in range(n_max - 1):
+        count = n_max - c - 1
+        if c == 0:
+            np.subtract(nprime[:count], 1, out=f[:count])
+        else:
+            terms, size = _sequence_terms(c, count, terms)
+            below = np.searchsorted(terms[:size], nprime[: count - 1], side="right")
+            f[0] = 0
+            np.cumsum(below, out=f[1:count])
+            f[1:count] += nprime[: count - 1]  # m = below + 1
+        out = column[:count]
+        np.add(base[:count], c + 1, out=out)
+        out += f[:count]
+        yield c, out
 
 
-def scan_optimal(n_max: int, prune_half: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def scan_optimal(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-n maximum threshold and largest maximizing c, for 2 <= n <= n_max.
 
-    Returns int64 arrays indexed by n (entries below n=2 are -1).  With
-    ``prune_half`` only c <= n/2 is scanned, which is safe because every
-    local maximum lies strictly below n/2.
+    Returns int64 arrays indexed by n (entries below n=2 are -1).
     """
     if n_max < 2:
         raise ValueError("need n_max >= 2")
     best = np.full(n_max + 1, -1, dtype=np.int64)
     best_c = np.full(n_max + 1, -1, dtype=np.int64)
-    for c in range(n_max - 1):
-        column = _column(c, n_max)
-        n_lo = c + 2
-        if prune_half and 2 * c > n_lo:
-            column = column[2 * c - n_lo:]
-            n_lo = 2 * c
-        if column.size == 0:
-            continue
-        window_best = best[n_lo:]
-        window_c = best_c[n_lo:]
-        better = column >= window_best  # ties move to the larger c
+    better = np.empty(n_max - 1, dtype=bool)
+    for c, column in _columns(n_max):
+        window_best = best[c + 2:]
+        mask = better[: column.size]
+        np.greater_equal(column, window_best, out=mask)  # ties move to the larger c
         np.maximum(window_best, column, out=window_best)
-        window_c[better] = c
+        np.copyto(best_c[c + 2:], c, where=mask)
     return best, best_c
 
 
-def scan_drops(n_max: int, prune_half: bool = False) -> list[DropEvent]:
+def scan_drops(n_max: int) -> list[DropEvent]:
     """All drops of the largest optimal c between consecutive n up to n_max."""
-    best, best_c = scan_optimal(n_max, prune_half)
+    best, best_c = scan_optimal(n_max)
     events = []
     for n in range(2, n_max):
         if best_c[n + 1] < best_c[n]:
@@ -213,8 +231,8 @@ def scan_drops(n_max: int, prune_half: bool = False) -> list[DropEvent]:
 def rt_table(n_max: int) -> np.ndarray:
     """Dense (n, c) threshold table with -1 in the invalid corner."""
     table = np.full((n_max + 1, max(n_max - 1, 1)), -1, dtype=np.int64)
-    for c in range(n_max - 1):
-        table[c + 2:, c] = _column(c, n_max)
+    for c, column in _columns(n_max):
+        table[c + 2:, c] = column
     return table
 
 

@@ -76,12 +76,6 @@ class SequenceCache:
         self._grow_beyond(n)
         return bisect_right(self._p, n) + 1
 
-    def terms_through(self, value: int) -> list[int]:
-        """All terms up to and including the first one exceeding ``value``."""
-        self._grow_beyond(value)
-        cut = bisect_right(self._p, value) + 1
-        return self._p[:cut]
-
 
 _caches: dict[int, SequenceCache] = {}
 _caches_lock = threading.Lock()
@@ -199,6 +193,11 @@ def split_interval(n: int, c: int) -> list[int]:
     return result
 
 
+# One memo of optimal-race counts per c.  Unlike the tables above it needs
+# no lock: ``setdefault`` hands every thread the same memo, and each entry
+# is written by a single dict assignment of a value that depends only on
+# (n, c).  Threads that race on a missing entry compute it twice and store
+# equal values; no thread can read a partial one.
 _o_tables: dict[int, dict[int, int]] = {}
 
 

@@ -153,7 +153,7 @@ def test_08_drops_gating_scan():
 
 
 def test_08_extended_full_drop_table():
-    events = scan_drops(7200, prune_half=True)
+    events = scan_drops(7200)
     _check_drop_rows(events, list(DROPS))
     ok("criterion 8 extended: all eight drops up to n=7133")
 

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from carefulsync import (
@@ -18,7 +19,8 @@ from carefulsync import (
     solve,
     format_word,
 )
-from carefulsync.cerny import STAR_SYMBOLS, rt_table
+from carefulsync.cerny import STAR_SYMBOLS, _sequence_terms, rt_table
+from carefulsync.pawnrace import SequenceCache
 from carefulsync.tables import CONCLUSION, GRID, P_N_2
 
 
@@ -174,11 +176,12 @@ def test_double_double_at_3512():
 
 
 def test_scan_against_formula():
-    best, best_c = scan_optimal(60)
-    for n in (2, 3, 13, 47, 48, 60):
+    best, best_c = scan_optimal(600)
+    assert best[:2].tolist() == best_c[:2].tolist() == [-1, -1]
+    for n in range(2, 601):
         value, argmax = optimal_c(n)
-        assert int(best[n]) == value
-        assert int(best_c[n]) == max(argmax)
+        assert int(best[n]) == value, n
+        assert int(best_c[n]) == max(argmax), n
 
 
 def test_first_drop():
@@ -190,8 +193,31 @@ def test_first_drop():
     assert events[0].r_before == 3331 and events[0].r_after == 3490
 
 
-def test_pruned_scan_agrees():
-    assert scan_drops(300, prune_half=True) == scan_drops(300)
+def test_rt_table_matches_formula():
+    n_max = 400
+    table = rt_table(n_max)
+    assert table.shape == (n_max + 1, n_max - 1)
+    for n in range(n_max + 1):
+        for c in range(n_max - 1):
+            want = rt_formula(n, c) if n >= c + 2 else -1
+            assert int(table[n, c]) == want, (n, c)
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 7, 64, 499])
+def test_sequence_terms_match_cache(c):
+    cache = SequenceCache(c)
+    for limit in (1, 5, 1000, 10**6):
+        fresh, size = _sequence_terms(c, limit)
+        # too small for the final size, so it has to grow on the way
+        grown, grown_size = _sequence_terms(c, limit, np.zeros(2 * c, dtype=np.int64))
+        assert grown_size == size and size % c == 0
+        assert fresh[:size].tolist() == grown[:size].tolist()
+        assert fresh[:size].tolist() == [cache.p(k) for k in range(1, size + 1)]
+        assert fresh[size - 1] > limit  # through the first term beyond the limit ...
+        assert fresh[size - c - 1] <= limit  # ... and no block beyond it
+        # a buffer that is large enough is filled in place
+        again, again_size = _sequence_terms(c, limit, fresh)
+        assert again is fresh and again_size == size
 
 
 def test_solved_words_start_with_b_run_and_factor():

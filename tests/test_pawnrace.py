@@ -419,24 +419,41 @@ def test_render_distinguishes_all_optimal_races():
 
 
 def test_concurrent_queries_are_consistent():
+    import sys
     import threading
 
+    from carefulsync import pawnrace
+
     expected = {(n, c): f_closed(n, c) for n in (500, 1500) for c in (7, 19)}
+    races = {(n, c): count_races(n, c) for n in (300, 2000) for c in (2, 11)}
+    for c in (2, 11):
+        pawnrace._o_tables.pop(c)  # make the threads fill the memo themselves
     errors = []
+    start = threading.Barrier(6)
 
     def worker():
+        start.wait()
         local = SequenceCache(13)  # grow a private cache too
         for _ in range(40):
+            for (n, c), want in races.items():
+                if count_races(n, c) != want:
+                    errors.append(("races", n, c))
             for (n, c), want in expected.items():
                 if f_closed(n, c) != want or f_recursive(n, c) != want:
                     errors.append((n, c))
             local.twinverse(2000)
 
-    threads = [threading.Thread(target=worker) for _ in range(6)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert not errors
 
 
