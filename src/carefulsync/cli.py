@@ -9,7 +9,7 @@ from contextlib import nullcontext
 
 from . import cerny, estimates, pawnrace, primes, tables
 from .pfa import from_json, to_dot, to_json, format_word
-from .solver import SolveLimits, LimitExceeded, NotSynchronizing, solve, count_shortest
+from .solver import SolveLimits, LimitExceeded, NotSynchronizing, solve
 
 OK, MISMATCH, USAGE, RESOURCES = 0, 1, 2, 3
 
@@ -124,7 +124,6 @@ def _cmd_solve(args, out):
     limits = SolveLimits(max_subsets=args.cap_subsets, max_length=args.cap_length)
     try:
         result = solve(pfa, limits)
-        word_count = count_shortest(pfa, limits)[1] if args.count else None
     except NotSynchronizing as exc:
         if args.json:
             print(json.dumps({"synchronizing": False, "explored": exc.explored}), file=out)
@@ -139,16 +138,16 @@ def _cmd_solve(args, out):
             "explored": result.explored,
             "levels": result.levels,
         }
-        if word_count is not None:
-            doc["count"] = word_count
+        if args.count:
+            doc["count"] = result.count
         print(json.dumps(doc), file=out)
     else:
         print(f"threshold\t{result.threshold}", file=out)
         print(f"word\t{text}", file=out)
         print(f"explored\t{result.explored}", file=out)
         print(f"levels\t{result.levels}", file=out)
-        if word_count is not None:
-            print(f"count\t{word_count}", file=out)
+        if args.count:
+            print(f"count\t{result.count}", file=out)
     return OK
 
 
@@ -232,18 +231,7 @@ def _cmd_tables(args, out):
             _check(mismatches, label + " gap", event.gap, row.drop)
             if row.n_right == event.n_after:
                 _check(mismatches, label + " r'", event.r_after, row.r_right)
-        for e in events:
-            rows.append(
-                {
-                    "n_before": e.n_before, "n_after": e.n_after,
-                    "c_before": e.c_before, "c_after": e.c_after,
-                    "r_before": e.r_before, "r_after": e.r_after, "gap": e.gap,
-                }
-            )
-        _emit_rows(
-            args, out, rows,
-            ("n_before", "n_after", "c_before", "c_after", "r_before", "r_after", "gap"),
-        )
+        _emit_rows(args, out, _drop_rows(events), _DROP_COLUMNS)
     else:  # defeat
         for row in tables.DEFEAT:
             best, argmax = cerny.optimal_c(row.n)
@@ -270,6 +258,13 @@ def _cmd_tables(args, out):
     return MISMATCH if mismatches else OK
 
 
+_DROP_COLUMNS = ("n_before", "n_after", "c_before", "c_after", "r_before", "r_after", "gap")
+
+
+def _drop_rows(events):
+    return [{col: getattr(e, col) for col in _DROP_COLUMNS} for e in events]
+
+
 def _emit_rows(args, out, rows, columns):
     if args.json:
         print(json.dumps(rows), file=out)
@@ -293,19 +288,7 @@ def _cmd_scan(args, out):
                 rows.append({"n": n, "value": int(best[n]), "c": int(best_c[n])})
         _emit_rows(args, out, rows, ("n", "value", "c"))
         return OK
-    events = cerny.scan_drops(nmax)
-    rows = [
-        {
-            "n_before": e.n_before, "n_after": e.n_after, "c_before": e.c_before,
-            "c_after": e.c_after, "r_before": e.r_before, "r_after": e.r_after,
-            "gap": e.gap,
-        }
-        for e in events
-    ]
-    _emit_rows(
-        args, out, rows,
-        ("n_before", "n_after", "c_before", "c_after", "r_before", "r_after", "gap"),
-    )
+    _emit_rows(args, out, _drop_rows(cerny.scan_drops(nmax)), _DROP_COLUMNS)
     return OK
 
 

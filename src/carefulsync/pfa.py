@@ -8,6 +8,7 @@ can be shared freely between threads.
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class FormatError(ValueError):
@@ -51,9 +52,32 @@ class Pfa:
 
     def step(self, q: int, s: int) -> int | None:
         """Target of state ``q`` (1-based) under symbol index ``s``."""
+        if not 1 <= q <= self.n:
+            raise ValueError(f"state {q} out of range 1..{self.n}")
         if not 0 <= s < len(self.symbols):
             raise ValueError(f"symbol index {s} out of range")
         return self.delta[q - 1][s]
+
+    @cached_property
+    def kernel(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """The automaton compiled for :func:`image`, built once per instance.
+
+        Returns ``(masks, cols)``: ``masks[s]`` has bit ``q-1`` set iff
+        symbol ``s`` is defined on state ``q``, and ``cols[s][q-1]`` is the
+        one-bit set of that target (0 where undefined).
+        """
+        masks = []
+        cols = []
+        for s in range(len(self.symbols)):
+            mask = 0
+            col = [0] * self.n
+            for q, row in enumerate(self.delta):
+                if row[s] is not None:
+                    mask |= 1 << q
+                    col[q] = 1 << (row[s] - 1)
+            masks.append(mask)
+            cols.append(tuple(col))
+        return tuple(masks), tuple(cols)
 
     def label(self, q: int) -> str:
         return self.labels[q - 1] if self.labels else str(q)
@@ -174,10 +198,10 @@ def parse_word(pfa: Pfa, text: str) -> Word:
 
 def format_word(pfa: Pfa, word: Word, pretty: bool = False) -> str:
     """Render a word as a plain string, or run-length compressed (``b^3 a^2``)."""
-    labels = [pfa.symbols[s] for s in word.letters]
     for s in word.letters:
         if not 0 <= s < len(pfa.symbols):
             raise ValueError(f"symbol index {s} out of range")
+    labels = [pfa.symbols[s] for s in word.letters]
     if not pretty:
         return "".join(labels)
     parts = []
@@ -192,6 +216,20 @@ def format_word(pfa: Pfa, word: Word, pretty: bool = False) -> str:
     return " ".join(parts)
 
 
+def image(bits: int, mask: int, col: tuple[int, ...]) -> int | None:
+    """One subset step: the image of the set ``bits`` under the symbol
+    compiled as ``mask`` and ``col`` (see :attr:`Pfa.kernel`), or ``None``
+    when some member is outside the symbol's domain."""
+    if bits & ~mask:
+        return None
+    out = 0
+    while bits:
+        low = bits & -bits
+        out |= col[low.bit_length() - 1]
+        bits ^= low
+    return out
+
+
 def apply_word(pfa: Pfa, s: StateSet, w: Word) -> StateSet | None:
     """Image of a state set under a word; ``None`` if any step is undefined.
 
@@ -200,22 +238,15 @@ def apply_word(pfa: Pfa, s: StateSet, w: Word) -> StateSet | None:
     """
     if s.n != pfa.n:
         raise ValueError(f"state set over {s.n} states fed to a {pfa.n}-state automaton")
-    nsym = len(pfa.symbols)
+    masks, cols = pfa.kernel
+    nsym = len(masks)
     bits = s.bits
-    delta = pfa.delta
     for sym in w:
         if not 0 <= sym < nsym:
             raise ValueError(f"symbol index {sym} out of range")
-        image = 0
-        rest = bits
-        while rest:
-            low = rest & -rest
-            target = delta[low.bit_length() - 1][sym]
-            if target is None:
-                return None
-            image |= 1 << (target - 1)
-            rest ^= low
-        bits = image
+        bits = image(bits, masks[sym], cols[sym])
+        if bits is None:
+            return None
     return StateSet(bits, pfa.n)
 
 

@@ -5,11 +5,16 @@ reachable, never materializing all 2^n of them.  Expansion order is fixed
 (frontier in discovery order, symbols in index order), which makes the
 reported word the lexicographically least shortest one and the whole result
 independent of hashing or threading.
+
+One pass yields the threshold, that word and the exact number of shortest
+words: it counts shortest paths as it goes and finishes the level in which
+the first singleton appears.  Each step is :func:`carefulsync.pfa.image`, the
+step :func:`carefulsync.pfa.apply_word` takes too.
 """
 
 from dataclasses import dataclass
 
-from .pfa import Pfa, Word
+from .pfa import Pfa, Word, image
 
 
 @dataclass(frozen=True)
@@ -26,10 +31,21 @@ class SolveLimits:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """Outcome of one subset search.
+
+    ``count`` is the exact number of distinct shortest words.  ``explored``
+    is the number of subsets discovered up to and including the first
+    singleton; the search goes on to finish that level for ``count``, and
+    ``max_subsets`` applies through the whole of it, so a cap that falls
+    inside the final level raises :class:`LimitExceeded`.  ``levels`` is the
+    number of BFS levels expanded, equal to ``threshold``.
+    """
+
     threshold: int
     word: Word
     explored: int
     levels: int
+    count: int
 
 
 class NotSynchronizing(Exception):
@@ -51,79 +67,43 @@ class LimitExceeded(Exception):
         self.levels = levels
 
 
-def _tables(pfa: Pfa):
-    # per symbol: bit mask of states where it is defined, plus target list
-    masks = []
-    targets = []
-    for s in range(len(pfa.symbols)):
-        mask = 0
-        col = [0] * pfa.n
-        for q in range(1, pfa.n + 1):
-            t = pfa.delta[q - 1][s]
-            if t is not None:
-                mask |= 1 << (q - 1)
-                col[q - 1] = 1 << (t - 1)
-        masks.append(mask)
-        targets.append(col)
-    return masks, targets
-
-
-def _image(bits: int, mask: int, col) -> int | None:
-    if bits & ~mask:
-        return None
-    image = 0
-    rest = bits
-    while rest:
-        low = rest & -rest
-        image |= col[low.bit_length() - 1]
-        rest ^= low
-    return image
-
-
-def _search(pfa: Pfa, limits: SolveLimits, count_paths: bool):
-    masks, targets = _tables(pfa)
-    nsym = len(pfa.symbols)
-    full = (1 << pfa.n) - 1
-
+def _search(pfa: Pfa, limits: SolveLimits):
     if pfa.n == 1:
         return 0, [], 1, 0, 1
 
+    masks, cols = pfa.kernel
+    steps = tuple(zip(range(len(masks)), masks, cols))
+    step = image
+    full = (1 << pfa.n) - 1
     parents = {full: None}
-    frontier = [full]
+    # shortest-path counts of the current level, keyed in discovery order
     counts = {full: 1}
     level = 0
-    while frontier:
+    while counts:
         if level >= limits.max_length:
             raise LimitExceeded("max_length", len(parents), level)
-        next_frontier = []
         next_counts = {}
         hit = None
-        for bits in frontier:
-            c = counts[bits] if count_paths else 0
-            for s in range(nsym):
-                image = _image(bits, masks[s], targets[s])
-                if image is None:
+        for bits, c in counts.items():
+            for s, mask, col in steps:
+                target = step(bits, mask, col)
+                if target is None:
                     continue
-                if image not in parents:
-                    parents[image] = (bits, s)
+                if target not in parents:
+                    parents[target] = (bits, s)
                     if len(parents) > limits.max_subsets:
                         raise LimitExceeded("max_subsets", len(parents), level + 1)
-                    next_frontier.append(image)
-                    if count_paths:
-                        next_counts[image] = c
-                    if image.bit_count() == 1:
-                        if hit is None:
-                            hit = image
-                        if not count_paths:
-                            # first discovery in this level is the lex-least word
-                            return level + 1, _backtrack(parents, image), len(parents), level + 1, 1
-                elif count_paths and image in next_counts:
-                    next_counts[image] += c
+                    next_counts[target] = c
+                    if hit is None and target.bit_count() == 1:
+                        # first discovery in this level is the lex-least word
+                        hit = target
+                        explored = len(parents)
+                elif target in next_counts:
+                    next_counts[target] += c
         level += 1
         if hit is not None:
             total = sum(v for k, v in next_counts.items() if k.bit_count() == 1)
-            return level, _backtrack(parents, hit), len(parents), level, total
-        frontier = next_frontier
+            return level, _backtrack(parents, hit), explored, level, total
         counts = next_counts
     raise NotSynchronizing(len(parents), level)
 
@@ -138,13 +118,15 @@ def _backtrack(parents, bits):
 
 
 def solve(pfa: Pfa, limits: SolveLimits = SolveLimits()) -> SolveResult:
-    """Shortest careful synchronizing word, its length, and search statistics.
+    """Shortest careful synchronizing word, its length, the number of
+    shortest words, and search statistics.
 
     Raises :class:`NotSynchronizing` when the automaton has none, and
     :class:`LimitExceeded` when a cap is hit.
     """
-    threshold, letters, explored, levels, _ = _search(pfa, limits, count_paths=False)
-    return SolveResult(threshold, Word(tuple(letters)), explored, levels)
+    threshold, letters, explored, levels, count = _search(pfa, limits)
+    # the word is copied once the search's subsets are freed
+    return SolveResult(threshold, Word(tuple(letters)), explored, levels, count)
 
 
 def count_shortest(pfa: Pfa, limits: SolveLimits = SolveLimits()) -> tuple[int, int]:
@@ -153,5 +135,5 @@ def count_shortest(pfa: Pfa, limits: SolveLimits = SolveLimits()) -> tuple[int, 
     Counts shortest paths from the full set to every singleton reached at the
     minimal BFS level; the count is an arbitrary-precision integer.
     """
-    threshold, _, _, _, total = _search(pfa, limits, count_paths=True)
-    return threshold, total
+    result = solve(pfa, limits)
+    return result.threshold, result.count

@@ -1,9 +1,12 @@
-"""Smoke run of the benchmark's family-scan workload on its quick inputs.
+"""Smoke runs of the benchmark's workloads on their quick inputs.
 
-The benchmark checks every output with its own split recursion and the
-published drop rows, independently of the package, so this guards the int64
-scans end to end.  Timings are never checked, only correctness and the
-names of the end-to-end metrics.
+The benchmark checks every output independently of the package: a
+per-state simulator re-applies the race words, word counts are compared with
+race counts, ``explored >= levels`` is checked, and the scans are compared
+with its own split recursion and the published drop rows.  So these runs
+guard the subset kernel, the single-pass search and the int64 scans end to
+end.  Timings are never checked, only correctness and the names of the
+end-to-end metrics.
 """
 
 import json
@@ -11,13 +14,16 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_family_scan_quick_run_is_correct():
+@pytest.mark.parametrize("workload", ["family-scan", "bfs-wide", "long-words"])
+def test_quick_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, os.path.join("bench", "run.py"), "--quick",
-         "--workload", "family-scan", "--trace", "0", "--seconds", "1"],
+         "--workload", workload, "--trace", "0", "--seconds", "1"],
         capture_output=True, text=True, timeout=300, cwd=ROOT,
         env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
     )

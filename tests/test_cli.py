@@ -81,12 +81,22 @@ def test_gen_prime_states(capsys):
     assert json.loads(out)["n"] == 41
 
 
-def test_solve_cerny(capsys):
+def test_solve_cerny(capsys, monkeypatch):
+    from carefulsync import solver
+
+    searches = []
+    search = solver._search
+    monkeypatch.setattr(solver, "_search", lambda *a: searches.append(a) or search(*a))
     code, out = run(capsys, "solve", "cerny", "--n", "4", "--c", "0", "--count")
     assert code == 0
+    assert len(searches) == 1  # the word and its count come from one search
     assert "threshold\t9" in out
     assert "word\tbaaabaaab" in out
     assert "count\t1" in out
+    # the count changes no other line of the output
+    code, plain = run(capsys, "solve", "cerny", "--n", "4", "--c", "0")
+    assert code == 0
+    assert out == plain + "count\t1\n"
 
 
 def test_solve_path_and_out_file(tmp_path, capsys):

@@ -71,6 +71,16 @@ def test_symbol_out_of_range_is_usage_error():
     pfa = build_cerny(4, 0)
     with pytest.raises(ValueError):
         apply_word(pfa, StateSet.full(4), Word((2,)))
+    with pytest.raises(ValueError):
+        apply_word(pfa, StateSet.full(4), Word((-1,)))
+    with pytest.raises(ValueError):
+        format_word(pfa, Word((5,)))
+    with pytest.raises(ValueError):
+        pfa.step(1, 2)
+    # state indexes are 1-based; 0 must not wrap round to state n
+    for q in (0, 5):
+        with pytest.raises(ValueError):
+            pfa.step(q, 0)
 
 
 def test_is_sync_word_edges():

@@ -21,6 +21,7 @@ def test_classic_cerny_4():
     assert result.threshold == 9
     assert format_word(pfa, result.word) == "baaabaaab"
     assert is_sync_word(pfa, result.word)
+    assert result.count == 1
     assert count_shortest(pfa) == (9, 1)
 
 
@@ -31,7 +32,7 @@ def test_family_member_10_2():
 def test_single_state():
     one = Pfa(n=1, symbols=("a",), delta=((1,),))
     result = solve(one)
-    assert (result.threshold, result.word) == (0, Word())
+    assert (result.threshold, result.word, result.count) == (0, Word(), 1)
     assert count_shortest(one) == (0, 1)
 
 
@@ -57,6 +58,7 @@ def test_lexicographically_least_word():
     result = solve(pfa)
     assert result.threshold == 1
     assert format_word(pfa, result.word) == "a"
+    assert result.count == 2
     assert count_shortest(pfa) == (1, 2)
 
 
@@ -101,6 +103,19 @@ def test_uniqueness_matches_sequence_membership():
 
 def test_count_unique_for_8_2():
     assert count_shortest(build_cerny(8, 2)) == (52, 1)
+    assert solve(build_cerny(8, 2)).count == 1
+
+
+def test_cap_applies_through_the_final_level():
+    # 'a' merges at once; 'b' then discovers {1, 2} in that same final level,
+    # which the search finishes to count every shortest word
+    pfa = Pfa(n=3, symbols=("a", "b"), delta=((1, 1), (1, 2), (1, 2)))
+    result = solve(pfa)
+    assert (result.threshold, result.explored, result.count) == (1, 2, 1)
+    with pytest.raises(LimitExceeded) as info:
+        solve(pfa, SolveLimits(max_subsets=2))
+    assert (info.value.what, info.value.explored) == ("max_subsets", 3)
+    assert solve(pfa, SolveLimits(max_subsets=3)) == result
 
 
 def test_explored_and_levels_reported():
@@ -110,12 +125,12 @@ def test_explored_and_levels_reported():
 
 
 def test_brute_force_word_enumeration_oracle():
-    # enumerate every word in lexicographic order and compare threshold,
-    # chosen word, and count of shortest words against the subset search
+    # enumerate every word in lexicographic order with the per-state
+    # simulator and compare threshold, chosen word, and count of shortest
+    # words against the subset search
     import random
-    from itertools import product
 
-    from carefulsync import Pfa, Word, is_sync_word
+    from oracle import shortest_words
 
     cap = 8
     rng = random.Random(2024)
@@ -127,28 +142,19 @@ def test_brute_force_word_enumeration_oracle():
             for _ in range(n)
         )
         pfa = Pfa(n=n, symbols=("a", "b"), delta=delta)
-
-        shortest = None
-        hits = 0
-        for length in range(cap + 1):
-            for letters in product((0, 1), repeat=length):
-                if is_sync_word(pfa, Word(letters)):
-                    if shortest is None:
-                        shortest = letters
-                    hits += 1
-            if shortest is not None:
-                break
+        hits = shortest_words(pfa, cap)
 
         try:
             result = solve(pfa)
         except NotSynchronizing:
-            assert shortest is None
+            assert hits == []
             continue
         if result.threshold > cap:
-            assert shortest is None
+            assert hits == []
             continue
         checked += 1
-        assert result.threshold == len(shortest)
-        assert result.word.letters == shortest  # lexicographically least
-        assert count_shortest(pfa) == (len(shortest), hits)
+        assert result.threshold == len(hits[0])
+        assert result.word.letters == hits[0]  # lexicographically least
+        assert result.count == len(hits)
+        assert count_shortest(pfa) == (len(hits[0]), len(hits))
     assert checked > 30  # the sample really exercised the comparison
