@@ -34,6 +34,9 @@ class Pfa:
             raise ValueError(f"need at least one state, got n={self.n}")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("symbols must be distinct")
+        if "" in self.symbols:
+            # parse_word would match an empty label forever without advancing
+            raise ValueError("symbols must be nonempty")
         if len(self.delta) != self.n:
             raise ValueError(f"delta has {len(self.delta)} rows, expected {self.n}")
         for q, row in enumerate(self.delta, start=1):
@@ -276,7 +279,7 @@ def from_json(text: str) -> Pfa:
     if not isinstance(doc, dict):
         raise FormatError("document: expected an object")
     n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise FormatError("n: expected a positive integer")
     symbols = doc.get("symbols")
     if (
@@ -287,6 +290,8 @@ def from_json(text: str) -> Pfa:
         raise FormatError("symbols: expected a nonempty list of strings")
     if len(set(symbols)) != len(symbols):
         raise FormatError("symbols: duplicate entries")
+    if "" in symbols:
+        raise FormatError("symbols: empty label")
     delta = doc.get("delta")
     if not isinstance(delta, list) or len(delta) != n:
         raise FormatError(f"delta: expected {n} rows")

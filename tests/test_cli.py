@@ -99,6 +99,36 @@ def test_solve_cerny(capsys, monkeypatch):
     assert out == plain + "count\t1\n"
 
 
+# stdout recorded before the search expanded wide levels with numpy; both
+# inputs have levels of hundreds of subsets, which take the vectorized step
+GOLDEN_18_4_COUNT_JSON = (
+    '{"threshold": 379, "word": "'
+    "bbbbbabbbbabbbbabbbbbabbbbabbbbabbbbbabbbbabbbbabbbbbabbbbabbbbbabbbbabbbbb"
+    "aabbbbabbbbbaabbbbabbbbbaabbbbabbbbbaabbbbaabbbbbaaabbbbaaabbbbbaaabbbbaaab"
+    "bbbabbbbbaaaabbbbaabbbbbaaaabbbbaaabbbbbaaaaabbbbabbbbbaaaaabbbbaabbbbbaaaa"
+    "aabbbbaaaaaabbbbabbbbbaaaaaaabbbbaaaaaabbbbbaaaaaaaabbbbaaaaabbbbbaaaaaaaaab"
+    "bbbaaaabbbbbaaaaaaaaaabbbbaaabbbbbaaaaaaaaaaabbbbaabbbbbaaaaaaaaaaaabbbbabbb"
+    'bb", "explored": 49138, "levels": 379, "count": 3}\n'
+)
+GOLDEN_16_3_PRETTY = (
+    "threshold\t287\n"
+    "word\tb^4 a b^3 a b^4 a b^3 a b^3 a b^4 a b^3 a b^3 a b^4 a b^3 a b^4 a b^3 a b^4"
+    " a^2 b^3 a^2 b^3 a b^4 a^2 b^3 a b^4 a^2 b^3 a^2 b^4 a^3 b^3 a^2 b^4 a^3 b^3 a^3"
+    " b^3 a b^4 a^4 b^3 a b^4 a^4 b^3 a^3 b^4 a^5 b^3 a^5 b^3 a^2 b^4 a^6 b^3 a^5 b^3"
+    " a b^4 a^7 b^3 a^5 b^4 a^8 b^3 a^4 b^4 a^9 b^3 a^3 b^4 a^10 b^3 a^2 b^4 a^11 b^3"
+    " a b^4\n"
+    "explored\t20467\n"
+    "levels\t287\n"
+)
+
+
+def test_solve_output_is_golden(capsys):
+    argv = ("solve", "cerny", "--n", "18", "--c", "4", "--count", "--json")
+    assert run(capsys, *argv) == (0, GOLDEN_18_4_COUNT_JSON)
+    argv = ("solve", "cerny", "--n", "16", "--c", "3", "--pretty")
+    assert run(capsys, *argv) == (0, GOLDEN_16_3_PRETTY)
+
+
 def test_solve_path_and_out_file(tmp_path, capsys):
     target = tmp_path / "pfa.json"
     code, _ = run(capsys, "gen", "cerny", "--n", "6", "--c", "1", "--out", str(target))

@@ -1,9 +1,20 @@
 """Property tests of the bitset kernel and the subset search against the
 per-state simulator and the brute-force word enumerator of ``oracle``."""
 
+from unittest.mock import patch
+
 from hypothesis import given, settings, strategies as st
 
-from carefulsync import NotSynchronizing, Pfa, StateSet, Word, apply_word, count_shortest, solve
+from carefulsync import (
+    NotSynchronizing,
+    Pfa,
+    StateSet,
+    Word,
+    apply_word,
+    count_shortest,
+    solve,
+    solver,
+)
 from oracle import shortest_words, simulate
 
 # longest word enumerated per alphabet size, so that each case checks at most
@@ -43,9 +54,7 @@ def test_apply_word_matches_simulator(case):
     assert apply_word(pfa, empty, w) == empty
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(pfas())
-def test_search_matches_brute_force(pfa):
+def check_against_oracle(pfa):
     cap = CAP[len(pfa.symbols)]
     hits = shortest_words(pfa, cap)
     try:
@@ -62,3 +71,18 @@ def test_search_matches_brute_force(pfa):
     assert count_shortest(pfa) == (result.threshold, len(hits))
     assert result.levels == result.threshold
     assert result.explored >= result.levels
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pfas())
+def test_search_matches_brute_force(pfa):
+    check_against_oracle(pfa)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pfas())
+def test_wide_step_matches_brute_force(pfa):
+    # no level of these automata reaches the default width, so a width of 1
+    # is what puts the vectorized step under the oracle
+    with patch.object(solver, "WIDE", 1):
+        check_against_oracle(pfa)

@@ -1,6 +1,8 @@
+import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from carefulsync import (
     FormatError,
@@ -148,6 +150,8 @@ def test_json_null_means_undefined():
         ('{"n": 2, "symbols": ["a"], "delta": [[1], [1]], "labels": ["x"]}', "labels"),
         ('{"n": 2, "symbols": ["a"], "delta": [[1], [1]], "labels": ["x", "x"]}', "labels"),
         ('{"n": 0, "symbols": ["a"], "delta": []}', "n"),
+        ('{"n": true, "symbols": ["a"], "delta": [[1]]}', "n"),
+        ('{"n": 1, "symbols": ["a", ""], "delta": [[1, 1]]}', "symbols"),
         ("[1, 2]", "document"),
         ("{invalid", "JSON"),
     ],
@@ -155,6 +159,67 @@ def test_json_null_means_undefined():
 def test_json_errors_name_the_field(doc, field):
     with pytest.raises(FormatError, match=field.replace("[", "\\[")):
         from_json(doc)
+
+
+@st.composite
+def broken_documents(draw):
+    """A valid automaton document with one change that makes it invalid."""
+    n = draw(st.integers(1, 5))
+    nsym = draw(st.integers(1, 3))
+    target = st.sampled_from((None, *range(1, n + 1)))
+    doc = {
+        "n": n,
+        "symbols": list("abc"[:nsym]),
+        "delta": [[draw(target) for _ in range(nsym)] for _ in range(n)],
+        "labels": [f"q{q}" for q in range(1, n + 1)],
+    }
+    q = draw(st.integers(0, n - 1))
+    s = draw(st.integers(0, nsym - 1))
+    wrong = st.sampled_from((True, False, "1", 1.0, None, [], {}))
+    kind = draw(st.sampled_from((
+        "drop", "n", "symbols", "symbol", "duplicate symbol", "empty symbol",
+        "delta", "rows", "row", "target", "labels", "label", "duplicate label", "document",
+    )))
+    if kind == "drop":
+        del doc[draw(st.sampled_from(("n", "symbols", "delta")))]
+    elif kind == "n":
+        doc["n"] = draw(st.sampled_from((True, False, "1", float(n), None, [], 0, -n)))
+    elif kind == "symbols":
+        doc["symbols"] = draw(st.sampled_from(("ab", True, None, [], {})))
+    elif kind == "symbol":
+        doc["symbols"][s] = draw(st.sampled_from((True, 1, None, [])))
+    elif kind == "duplicate symbol":
+        doc["symbols"].append(doc["symbols"][s])
+        for row in doc["delta"]:
+            row.append(None)
+    elif kind == "empty symbol":
+        doc["symbols"][s] = ""
+    elif kind == "delta":
+        doc["delta"] = draw(wrong)
+    elif kind == "rows":
+        doc["delta"] = doc["delta"][:-1] if draw(st.booleans()) else doc["delta"] * 2
+    elif kind == "row":
+        doc["delta"][q] = draw(st.one_of(wrong, st.just(doc["delta"][q] + [1])))
+    elif kind == "target":
+        doc["delta"][q][s] = draw(st.sampled_from((True, False, 0, n + 1, -1, 1.0, "1", [1], {})))
+    elif kind == "labels":
+        doc["labels"] = draw(st.sampled_from(("q", True, {}, doc["labels"][:-1])))
+    elif kind == "label":
+        doc["labels"][q] = draw(st.sampled_from((1, None, True, [])))
+    elif kind == "duplicate label":
+        assume(n > 1)
+        doc["labels"][q] = doc["labels"][(q + 1) % n]
+    else:
+        doc = draw(wrong)
+    return doc
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(broken_documents())
+def test_mutated_documents_raise_format_error(doc):
+    # any other exception escapes pytest.raises and fails the test
+    with pytest.raises(FormatError):
+        from_json(json.dumps(doc))
 
 
 def test_dot_edge_counts():
@@ -210,3 +275,11 @@ def test_pfa_validation():
         Pfa(n=2, symbols=("a",), delta=((3,), (1,)))
     with pytest.raises(ValueError):
         Pfa(n=2, symbols=("a",), delta=((1,), (1,)), labels=("x",))
+
+
+def test_empty_symbol_label_is_refused():
+    # parse_word would match an empty label forever without advancing
+    with pytest.raises(ValueError, match="nonempty"):
+        Pfa(n=1, symbols=("a", ""), delta=((1, 1),))
+    with pytest.raises(FormatError, match="symbols"):
+        from_json('{"n": 1, "symbols": ["a", ""], "delta": [[1, 1]]}')

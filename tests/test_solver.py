@@ -1,3 +1,5 @@
+from unittest.mock import patch
+
 import pytest
 
 from carefulsync import (
@@ -7,12 +9,49 @@ from carefulsync import (
     SolveLimits,
     Word,
     build_cerny,
+    build_prime_pfa,
     count_shortest,
     format_word,
     is_sync_word,
     sequences,
     solve,
+    solver,
 )
+
+# WIDE values that send every level to the vectorized step, or none of them
+ALL_WIDE = 1
+PYTHON_ONLY = 1 << 62
+
+
+def funnel(n):
+    """n states under three interchangeable symbols, each moving state q to
+    q - 1: every one of the 3^(n-1) words of length n - 1 synchronizes."""
+    row = lambda q: (max(q - 1, 1),) * 3
+    return Pfa(n=n, symbols=("a", "b", "c"), delta=tuple(row(q) for q in range(1, n + 1)))
+
+
+def outcome(pfa, wide, limits=SolveLimits()):
+    """solve's result, or the fields of the exception it raised, with levels
+    of at least ``wide`` subsets taking the vectorized step."""
+    with patch.object(solver, "WIDE", wide):
+        try:
+            return solve(pfa, limits)
+        except (LimitExceeded, NotSynchronizing) as exc:
+            return type(exc), getattr(exc, "what", None), exc.explored, exc.levels
+
+
+@pytest.fixture
+def wide_levels(monkeypatch):
+    """(level, width) of every level the vectorized step expands."""
+    levels = []
+    step = solver._WideKernel.step
+
+    def spy(self, counts, base, seen, origin, limits, level):
+        levels.append((level, len(counts)))
+        return step(self, counts, base, seen, origin, limits, level)
+
+    monkeypatch.setattr(solver._WideKernel, "step", spy)
+    return levels
 
 
 def test_classic_cerny_4():
@@ -63,15 +102,20 @@ def test_lexicographically_least_word():
 
 
 def test_count_is_arbitrary_precision():
-    # a 70-state funnel under three interchangeable symbols: every one of the
-    # 3^69 words of length 69 synchronizes
     n = 70
-    row = lambda q: (max(q - 1, 1),) * 3
-    pfa = Pfa(n=n, symbols=("a", "b", "c"), delta=tuple(row(q) for q in range(1, n + 1)))
-    threshold, count = count_shortest(pfa)
+    threshold, count = count_shortest(funnel(n))
     assert threshold == n - 1
     assert count == 3 ** (n - 1)
     assert count > 2**63
+
+
+def test_wide_counts_hand_over_before_int64_overflows(wide_levels):
+    # n = 64 is in the vectorized step's range; the counts 3^k pass 2^63 on
+    # the way, so the int64 guard must hand the later levels to Python ints
+    with patch.object(solver, "WIDE", ALL_WIDE):
+        assert count_shortest(funnel(64)) == (63, 3**63)
+    assert 3**63 > 2**63
+    assert [level for level, _ in wide_levels] == list(range(39))
 
 
 def test_solved_word_always_synchronizes():
@@ -158,3 +202,45 @@ def test_brute_force_word_enumeration_oracle():
         assert result.count == len(hits)
         assert count_shortest(pfa) == (len(hits[0]), len(hits))
     assert checked > 30  # the sample really exercised the comparison
+
+
+def test_wide_step_matches_python_step():
+    cases = [build_cerny(n, c) for n in range(2, 17) for c in range(n - 1)]
+    cases += [build_prime_pfa((5, 7, 8, 9)), build_cerny(18, 4)]
+    for pfa in cases:
+        assert outcome(pfa, ALL_WIDE) == outcome(pfa, PYTHON_ONLY), (pfa.n, pfa.symbols)
+
+
+def test_default_width_takes_the_wide_step(wide_levels):
+    pfa = build_cerny(18, 4)
+    assert solve(pfa) == outcome(pfa, PYTHON_ONLY)
+    assert max(width for _, width in wide_levels) == 502
+    assert min(width for _, width in wide_levels) >= solver.WIDE
+
+
+def test_cap_inside_a_wide_level(wide_levels):
+    # C(18, 4) has levels of at least 128 subsets from 1 469 to 43 832 discovered
+    pfa = build_cerny(18, 4)
+    for cap in (1_500, 10_000, 30_000, 43_000):
+        limits = SolveLimits(max_subsets=cap)
+        expected = outcome(pfa, PYTHON_ONLY, limits)
+        assert expected[:3] == (LimitExceeded, "max_subsets", cap + 1)
+        assert outcome(pfa, ALL_WIDE, limits) == expected
+        del wide_levels[:]
+        assert outcome(pfa, solver.WIDE, limits) == expected
+        # the cap fell inside the last level, which the wide step expanded
+        assert wide_levels[-1][0] + 1 == expected[3]
+
+
+def test_not_synchronizing_explored_agrees(wide_levels):
+    # C(16, 3) next to two more states that both letters swap: no subset of
+    # the full set ever drops below two states
+    core = build_cerny(16, 3)
+    n = core.n + 2
+    pfa = Pfa(n=n, symbols=core.symbols, delta=core.delta + ((n, n), (n - 1, n - 1)))
+    expected = outcome(pfa, PYTHON_ONLY)
+    assert expected[0] is NotSynchronizing
+    assert outcome(pfa, ALL_WIDE) == expected
+    del wide_levels[:]
+    assert outcome(pfa, solver.WIDE) == expected
+    assert wide_levels
