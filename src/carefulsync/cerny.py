@@ -3,8 +3,17 @@
 Symbol ``a`` advances the low states and wraps n to 1 but is undefined just
 below the top; ``b`` idles on the low states and climbs the top ones.  For
 c = 0 this is exactly the Cerny sequence.  The reset threshold of every
-member has a closed form driven by the pawn race solution, evaluated here
-three ways and scanned for the family-wide optima.
+member has a closed form driven by the pawn race solution.  ``rt_formula``
+evaluates it exactly at single points; every family-wide query
+(``optimal_c``, ``local_optima``, ``scan_optimal``, ``scan_drops``,
+``rt_table``) reads the one int64 column evaluator ``_columns``.
+
+The int64 values are exact: ``_columns`` accepts only n_max < 2^21.  In the
+race on n' = n - c - 1 pawns each of the n' - 1 iterations costs at most
+c + 1 per pawn, so f_c(n') <= (c+1) n'(n'-1), and then
+rt = n'(n'-1) + c + 1 + f_c(n') < (c+2) n'^2 <= n^3 < 2^63.  Every
+intermediate value is smaller: the split-sequence terms stay below twice the
+column length, and the prefix sums below f_c(n').
 """
 
 from dataclasses import dataclass
@@ -82,27 +91,23 @@ def rt_formula(n: int, c: int) -> int:
     return npr * (npr - 1) + c + 1 + pawnrace.f_closed(npr, c)
 
 
+def _row(n: int) -> list[int]:
+    """rt(n, c) for c = 0 .. n-2, as Python ints: the last entry of each column."""
+    return [int(column[-1]) for _, column in _columns(n)]
+
+
 def optimal_c(n: int) -> tuple[int, set[int]]:
     """Maximum reset threshold over all c, with every maximizing c."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    best = -1
-    argmax: set[int] = set()
-    for c in range(n - 1):
-        value = rt_formula(n, c)
-        if value > best:
-            best = value
-            argmax = {c}
-        elif value == best:
-            argmax.add(c)
-    return best, argmax
+    row = _row(n)
+    best = max(row)
+    return best, {c for c, value in enumerate(row) if value == best}
 
 
 def local_optima(n: int) -> list[tuple[int, int]]:
     """Interior c whose threshold is >= both neighbours, with values."""
     if n < 4:
         return []
-    row = [rt_formula(n, c) for c in range(n - 1)]
+    row = _row(n)
     return [
         (c, row[c])
         for c in range(1, n - 2)
@@ -140,8 +145,8 @@ def _sequence_terms(c: int, limit: int, buf: np.ndarray | None = None) -> tuple[
     written in place into ``buf``, which is replaced by one twice as large
     whenever a block of c terms would not fit; returns the buffer (reuse it
     for the next call) and the number of terms written, a multiple of c.
-    Values stay below 2 * limit, far below 2^63 for every limit a scan can
-    reach.
+    Values stay below 2 * limit; ``_columns`` bounds the limit so that they
+    fit in int64.
     """
     size = 2 * c
     if buf is None or buf.size < size:
@@ -167,8 +172,17 @@ def _columns(n_max: int):
     split-sequence terms.  All scratch is allocated once, so ``column`` is a
     view that the next column overwrites: consume or copy it before
     advancing.
+
+    Raises ValueError at once unless 2 <= n_max < 2^21, the range in which
+    every value is exact in int64 (see the module docstring).
     """
-    top = max(n_max - 1, 0)  # largest n'
+    if not 2 <= n_max < 2**21:
+        raise ValueError(f"need 2 <= n_max < 2**21, got {n_max}")
+    return _fill_columns(n_max)
+
+
+def _fill_columns(n_max: int):
+    top = n_max - 1  # largest n'
     nprime = np.arange(1, top + 1, dtype=np.int64)
     base = nprime * (nprime - 1)
     f = np.empty(top, dtype=np.int64)
@@ -195,12 +209,11 @@ def scan_optimal(n_max: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns int64 arrays indexed by n (entries below n=2 are -1).
     """
-    if n_max < 2:
-        raise ValueError("need n_max >= 2")
+    columns = _columns(n_max)
     best = np.full(n_max + 1, -1, dtype=np.int64)
     best_c = np.full(n_max + 1, -1, dtype=np.int64)
     better = np.empty(n_max - 1, dtype=bool)
-    for c, column in _columns(n_max):
+    for c, column in columns:
         window_best = best[c + 2:]
         mask = better[: column.size]
         np.greater_equal(column, window_best, out=mask)  # ties move to the larger c
@@ -230,8 +243,9 @@ def scan_drops(n_max: int) -> list[DropEvent]:
 
 def rt_table(n_max: int) -> np.ndarray:
     """Dense (n, c) threshold table with -1 in the invalid corner."""
-    table = np.full((n_max + 1, max(n_max - 1, 1)), -1, dtype=np.int64)
-    for c, column in _columns(n_max):
+    columns = _columns(n_max)
+    table = np.full((n_max + 1, n_max - 1), -1, dtype=np.int64)
+    for c, column in columns:
         table[c + 2:, c] = column
     return table
 

@@ -7,6 +7,8 @@ import json
 import sys
 from contextlib import nullcontext
 
+import numpy as np
+
 from . import cerny, estimates, pawnrace, primes, tables
 from .pfa import from_json, to_dot, to_json, format_word
 from .solver import SolveLimits, LimitExceeded, NotSynchronizing, solve
@@ -190,10 +192,17 @@ def _check(mismatches, label, got, expected):
         mismatches.append(f"MISMATCH {label}: computed {got}, published {expected}")
 
 
+# the options each table reads; any other option given is refused
+_TABLE_OPTIONS = {"grid": ("nmax", "cmax"), "drops": ("nmax",)}
+
+
 def _cmd_tables(args, out):
     mismatches = []
     rows = []
     which = args.which
+    for option in ("nmax", "cmax"):
+        if getattr(args, option) is not None and option not in _TABLE_OPTIONS.get(which, ()):
+            raise ValueError(f"tables {which} takes no --{option}")
     if which == "pn2":
         for n, published in sorted(tables.P_N_2.items()):
             got = cerny.optimal_c(n)[0]
@@ -201,12 +210,14 @@ def _cmd_tables(args, out):
             rows.append({"n": n, "value": got})
         _emit_rows(args, out, rows, ("n", "value"))
     elif which == "grid":
-        nmax = args.nmax or 15
-        cmax = args.cmax if args.cmax is not None else 4
+        nmax = 15 if args.nmax is None else args.nmax
+        cmax = 4 if args.cmax is None else args.cmax
+        table = cerny.rt_table(nmax)
         for n in range(2, nmax + 1):
-            best = max(cerny.rt_formula(n, c) for c in range(n - 1))
+            row = table[n, : n - 1].tolist()
+            best = max(row)
             for c in range(0, min(cmax, n - 2) + 1):
-                got = cerny.rt_formula(n, c)
+                got = row[c]
                 if n in tables.GRID and c < len(tables.GRID[n]):
                     _check(mismatches, f"grid({n},{c})", got, tables.GRID[n][c])
                 rows.append({"n": n, "c": c, "value": got, "max": "*" if got == best else ""})
@@ -218,7 +229,7 @@ def _cmd_tables(args, out):
             rows.append({"n": n, "value": got})
         _emit_rows(args, out, rows, ("n", "value"))
     elif which == "drops":
-        nmax = args.nmax or 1768
+        nmax = 1768 if args.nmax is None else args.nmax
         events = cerny.scan_drops(nmax)
         expected = [row for row in tables.DROPS if row.n_left < nmax]
         _check(mismatches, f"drop count below {nmax}", len(events), len(expected))
@@ -279,9 +290,12 @@ def _cmd_scan(args, out):
     if args.what == "optimal-c":
         rows = []
         if args.full:
+            table = cerny.rt_table(nmax)
             for n in range(2, nmax + 1):
-                value, argmax = cerny.optimal_c(n)
-                rows.append({"n": n, "value": value, "c": ",".join(map(str, sorted(argmax)))})
+                row = table[n, : n - 1]
+                value = row.max()
+                argmax = np.flatnonzero(row == value)
+                rows.append({"n": n, "value": int(value), "c": ",".join(map(str, argmax))})
         else:
             best, best_c = cerny.scan_optimal(nmax)
             for n in range(2, nmax + 1):

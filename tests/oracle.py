@@ -1,11 +1,17 @@
-"""Slow reference semantics for the tests, independent of the bitset kernel.
+"""Slow reference semantics for the tests, independent of the fast paths.
 
 ``simulate`` walks ``pfa.delta`` one state at a time, and ``shortest_words``
 enumerates words in lexicographic order, so neither shares code with
-``apply_word`` or the subset search they check.
+``apply_word`` or the subset search they check.  ``exact_row`` evaluates the
+closed form with arbitrary-precision integers, one c at a time, so it
+shares nothing with the int64 column evaluator behind the family-wide
+queries.
 """
 
+from functools import lru_cache
 from itertools import product
+
+from carefulsync import rt_formula
 
 
 def simulate(pfa, states, letters):
@@ -40,3 +46,15 @@ def shortest_words(pfa, cap):
         if hits:
             return hits
     return []
+
+
+@lru_cache(maxsize=None)
+def exact_row(n):
+    """rt(n, c) for c = 0 .. n-2, each from the exact closed form."""
+    return tuple(rt_formula(n, c) for c in range(n - 1))
+
+
+def row_optimum(row):
+    """The maximum of a row and the set of every c that attains it."""
+    best = max(row)
+    return best, {c for c, value in enumerate(row) if value == best}

@@ -163,6 +163,10 @@ def test_09_double_double_3512():
     assert rt_formula(3512, 1439) == 37170635
     assert rt_formula(3512, 1502) == 37180596
     assert rt_formula(3512, 1503) == 37180596
+    assert optimal_c(3512) == (37180596, {1502, 1503})
+    assert local_optima(3512) == [
+        (1438, 37170635), (1439, 37170635), (1502, 37180596), (1503, 37180596),
+    ]
     ok("criterion 9: n=3512 carries two double optima")
 
 

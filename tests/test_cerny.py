@@ -1,7 +1,9 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from oracle import exact_row, row_optimum
 
 from carefulsync import (
     StateSet,
@@ -20,7 +22,7 @@ from carefulsync import (
     format_word,
 )
 from carefulsync.cerny import STAR_SYMBOLS, _sequence_terms, rt_table
-from carefulsync.pawnrace import SequenceCache
+from carefulsync.pawnrace import SequenceCache, f_closed
 from carefulsync.tables import CONCLUSION, GRID, P_N_2
 
 
@@ -150,6 +152,48 @@ def test_local_optima_13():
     assert found[2] == 176 and found[3] == 176
 
 
+def test_row_queries_match_exact_oracle():
+    for n in [*range(2, 301), 512]:
+        row = exact_row(n)
+        best, argmax = optimal_c(n)
+        assert (best, argmax) == row_optimum(row), n
+        assert type(best) is int and all(type(c) is int for c in argmax), n
+        found = local_optima(n)
+        assert found == [
+            (c, row[c])
+            for c in range(1, n - 2)
+            if row[c] >= row[c - 1] and row[c] >= row[c + 1]
+        ], n
+        assert all(type(value) is int for _, value in found), n
+
+
+def test_family_queries_refuse_out_of_range_n():
+    for query in (optimal_c, scan_optimal, scan_drops, rt_table):
+        for n in (-1, 0, 1, 2**21):
+            with pytest.raises(ValueError, match="2\\*\\*21"):
+                query(n)
+    assert local_optima(1) == local_optima(3) == []
+
+
+def test_int64_bound_behind_the_range_check():
+    # f_c(n') <= (c+1) n'(n'-1), hence rt(n, c) < (c+2) n'^2 <= n^3
+    for c in range(0, 40):
+        for npr in range(1, 400):
+            assert f_closed(npr, c) <= (c + 1) * npr * (npr - 1), (npr, c)
+    for n in range(2, 120):
+        assert max(exact_row(n)) <= n**3
+
+
+def test_optimal_c_memory_is_linear():
+    tracemalloc.start()
+    try:
+        assert optimal_c(1000) == (2587228, {398})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak
+
+
 def test_local_maxima_stay_below_half():
     table = rt_table(2000)
     for n in range(6, 2001):
@@ -173,13 +217,17 @@ def test_double_double_at_3512():
     assert rt_formula(3512, 1439) == 37170635
     assert rt_formula(3512, 1502) == 37180596
     assert rt_formula(3512, 1503) == 37180596
+    assert optimal_c(3512) == (37180596, {1502, 1503})
+    assert local_optima(3512) == [
+        (1438, 37170635), (1439, 37170635), (1502, 37180596), (1503, 37180596),
+    ]
 
 
 def test_scan_against_formula():
     best, best_c = scan_optimal(600)
     assert best[:2].tolist() == best_c[:2].tolist() == [-1, -1]
     for n in range(2, 601):
-        value, argmax = optimal_c(n)
+        value, argmax = row_optimum(exact_row(n))
         assert int(best[n]) == value, n
         assert int(best_c[n]) == max(argmax), n
 

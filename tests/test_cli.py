@@ -1,5 +1,8 @@
 import json
 
+import pytest
+from oracle import exact_row, row_optimum
+
 from carefulsync import build_cerny, from_json, is_sync_word, parse_word
 from carefulsync.cli import dispatch
 
@@ -147,6 +150,67 @@ def test_scan_optimal_c(capsys):
     code, out = run(capsys, "scan", "optimal-c", "--nmax", "13", "--full")
     assert code == 0
     assert "13\t176\t2,3" in out
+
+
+def test_scan_full_matches_exact_oracle(capsys):
+    lines = ["n\tvalue\tc"]
+    for n in range(2, 301):
+        value, argmax = row_optimum(exact_row(n))
+        lines.append(f"{n}\t{value}\t{','.join(map(str, sorted(argmax)))}")
+    expected = "\n".join(lines) + "\n"
+    assert run(capsys, "scan", "optimal-c", "--nmax", "300", "--full") == (0, expected)
+
+
+@pytest.mark.parametrize("argv, nmax, cmax", [((), 15, 4), (("--nmax", "40", "--cmax", "40"), 40, 40)])
+def test_tables_grid_matches_exact_oracle(capsys, argv, nmax, cmax):
+    lines = ["n\tc\tvalue\tmax"]
+    for n in range(2, nmax + 1):
+        row = exact_row(n)
+        for c in range(min(cmax, n - 2) + 1):
+            lines.append(f"{n}\t{c}\t{row[c]}\t{'*' if row[c] == max(row) else ''}")
+    expected = "\n".join(lines) + "\n"
+    assert run(capsys, "tables", "grid", *argv) == (0, expected)
+
+
+def test_family_queries_never_evaluate_single_points(capsys, monkeypatch):
+    from carefulsync import cerny, pawnrace
+
+    def refuse(*args):
+        raise AssertionError("exact point evaluator reached")
+
+    monkeypatch.setattr(cerny, "rt_formula", refuse)
+    monkeypatch.setattr(pawnrace, "f_closed", refuse)
+    for argv in (("tables", "pn2"), ("tables", "grid"), ("tables", "conclusion"),
+                 ("tables", "defeat"), ("scan", "optimal-c", "--nmax", "60"),
+                 ("scan", "optimal-c", "--nmax", "60", "--full")):
+        assert dispatch(list(argv)) == 0, argv
+    assert cerny.local_optima(99) == [(33, 17323), (35, 17323)]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("nmax", ["0", "1"])
+@pytest.mark.parametrize(
+    "argv",
+    [("tables", "grid"), ("tables", "drops"), ("scan", "optimal-c"),
+     ("scan", "optimal-c", "--full"), ("scan", "drops")],
+)
+def test_nmax_below_two_is_usage_error(capsys, argv, nmax):
+    assert dispatch([*argv, "--nmax", nmax]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "n_max" in captured.err
+
+
+@pytest.mark.parametrize(
+    "which, option",
+    [("pn2", "--nmax"), ("pn2", "--cmax"), ("conclusion", "--nmax"),
+     ("conclusion", "--cmax"), ("defeat", "--nmax"), ("defeat", "--cmax"),
+     ("drops", "--cmax")],
+)
+def test_tables_refuse_options_they_ignore(capsys, which, option):
+    assert dispatch(["tables", which, option, "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: tables {which} takes no {option}\n"
 
 
 def test_scan_drops(capsys):
