@@ -3,16 +3,18 @@
 Symbol ``a`` advances the low states and wraps n to 1 but is undefined just
 below the top; ``b`` idles on the low states and climbs the top ones.  For
 c = 0 this is exactly the Cerny sequence.  The reset threshold of every
-member has a closed form driven by the pawn race solution.  ``rt_formula``
-evaluates it exactly at single points; every family-wide query
-(``optimal_c``, ``local_optima``, ``scan_optimal``, ``scan_drops``,
-``rt_table``) reads the one int64 column evaluator ``_columns``.
+member has a closed form driven by the pawn race solution.  Every
+value comes from the runs of the split sequences in ``pawnrace``, built for
+one c at a time: ``rt_formula`` evaluates single points through the memoized
+tables, ``optimal_c`` and ``local_optima`` read one row of exact points
+through ``_row``, and ``scan_optimal`` and ``scan_drops`` read the int64
+column evaluator ``_columns``.
 
 The int64 values are exact: ``_columns`` accepts only n_max < 2^21.  In the
 race on n' = n - c - 1 pawns each of the n' - 1 iterations costs at most
 c + 1 per pawn, so f_c(n') <= (c+1) n'(n'-1), and then
 rt = n'(n'-1) + c + 1 + f_c(n') < (c+2) n'^2 <= n^3 < 2^63.  Every
-intermediate value is smaller: the split-sequence terms stay below twice the
+intermediate value is smaller: the run values scattered are below the
 column length, and the prefix sums below f_c(n').
 """
 
@@ -91,9 +93,21 @@ def rt_formula(n: int, c: int) -> int:
     return npr * (npr - 1) + c + 1 + pawnrace.f_closed(npr, c)
 
 
+def _check_n_max(n_max: int):
+    if not 2 <= n_max < 2**21:
+        raise ValueError(f"need 2 <= n_max < 2**21, got {n_max}")
+
+
 def _row(n: int) -> list[int]:
-    """rt(n, c) for c = 0 .. n-2, as Python ints: the last entry of each column."""
-    return [int(column[-1]) for _, column in _columns(n)]
+    """rt(n, c) for c = 0 .. n-2, as Python ints, each from a run table built
+    for that c alone and dropped after its one point."""
+    _check_n_max(n)
+    row = []
+    for c in range(n - 1):
+        npr = n - c - 1
+        f = npr - 1 if c == 0 else pawnrace.race_cost(pawnrace.SequenceCache(c), npr)
+        row.append(npr * (npr - 1) + c + 1 + f)
+    return row
 
 
 def optimal_c(n: int) -> tuple[int, set[int]]:
@@ -137,47 +151,23 @@ class DropEvent:
         return self.c_before - self.c_after
 
 
-def _sequence_terms(c: int, limit: int, buf: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-    """Split-sequence terms p_c(1), p_c(2), ... through the first one exceeding ``limit``.
-
-    Transient int64 companion to the exact caches: scans sweep thousands of
-    c values and must not pin a big-integer cache per c.  The terms are
-    written in place into ``buf``, which is replaced by one twice as large
-    whenever a block of c terms would not fit; returns the buffer (reuse it
-    for the next call) and the number of terms written, a multiple of c.
-    Values stay below 2 * limit; ``_columns`` bounds the limit so that they
-    fit in int64.
-    """
-    size = 2 * c
-    if buf is None or buf.size < size:
-        buf = np.empty(max(64, 2 * size), dtype=np.int64)
-    buf[:size] = 1
-    while buf[size - 1] <= limit:
-        if size + c > buf.size:  # one doubling suffices, as buf.size >= max(size, 2c)
-            grown = np.empty(2 * buf.size, dtype=np.int64)
-            grown[:size] = buf[:size]
-            buf = grown
-        np.add(buf[size - c - 1: size - 1], buf[size - c: size], out=buf[size: size + c])
-        size += c
-    return buf, size
-
-
 def _columns(n_max: int):
     """Thresholds of all members up to n_max, one column per c = 0 .. n_max-2.
 
     Yields ``(c, column)``, where entry j (0-based) of ``column`` is the
     threshold for n' = j + 1, that is n = c + 2 + j.  Each column is
     n'(n'-1) + c + 1 + f_c(n'), with f_c(n') the partial sums of
-    m_c(j) = twinverse(j) over j < n', found by one sorted search over the
-    split-sequence terms.  All scratch is allocated once, so ``column`` is a
+    m_c(j) = twinverse(j) over j < n'.  The multiplicities of the runs of p_c
+    below the column length are scattered into a count array at their
+    values; one cumsum counts the terms <= j, which is m_c(j) - 1, and a
+    second sums those.  All scratch is allocated once, so ``column`` is a
     view that the next column overwrites: consume or copy it before
     advancing.
 
     Raises ValueError at once unless 2 <= n_max < 2^21, the range in which
     every value is exact in int64 (see the module docstring).
     """
-    if not 2 <= n_max < 2**21:
-        raise ValueError(f"need 2 <= n_max < 2**21, got {n_max}")
+    _check_n_max(n_max)
     return _fill_columns(n_max)
 
 
@@ -187,16 +177,19 @@ def _fill_columns(n_max: int):
     base = nprime * (nprime - 1)
     f = np.empty(top, dtype=np.int64)
     column = np.empty(top, dtype=np.int64)
-    terms = None
+    hist = np.zeros(top, dtype=np.int64)  # hist[v]: terms of p_c equal to v
+    below = np.empty(top, dtype=np.int64)
     for c in range(n_max - 1):
         count = n_max - c - 1
         if c == 0:
             np.subtract(nprime[:count], 1, out=f[:count])
         else:
-            terms, size = _sequence_terms(c, count, terms)
-            below = np.searchsorted(terms[:size], nprime[: count - 1], side="right")
+            values, multiplicities = pawnrace.SequenceCache(c).runs(count - 1)
+            hist[values] = multiplicities
+            np.cumsum(hist[1:count], out=below[: count - 1])  # terms <= j
+            hist[values] = 0
             f[0] = 0
-            np.cumsum(below, out=f[1:count])
+            np.cumsum(below[: count - 1], out=f[1:count])
             f[1:count] += nprime[: count - 1]  # m = below + 1
         out = column[:count]
         np.add(base[:count], c + 1, out=out)
@@ -239,15 +232,6 @@ def scan_drops(n_max: int) -> list[DropEvent]:
                 )
             )
     return events
-
-
-def rt_table(n_max: int) -> np.ndarray:
-    """Dense (n, c) threshold table with -1 in the invalid corner."""
-    columns = _columns(n_max)
-    table = np.full((n_max + 1, n_max - 1), -1, dtype=np.int64)
-    for c, column in columns:
-        table[c + 2:, c] = column
-    return table
 
 
 def greedy_factorization(text: str, c: int) -> list[str] | None:

@@ -6,6 +6,7 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
+from itertools import islice
 
 import numpy as np
 
@@ -212,15 +213,14 @@ def _cmd_tables(args, out):
     elif which == "grid":
         nmax = 15 if args.nmax is None else args.nmax
         cmax = 4 if args.cmax is None else args.cmax
-        table = cerny.rt_table(nmax)
+        best = cerny.scan_optimal(nmax)[0].tolist()
+        cells = [column.tolist() for _, column in islice(cerny._columns(nmax), max(cmax + 1, 0))]
         for n in range(2, nmax + 1):
-            row = table[n, : n - 1].tolist()
-            best = max(row)
             for c in range(0, min(cmax, n - 2) + 1):
-                got = row[c]
+                got = cells[c][n - c - 2]
                 if n in tables.GRID and c < len(tables.GRID[n]):
                     _check(mismatches, f"grid({n},{c})", got, tables.GRID[n][c])
-                rows.append({"n": n, "c": c, "value": got, "max": "*" if got == best else ""})
+                rows.append({"n": n, "c": c, "value": got, "max": "*" if got == best[n] else ""})
         _emit_rows(args, out, rows, ("n", "c", "value", "max"))
     elif which == "conclusion":
         for n, published in sorted(tables.CONCLUSION.items()):
@@ -289,15 +289,15 @@ def _cmd_scan(args, out):
     nmax = args.nmax
     if args.what == "optimal-c":
         rows = []
+        best, best_c = cerny.scan_optimal(nmax)
         if args.full:
-            table = cerny.rt_table(nmax)
+            argmax = [[] for _ in range(nmax + 1)]
+            for c, column in cerny._columns(nmax):
+                for j in np.flatnonzero(column == best[c + 2:]).tolist():
+                    argmax[c + 2 + j].append(c)
             for n in range(2, nmax + 1):
-                row = table[n, : n - 1]
-                value = row.max()
-                argmax = np.flatnonzero(row == value)
-                rows.append({"n": n, "value": int(value), "c": ",".join(map(str, argmax))})
+                rows.append({"n": n, "value": int(best[n]), "c": ",".join(map(str, argmax[n]))})
         else:
-            best, best_c = cerny.scan_optimal(nmax)
             for n in range(2, nmax + 1):
                 rows.append({"n": n, "value": int(best[n]), "c": int(best_c[n])})
         _emit_rows(args, out, rows, ("n", "value", "c"))

@@ -9,7 +9,7 @@ the optimal races themselves.
 """
 
 import threading
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,39 +18,72 @@ from .pfa import Word
 
 
 class SequenceCache:
-    """Memoized values of the split sequences for one cost parameter ``c``.
+    """Exact values of the split sequences for one cost parameter ``c``.
 
     ``p(k)`` is 1 for k <= 2c and p(k-c-1) + p(k-c) afterwards (Fibonacci for
     c=1, a shifted Padovan for c=2).  ``q(k)`` is 1 plus the partial sums of
-    p, and ``twinverse(n)`` is the least k with n < p(k).  Values are exact
-    Python integers, grown on demand in blocks of c terms at a time; a lock
-    keeps concurrent growth consistent.
+    p through p(k-1), and ``twinverse(n)`` is the least k with n < p(k).
+
+    p is nondecreasing with few distinct values (at c = 420000 the 8.8 M
+    terms up to 579999 form 198 runs), so the table holds runs: ``_p`` lists
+    the distinct values in increasing order, ``_ends[i]`` counts the terms
+    <= ``_p[i]`` and ``_sums[i]`` adds them up, so p, q and twinverse are
+    each one bisection.  ``_p`` keeps its name because its length is still
+    the table's size, now one entry per run, as the benchmark's cache
+    statistics read it.
+
+    The table grows block by block.  Block j holds the terms (j-1)c+1 .. jc,
+    and B_j[i] = B_{j-1}[i-1] + B_{j-1}[i], where B_{j-1}[-1] is the last
+    term of B_{j-2}.  So a run (v, m) of block j-1, preceded by the value u,
+    becomes (u+v, 1) and (2v, m-1) in block j, and equal neighbours merge.
+
+    ``cache_for`` memoizes at most ``_CACHE_CAP`` tables and evicts the least
+    recently used; the family scans build one table per c and drop it.
+
+    Values are exact Python ints.  Growth holds a lock, appends a value and
+    its sum before its count, and changes only the last run, so reads, which
+    take the lock only to grow, see final runs below the last while another
+    thread grows the table.
     """
 
     def __init__(self, c: int):
         if c < 1:
             raise ValueError("cost parameter must be >= 1")
         self.c = c
-        self._p = [1] * (2 * c)
-        self._sums = [0]  # _sums[k] = p(1) + ... + p(k)
-        for v in self._p:
-            self._sums.append(self._sums[-1] + v)
+        self._p = [1]
+        self._ends = [2 * c]
+        self._sums = [2 * c]
+        self._block = [(1, c)]  # runs of the last complete block
+        self._before = 1  # last term of the block before it
         self._lock = threading.Lock()
 
     def _extend_block(self):
-        # indices are 0-based: new term j gets p[j-c-1] + p[j-c]
-        c = self.c
-        size = len(self._p)
-        block = [x + y for x, y in zip(self._p[size - c - 1: size - 1], self._p[size - c: size])]
-        self._p.extend(block)
-        acc = self._sums[-1]
-        for v in block:
-            acc += v
-            self._sums.append(acc)
+        block = []
+        u = self._before
+        # values increase along a block, so u+v exceeds every value before it
+        # and merges only into (2v, m-1), when u == v
+        for v, m in self._block:
+            if u == v:
+                block.append((2 * v, m))
+            else:
+                block.append((u + v, 1))
+                if m > 1:
+                    block.append((2 * v, m - 1))
+            u = v
+        self._before, self._block = u, block
+        values, sums, ends = self._p, self._sums, self._ends
+        for value, count in block:
+            if value == values[-1]:
+                sums[-1] += value * count
+                ends[-1] += count
+            else:
+                values.append(value)
+                sums.append(sums[-1] + value * count)
+                ends.append(ends[-1] + count)
 
     def _grow_to(self, k: int):
         with self._lock:
-            while len(self._p) < k:
+            while self._ends[-1] < k:
                 self._extend_block()
 
     def _grow_beyond(self, value: int):
@@ -62,30 +95,45 @@ class SequenceCache:
         if k < 1:
             raise ValueError("index must be >= 1")
         self._grow_to(k)
-        return self._p[k - 1]
+        return self._p[bisect_left(self._ends, k)]
 
     def q(self, k: int) -> int:
         if k < 1:
             raise ValueError("index must be >= 1")
         self._grow_to(k)
-        return 1 + self._sums[k - 1]
+        i = bisect_left(self._ends, k - 1)  # the run holding p(k-1)
+        done, total = (self._ends[i - 1], self._sums[i - 1]) if i else (0, 0)
+        return 1 + total + self._p[i] * (k - 1 - done)
 
     def twinverse(self, n: int) -> int:
         if n < 1:
             raise ValueError("argument must be >= 1")
         self._grow_beyond(n)
-        return bisect_right(self._p, n) + 1
+        return self._ends[bisect_right(self._p, n) - 1] + 1
+
+    def runs(self, limit: int) -> tuple[list[int], list[int]]:
+        """The distinct values v <= limit of p, and how many terms equal each."""
+        self._grow_beyond(limit)
+        r = bisect_right(self._p, limit)
+        ends = self._ends[:r]
+        return self._p[:r], [end - start for start, end in zip([0, *ends], ends)]
 
 
+# Run tables memoized by ``cache_for``, least recently used first; a fixed
+# cap keeps sweeps over many c from pinning a table per c.
+_CACHE_CAP = 64
 _caches: dict[int, SequenceCache] = {}
 _caches_lock = threading.Lock()
 
 
 def cache_for(c: int) -> SequenceCache:
     with _caches_lock:
-        cache = _caches.get(c)
+        cache = _caches.pop(c, None)
         if cache is None:
-            cache = _caches[c] = SequenceCache(c)
+            cache = SequenceCache(c)
+            if len(_caches) >= _CACHE_CAP:
+                del _caches[next(iter(_caches))]
+        _caches[c] = cache
     return cache
 
 
@@ -169,7 +217,11 @@ def f_closed(n: int, c: int) -> int:
         raise ValueError("cost parameter must be >= 0")
     if c == 0:
         return n - 1
-    cache = cache_for(c)
+    return race_cost(cache_for(c), n)
+
+
+def race_cost(cache: SequenceCache, n: int) -> int:
+    """f_c(n) = n*m - q(m) with m = twinverse(n), read from one run table."""
     m = cache.twinverse(n)
     return n * m - cache.q(m)
 

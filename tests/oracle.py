@@ -2,16 +2,17 @@
 
 ``simulate`` walks ``pfa.delta`` one state at a time, and ``shortest_words``
 enumerates words in lexicographic order, so neither shares code with
-``apply_word`` or the subset search they check.  ``exact_row`` evaluates the
-closed form with arbitrary-precision integers, one c at a time, so it
-shares nothing with the int64 column evaluator behind the family-wide
+``apply_word`` or the subset search they check.  ``TermSequence`` keeps
+every term of the split sequence p_c in a list, where the package keeps runs
+of equal values, and ``exact_row`` evaluates the closed form from it with
+arbitrary-precision integers, one c at a time, so neither shares code with
+the run tables behind ``rt_formula``, ``f_closed`` and the family-wide
 queries.
 """
 
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import product
-
-from carefulsync import rt_formula
 
 
 def simulate(pfa, states, letters):
@@ -48,10 +49,58 @@ def shortest_words(pfa, cap):
     return []
 
 
+class TermSequence:
+    """Every term of p_c as a list, grown c terms at a time.
+
+    p(k) is 1 for k <= 2c and p(k-c-1) + p(k-c) afterwards; q(k) is 1 plus
+    p(1) + ... + p(k-1), and twinverse(n) is the least k with n < p(k).
+    """
+
+    def __init__(self, c):
+        self.c = c
+        self._p = [1] * (2 * c)
+        self._sums = list(range(2 * c + 1))  # _sums[k] = p(1) + ... + p(k)
+
+    def _extend_block(self):
+        c, size = self.c, len(self._p)
+        for x, y in zip(self._p[size - c - 1: size - 1], self._p[size - c: size]):
+            self._p.append(x + y)
+            self._sums.append(self._sums[-1] + x + y)
+
+    def p(self, k):
+        while len(self._p) < k:
+            self._extend_block()
+        return self._p[k - 1]
+
+    def q(self, k):
+        while len(self._p) < k:
+            self._extend_block()
+        return 1 + self._sums[k - 1]
+
+    def twinverse(self, n):
+        while self._p[-1] <= n:
+            self._extend_block()
+        return bisect_right(self._p, n) + 1
+
+
+@lru_cache(maxsize=None)
+def term_sequence(c):
+    return TermSequence(c)
+
+
+def exact_f(n, c):
+    """f_c(n) = n*m - q(m) with m = twinverse(n), from the term list."""
+    if c == 0:
+        return n - 1
+    terms = term_sequence(c)
+    m = terms.twinverse(n)
+    return n * m - terms.q(m)
+
+
 @lru_cache(maxsize=None)
 def exact_row(n):
-    """rt(n, c) for c = 0 .. n-2, each from the exact closed form."""
-    return tuple(rt_formula(n, c) for c in range(n - 1))
+    """rt(n, c) for c = 0 .. n-2, each from the closed form over term lists."""
+    return tuple((n - c - 1) * (n - c - 2) + c + 1 + exact_f(n - c - 1, c) for c in range(n - 1))
 
 
 def row_optimum(row):

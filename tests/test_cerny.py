@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracle import exact_row, row_optimum
+from oracle import TermSequence, exact_row, row_optimum
 
 from carefulsync import (
     StateSet,
@@ -21,9 +21,18 @@ from carefulsync import (
     solve,
     format_word,
 )
-from carefulsync.cerny import STAR_SYMBOLS, _sequence_terms, rt_table
+from carefulsync.cerny import STAR_SYMBOLS, _columns
 from carefulsync.pawnrace import SequenceCache, f_closed
 from carefulsync.tables import CONCLUSION, GRID, P_N_2
+
+
+def rt_table(n_max):
+    """Dense (n, c) threshold table from the columns, -1 in the invalid corner."""
+    columns = _columns(n_max)
+    table = np.full((n_max + 1, n_max - 1), -1, dtype=np.int64)
+    for c, column in columns:
+        table[c + 2:, c] = column
+    return table
 
 
 def test_member_structure_8_2():
@@ -251,21 +260,14 @@ def test_rt_table_matches_formula():
             assert int(table[n, c]) == want, (n, c)
 
 
-@pytest.mark.parametrize("c", [1, 2, 3, 7, 64, 499])
+@pytest.mark.parametrize("c", [*range(1, 40), 64, 300, 499, 1502])
 def test_sequence_terms_match_cache(c):
-    cache = SequenceCache(c)
-    for limit in (1, 5, 1000, 10**6):
-        fresh, size = _sequence_terms(c, limit)
-        # too small for the final size, so it has to grow on the way
-        grown, grown_size = _sequence_terms(c, limit, np.zeros(2 * c, dtype=np.int64))
-        assert grown_size == size and size % c == 0
-        assert fresh[:size].tolist() == grown[:size].tolist()
-        assert fresh[:size].tolist() == [cache.p(k) for k in range(1, size + 1)]
-        assert fresh[size - 1] > limit  # through the first term beyond the limit ...
-        assert fresh[size - c - 1] <= limit  # ... and no block beyond it
-        # a buffer that is large enough is filled in place
-        again, again_size = _sequence_terms(c, limit, fresh)
-        assert again is fresh and again_size == size
+    # the runs of the package against the term list of the oracle
+    cache, terms = SequenceCache(c), TermSequence(c)
+    for k in range(1, 20000 if c >= 64 else 3000):
+        assert (cache.p(k), cache.q(k)) == (terms.p(k), terms.q(k)), k
+    for n in range(1, 5000):
+        assert cache.twinverse(n) == terms.twinverse(n), n
 
 
 def test_solved_words_start_with_b_run_and_factor():

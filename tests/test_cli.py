@@ -180,11 +180,14 @@ def test_family_queries_never_evaluate_single_points(capsys, monkeypatch):
 
     monkeypatch.setattr(cerny, "rt_formula", refuse)
     monkeypatch.setattr(pawnrace, "f_closed", refuse)
+    monkeypatch.setattr(pawnrace, "cache_for", refuse)
+    monkeypatch.setattr(pawnrace, "_caches", {})
     for argv in (("tables", "pn2"), ("tables", "grid"), ("tables", "conclusion"),
                  ("tables", "defeat"), ("scan", "optimal-c", "--nmax", "60"),
                  ("scan", "optimal-c", "--nmax", "60", "--full")):
         assert dispatch(list(argv)) == 0, argv
     assert cerny.local_optima(99) == [(33, 17323), (35, 17323)]
+    assert pawnrace._caches == {}  # no family query pins a run table
     capsys.readouterr()
 
 

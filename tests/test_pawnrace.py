@@ -1,6 +1,8 @@
+import tracemalloc
 from math import ceil, log2
 
 import pytest
+from oracle import exact_f
 
 from carefulsync import (
     RacePlan,
@@ -158,6 +160,31 @@ def test_affine_linearity_between_terms():
                 for x in range(a, b):
                     assert f_closed(x + 1, c) - f_closed(x, c) == k + 1
             k += 1
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_over_every_c_keeps_memory_bounded():
+    from carefulsync import pawnrace
+
+    n = 1000
+    peak = traced_peak(lambda: [f_closed(n - c - 1, c) for c in range(n - 1)])
+    assert peak < 2 * 2**20, peak
+    assert len(pawnrace._caches) <= pawnrace._CACHE_CAP
+
+
+def test_huge_race_cost_in_small_memory():
+    values = []
+    peak = traced_peak(lambda: values.append(f_closed(10**6, 420000)))
+    assert values == [8379607867404]
+    assert peak < 5 * 2**20, peak
 
 
 def test_cost_ratio_between_cost_parameters():
@@ -426,10 +453,12 @@ def test_concurrent_queries_are_consistent():
 
     expected = {(n, c): f_closed(n, c) for n in (500, 1500) for c in (7, 19)}
     races = {(n, c): count_races(n, c) for n in (300, 2000) for c in (2, 11)}
+    # more distinct c than the run tables kept, so tables are evicted under the readers
+    sweep = {c: exact_f(300, c) for c in range(1, 2 * pawnrace._CACHE_CAP + 2)}
     for c in (2, 11):
         pawnrace._o_tables.pop(c)  # make the threads fill the memo themselves
     errors = []
-    start = threading.Barrier(6)
+    start = threading.Barrier(8)
 
     def worker():
         start.wait()
@@ -443,10 +472,18 @@ def test_concurrent_queries_are_consistent():
                     errors.append((n, c))
             local.twinverse(2000)
 
+    def sweeper():
+        start.wait()
+        for _ in range(10):
+            for c, want in sweep.items():
+                if f_closed(300, c) != want:
+                    errors.append(("sweep", c))
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         threads = [threading.Thread(target=worker) for _ in range(6)]
+        threads += [threading.Thread(target=sweeper) for _ in range(2)]
         for t in threads:
             t.start()
         for t in threads:
