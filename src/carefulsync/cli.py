@@ -289,15 +289,26 @@ def _cmd_scan(args, out):
     nmax = args.nmax
     if args.what == "optimal-c":
         rows = []
-        best, best_c = cerny.scan_optimal(nmax)
         if args.full:
-            argmax = [[] for _ in range(nmax + 1)]
+            # one pass over the columns: per n the best value so far, the
+            # first c to reach it, and every later c that ties some value
+            best = np.full(nmax + 1, -1, dtype=np.int64)
+            lead = np.full(nmax + 1, -1, dtype=np.int64)
+            ties = []
             for c, column in cerny._columns(nmax):
-                for j in np.flatnonzero(column == best[c + 2:]).tolist():
-                    argmax[c + 2 + j].append(c)
+                window = best[c + 2:]
+                for j in np.flatnonzero(column == window).tolist():
+                    ties.append((c + 2 + j, int(column[j]), c))
+                np.copyto(lead[c + 2:], c, where=column > window)
+                np.maximum(window, column, out=window)
+            argmax = [[c] for c in lead.tolist()]
+            for n, value, c in ties:
+                if value == best[n]:
+                    argmax[n].append(c)
             for n in range(2, nmax + 1):
                 rows.append({"n": n, "value": int(best[n]), "c": ",".join(map(str, argmax[n]))})
         else:
+            best, best_c = cerny.scan_optimal(nmax)
             for n in range(2, nmax + 1):
                 rows.append({"n": n, "value": int(best[n]), "c": int(best_c[n])})
         _emit_rows(args, out, rows, ("n", "value", "c"))

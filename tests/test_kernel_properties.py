@@ -1,8 +1,10 @@
 """Property tests of the bitset kernel and the subset search against the
-per-state simulator and the brute-force word enumerator of ``oracle``."""
+per-state simulator and the brute-force word enumerator of ``oracle``, and
+of the search's hash table of subsets against a Python set."""
 
 from unittest.mock import patch
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from carefulsync import (
@@ -86,3 +88,52 @@ def test_wide_step_matches_brute_force(pfa):
     # is what puts the vectorized step under the oracle
     with patch.object(solver, "WIDE", 1):
         check_against_oracle(pfa)
+
+
+# a key k sits at home slot (k * GOLDEN mod 2^64) >> (64 - bits) of a table of
+# 2^bits slots, so r * INVERSE for small r lands in slot 0 of every table, and
+# -r * INVERSE in the last slot, from which probes wrap around
+INVERSE = pow(solver._GOLDEN, -1, 1 << 64)
+keys = st.one_of(
+    st.integers(1, (1 << 64) - 1),
+    st.integers(1, 1 << 16).map(lambda r: r * INVERSE % (1 << 64)),
+    st.integers(1, 1 << 16).map(lambda r: -r * INVERSE % (1 << 64)),
+)
+
+
+@st.composite
+def key_batches(draw):
+    """Batches of distinct keys from the first quarter of a pool, so that
+    keys repeat across batches, each to be inserted vectorized or one key at
+    a time, and last the whole pool one key at a time, which grows the
+    table at least twice."""
+    pool = draw(st.lists(keys, min_size=32, max_size=64, unique=True))
+    batch = st.lists(st.sampled_from(pool[: len(pool) // 4]), min_size=1, unique=True)
+    batches = draw(st.lists(st.tuples(batch, st.booleans()), max_size=8))
+    return batches + [(pool, False)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(keys, min_size=1, max_size=3, unique=True), key_batches())
+def test_subset_table_matches_set(start, batches):
+    # rehash a few slots at a time, so that growing crosses chunk boundaries
+    with patch.object(solver, "_CHUNK", 4):
+        table = solver._SubsetTable(np.array(start, np.uint64))
+        model = set(start)
+        sizes = {table.slots.size}
+        for batch, vectorized in batches:
+            if vectorized:
+                fresh = table.insert(np.array(batch, np.uint64))
+                assert fresh.tolist() == [key not in model for key in batch]
+                model.update(batch)
+            else:
+                for key in batch:
+                    assert (key in table) == (key in model)
+                    if key not in model:
+                        table.add(key)
+                        model.add(key)
+                        sizes.add(table.slots.size)
+            sizes.add(table.slots.size)
+            assert len(table) == len(model)
+        assert len(sizes) >= 3  # grown at least twice
+        assert sorted(table.slots[table.slots != 0].tolist()) == sorted(model)

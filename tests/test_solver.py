@@ -1,3 +1,5 @@
+import tracemalloc
+from itertools import groupby
 from unittest.mock import patch
 
 import pytest
@@ -46,9 +48,9 @@ def wide_levels(monkeypatch):
     levels = []
     step = solver._WideKernel.step
 
-    def spy(self, counts, base, seen, origin, limits, level):
-        levels.append((level, len(counts)))
-        return step(self, counts, base, seen, origin, limits, level)
+    def spy(self, front, weight, base, seen, origin, limits, level):
+        levels.append((level, front.size))
+        return step(self, front, weight, base, seen, origin, limits, level)
 
     monkeypatch.setattr(solver._WideKernel, "step", spy)
     return levels
@@ -244,3 +246,36 @@ def test_not_synchronizing_explored_agrees(wide_levels):
     del wide_levels[:]
     assert outcome(pfa, solver.WIDE) == expected
     assert wide_levels
+
+
+def test_every_handoff_between_the_steps(wide_levels):
+    # narrow -> wide -> narrow -> wide again, by width or (funnel(64) at WIDE
+    # 1) before int64 counts overflow, each run against the Python step alone
+    cases = [build_cerny(n, c) for n in (16, 17, 18) for c in (3, 4)]
+    cases += [build_prime_pfa((5, 7, 8, 9)), funnel(64)]
+    patterns = set()
+    for pfa in cases:
+        expected = outcome(pfa, PYTHON_ONLY)
+        for wide in (ALL_WIDE, 2, 8, 64, 128, 500):
+            del wide_levels[:]
+            assert outcome(pfa, wide) == expected, (pfa.n, pfa.symbols, wide)
+            taken = {level for level, _ in wide_levels}
+            steps = (level in taken for level in range(expected.levels))
+            patterns.add("".join("W" if w else "N" for w, _ in groupby(steps)))
+    assert any("NWNW" in pattern for pattern in patterns), patterns
+    assert "WN" in patterns  # the funnel's overflow handoff
+
+
+def test_wide_search_keeps_its_subsets_off_the_python_heap():
+    # 196 592 subsets: about 19 MB as Python ints in a set and dicts, about
+    # 8 MB in the hash table and level arrays
+    pfa = build_cerny(20, 4)
+    expected = outcome(pfa, PYTHON_ONLY)
+    tracemalloc.start()
+    try:
+        result = solve(pfa)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == expected
+    assert peak < 12 * 2**20, peak
