@@ -7,8 +7,8 @@ member has a closed form driven by the pawn race solution.  Every
 value comes from the runs of the split sequences in ``pawnrace``, built for
 one c at a time: ``rt_formula`` evaluates single points through the memoized
 tables, ``optimal_c`` and ``local_optima`` read one row of exact points
-through ``_row``, and ``scan_optimal`` and ``scan_drops`` read the int64
-column evaluator ``_columns``.
+through ``_row``, and the ``scan_*`` functions read the int64 column
+evaluator ``_columns``, whose layout no other module sees.
 
 The int64 values are exact: ``_columns`` accepts only n_max < 2^21.  In the
 race on n' = n - c - 1 pawns each of the n' - 1 iterations costs at most
@@ -19,6 +19,7 @@ column length, and the prefix sums below f_c(n').
 """
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -213,6 +214,39 @@ def scan_optimal(n_max: int) -> tuple[np.ndarray, np.ndarray]:
         np.maximum(window_best, column, out=window_best)
         np.copyto(best_c[c + 2:], c, where=mask)
     return best, best_c
+
+
+def scan_maximizers(n_max: int) -> tuple[list[int], list[list[int]]]:
+    """Per-n maximum threshold and every maximizing c, increasing, for
+    2 <= n <= n_max, as lists indexed by n.  One pass over the columns keeps
+    per n the best value so far, the first c to reach it, and every later c
+    that ties some value; a tie counts if its value is the final best."""
+    best = np.full(n_max + 1, -1, dtype=np.int64)
+    lead = np.full(n_max + 1, -1, dtype=np.int64)
+    ties = []
+    for c, column in _columns(n_max):
+        window = best[c + 2:]
+        for j in np.flatnonzero(column == window).tolist():
+            ties.append((c + 2 + j, int(column[j]), c))
+        np.copyto(lead[c + 2:], c, where=column > window)
+        np.maximum(window, column, out=window)
+    argmax = [[c] for c in lead.tolist()]
+    for n, value, c in ties:
+        if value == best[n]:
+            argmax[n].append(c)
+    return best.tolist(), argmax
+
+
+def scan_grid(n_max: int, c_max: int) -> list[list[int]]:
+    """rt(n, c) for c = 0 .. min(c_max, n-2), as lists of Python ints
+    indexed by n <= n_max (entries below n=2 are empty)."""
+    if c_max < 0:
+        raise ValueError(f"need c_max >= 0, got {c_max}")
+    grid = [[] for _ in range(n_max + 1)]
+    for c, column in islice(_columns(n_max), c_max + 1):
+        for row, value in zip(grid[c + 2:], column.tolist()):
+            row.append(value)
+    return grid
 
 
 def scan_drops(n_max: int) -> list[DropEvent]:

@@ -6,11 +6,8 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
-from itertools import islice
 
-import numpy as np
-
-from . import cerny, estimates, pawnrace, primes, tables
+from . import cerny, estimates, pawnrace, primes, verify
 from .pfa import from_json, to_dot, to_json, format_word
 from .solver import SolveLimits, LimitExceeded, NotSynchronizing, solve
 
@@ -58,7 +55,7 @@ def _parser():
     race.add_argument("--out")
 
     tab = sub.add_parser("tables", help="reproduce a published table and diff it")
-    tab.add_argument("which", choices=["pn2", "grid", "conclusion", "drops", "defeat"])
+    tab.add_argument("which", choices=list(verify.TABLES))
     tab.add_argument("--nmax", type=int)
     tab.add_argument("--cmax", type=int)
     tab.add_argument("--json", action="store_true")
@@ -188,92 +185,12 @@ def _cmd_race(args, out):
     return OK
 
 
-def _check(mismatches, label, got, expected):
-    if got != expected:
-        mismatches.append(f"MISMATCH {label}: computed {got}, published {expected}")
-
-
-# the options each table reads; any other option given is refused
-_TABLE_OPTIONS = {"grid": ("nmax", "cmax"), "drops": ("nmax",)}
-
-
 def _cmd_tables(args, out):
-    mismatches = []
-    rows = []
-    which = args.which
-    for option in ("nmax", "cmax"):
-        if getattr(args, option) is not None and option not in _TABLE_OPTIONS.get(which, ()):
-            raise ValueError(f"tables {which} takes no --{option}")
-    if which == "pn2":
-        for n, published in sorted(tables.P_N_2.items()):
-            got = cerny.optimal_c(n)[0]
-            _check(mismatches, f"p({n},2)", got, published)
-            rows.append({"n": n, "value": got})
-        _emit_rows(args, out, rows, ("n", "value"))
-    elif which == "grid":
-        nmax = 15 if args.nmax is None else args.nmax
-        cmax = 4 if args.cmax is None else args.cmax
-        best = cerny.scan_optimal(nmax)[0].tolist()
-        cells = [column.tolist() for _, column in islice(cerny._columns(nmax), max(cmax + 1, 0))]
-        for n in range(2, nmax + 1):
-            for c in range(0, min(cmax, n - 2) + 1):
-                got = cells[c][n - c - 2]
-                if n in tables.GRID and c < len(tables.GRID[n]):
-                    _check(mismatches, f"grid({n},{c})", got, tables.GRID[n][c])
-                rows.append({"n": n, "c": c, "value": got, "max": "*" if got == best[n] else ""})
-        _emit_rows(args, out, rows, ("n", "c", "value", "max"))
-    elif which == "conclusion":
-        for n, published in sorted(tables.CONCLUSION.items()):
-            got = cerny.optimal_c(n)[0]
-            _check(mismatches, f"conclusion({n})", got, published)
-            rows.append({"n": n, "value": got})
-        _emit_rows(args, out, rows, ("n", "value"))
-    elif which == "drops":
-        nmax = 1768 if args.nmax is None else args.nmax
-        events = cerny.scan_drops(nmax)
-        expected = [row for row in tables.DROPS if row.n_left < nmax]
-        _check(mismatches, f"drop count below {nmax}", len(events), len(expected))
-        for event, row in zip(events, expected):
-            label = f"drop@{row.n_left}"
-            _check(mismatches, label + " n", event.n_before, row.n_left)
-            _check(mismatches, label + " c", event.c_before, row.c_left)
-            _check(mismatches, label + " r", event.r_before, row.r_left)
-            _check(mismatches, label + " c'", event.c_after, row.c_right)
-            _check(mismatches, label + " gap", event.gap, row.drop)
-            if row.n_right == event.n_after:
-                _check(mismatches, label + " r'", event.r_after, row.r_right)
-        _emit_rows(args, out, _drop_rows(events), _DROP_COLUMNS)
-    else:  # defeat
-        for row in tables.DEFEAT:
-            best, argmax = cerny.optimal_c(row.n)
-            _check(mismatches, f"defeat({row.n}) cerny", best, row.cerny_rt)
-            _check(mismatches, f"defeat({row.n}) c'", max(argmax), row.best_c)
-            plist = primes.PrimeList(row.primes)
-            _check(mismatches, f"defeat({row.n}) q", plist.q, row.q)
-            plain = solve(primes.build_prime_pfa(plist, row.padding, False)).threshold
-            _check(mismatches, f"defeat({row.n}) rt", plain, row.rt)
-            trans = solve(primes.build_prime_pfa(plist, row.padding, True)).threshold
-            _check(mismatches, f"defeat({row.n}) rt-transitive", trans, row.rt_transitive)
-            if plain <= best:
-                mismatches.append(f"MISMATCH defeat({row.n}): {plain} does not beat {best}")
-            rows.append(
-                {
-                    "n": row.n, "cerny": best, "q": plist.q, "rt": plain,
-                    "rt_transitive": trans,
-                    "primes": ",".join(str(p) for p in row.primes),
-                }
-            )
-        _emit_rows(args, out, rows, ("n", "cerny", "q", "rt", "rt_transitive", "primes"))
+    columns, rows, mismatches = verify.check(args.which, nmax=args.nmax, cmax=args.cmax)
+    _emit_rows(args, out, rows, columns)
     for line in mismatches:
         print(line, file=out)
     return MISMATCH if mismatches else OK
-
-
-_DROP_COLUMNS = ("n_before", "n_after", "c_before", "c_after", "r_before", "r_after", "gap")
-
-
-def _drop_rows(events):
-    return [{col: getattr(e, col) for col in _DROP_COLUMNS} for e in events]
 
 
 def _emit_rows(args, out, rows, columns):
@@ -287,33 +204,16 @@ def _emit_rows(args, out, rows, columns):
 
 def _cmd_scan(args, out):
     nmax = args.nmax
-    if args.what == "optimal-c":
-        rows = []
-        if args.full:
-            # one pass over the columns: per n the best value so far, the
-            # first c to reach it, and every later c that ties some value
-            best = np.full(nmax + 1, -1, dtype=np.int64)
-            lead = np.full(nmax + 1, -1, dtype=np.int64)
-            ties = []
-            for c, column in cerny._columns(nmax):
-                window = best[c + 2:]
-                for j in np.flatnonzero(column == window).tolist():
-                    ties.append((c + 2 + j, int(column[j]), c))
-                np.copyto(lead[c + 2:], c, where=column > window)
-                np.maximum(window, column, out=window)
-            argmax = [[c] for c in lead.tolist()]
-            for n, value, c in ties:
-                if value == best[n]:
-                    argmax[n].append(c)
-            for n in range(2, nmax + 1):
-                rows.append({"n": n, "value": int(best[n]), "c": ",".join(map(str, argmax[n]))})
-        else:
-            best, best_c = cerny.scan_optimal(nmax)
-            for n in range(2, nmax + 1):
-                rows.append({"n": n, "value": int(best[n]), "c": int(best_c[n])})
-        _emit_rows(args, out, rows, ("n", "value", "c"))
+    if args.what == "drops":
+        _emit_rows(args, out, verify.drop_rows(cerny.scan_drops(nmax)), verify.DROP_COLUMNS)
         return OK
-    _emit_rows(args, out, _drop_rows(cerny.scan_drops(nmax)), _DROP_COLUMNS)
+    if args.full:
+        best, argmax = cerny.scan_maximizers(nmax)
+        best_c = [",".join(map(str, c)) for c in argmax]
+    else:
+        best, best_c = (array.tolist() for array in cerny.scan_optimal(nmax))
+    rows = [{"n": n, "value": best[n], "c": best_c[n]} for n in range(2, nmax + 1)]
+    _emit_rows(args, out, rows, ("n", "value", "c"))
     return OK
 
 

@@ -24,7 +24,6 @@ from carefulsync import (
     optimal_c,
     prime_rt_formula,
     rt_formula,
-    scan_drops,
     scan_optimal,
     simulate_race,
     solve,
@@ -33,18 +32,25 @@ from carefulsync import (
 from carefulsync.pawnrace import SequenceCache, cache_for, generic_twinverse
 from carefulsync.estimates import f_bounds, phi
 from carefulsync.primes import first_primes, growth_exponent
-from carefulsync.tables import CONCLUSION, DEFEAT, DROPS, GRID, P_N_2
+from carefulsync.tables import DROPS, GRID, P_N_2
+from carefulsync.verify import check
 
 
 def ok(label):
     print(f"PASS  {label}")
 
 
+def verified(which, **options):
+    """The rows of one published table, once ``verify`` found no mismatch."""
+    _, rows, mismatches = check(which, **options)
+    assert mismatches == []
+    return rows
+
+
 def test_01_maximal_thresholds_up_to_ten():
+    verified("pn2")
     for n, published in P_N_2.items():
-        value, argmax = optimal_c(n)
-        assert value == published, f"max_c rt({n}, c) = {value} != {published}"
-        solved = solve(build_cerny(n, max(argmax))).threshold
+        solved = solve(build_cerny(n, max(optimal_c(n)[1]))).threshold
         assert solved == published, f"solve({n}) = {solved} != {published}"
     ok("criterion 1: p(n,2) for n=2..10 via formula and subset search")
 
@@ -118,32 +124,12 @@ def test_06_prime_constructions():
 
 
 def test_07_defeat_from_41_states():
-    cerny_best = (2465, 2601, 2739, 2882, 3028, 3177)
-    for row, published in zip(DEFEAT, cerny_best):
-        value, _ = optimal_c(row.n)
-        assert value == published == row.cerny_rt
-        plain = solve(build_prime_pfa(row.primes, row.padding)).threshold
-        transitive = solve(build_prime_pfa(row.primes, row.padding, True)).threshold
-        assert plain == row.rt and transitive == row.rt_transitive
-        assert max(plain, transitive) > value, row.n
+    verified("defeat")
     ok("criterion 7: the prime builds beat the family for 41<=n<=46")
 
 
-def _check_drop_rows(events, rows):
-    assert len(events) == len(rows)
-    for event, row in zip(events, rows):
-        assert event.n_before == row.n_left
-        assert event.c_before == row.c_left
-        assert event.r_before == row.r_left
-        assert event.c_after == row.c_right
-        assert event.gap == row.drop
-        if row.n_right == event.n_after:
-            assert event.r_after == row.r_right
-
-
 def test_08_drops_gating_scan():
-    events = scan_drops(1768)
-    _check_drop_rows(events, [row for row in DROPS if row.n_left < 1768])
+    assert len(verified("drops", nmax=1768)) == 6
     value, argmax = optimal_c(99)
     assert value == 17323 and argmax == {33, 35}
     # the neighbouring local-optimum points named alongside the published rows
@@ -153,8 +139,7 @@ def test_08_drops_gating_scan():
 
 
 def test_08_extended_full_drop_table():
-    events = scan_drops(7200)
-    _check_drop_rows(events, list(DROPS))
+    assert len(verified("drops", nmax=7200)) == len(DROPS) == 8
     ok("criterion 8 extended: all eight drops up to n=7133")
 
 
@@ -171,8 +156,7 @@ def test_09_double_double_3512():
 
 
 def test_10_conclusion_table():
-    for n, published in CONCLUSION.items():
-        assert optimal_c(n)[0] == published, n
+    verified("conclusion")
     ok("criterion 10: best thresholds for n=11..40, ending 2334")
 
 

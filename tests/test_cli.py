@@ -1,4 +1,6 @@
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from oracle import exact_row, row_optimum
@@ -12,37 +14,56 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
-def test_tables_pn2(capsys):
-    code, out = run(capsys, "tables", "pn2")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "n\tvalue"
-    assert len(lines) == 10
-    assert lines[-1] == "10\t94"
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli"
 
 
-def test_tables_grid_and_conclusion(capsys):
-    code, out = run(capsys, "tables", "grid")
-    assert code == 0
-    assert "15\t3\t248\t*" in out
-    code, out = run(capsys, "tables", "conclusion")
-    assert code == 0
-    assert out.strip().splitlines()[-1] == "40\t2334"
+# stdout recorded before the tables and the --full tie pass moved behind
+# `verify` and `cerny`, one file per case under tests/golden/cli
+GOLDEN_RUNS = {
+    "tables_pn2": "tables pn2",
+    "tables_grid": "tables grid",
+    "tables_conclusion": "tables conclusion",
+    "tables_defeat": "tables defeat",
+    "tables_drops_120": "tables drops --nmax 120",
+    "tables_grid_json_20_6": "tables grid --json --nmax 20 --cmax 6",
+    "scan_optimal_c_full_json_120": "scan optimal-c --nmax 120 --full --json",
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_RUNS)
+def test_cli_output_is_golden(capsys, name):
+    expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    assert dispatch(GOLDEN_RUNS[name].split()) == 0
+    assert capsys.readouterr() == (expected, "")
+
+
+def _with_row(rows, index, **changes):
+    return rows[:index] + (replace(rows[index], **changes),) + rows[index + 1:]
 
 
 def test_tables_mismatch_exit_code(capsys, monkeypatch):
     from carefulsync import tables
 
-    monkeypatch.setitem(tables.P_N_2, 10, 95)
-    code, out = run(capsys, "tables", "pn2")
-    assert code == 1
-    assert "MISMATCH" in out
-
-
-def test_tables_drops_small(capsys):
-    code, out = run(capsys, "tables", "drops", "--nmax", "120")
-    assert code == 0
-    assert "47\t48\t15\t14\t3331\t3490\t1" in out
+    cases = [
+        ("pn2", "P_N_2", lambda t: {**t, 10: 95}, "p(10,2): computed 94, published 95"),
+        ("grid", "GRID", lambda t: {**t, 13: (144, 168, 176, 177, 169)},
+         "grid(13,3): computed 176, published 177"),
+        ("conclusion", "CONCLUSION", lambda t: {**t, 40: 2335},
+         "conclusion(40): computed 2334, published 2335"),
+        ("drops --nmax 120", "DROPS", lambda t: _with_row(t, 1, r_left=17324),
+         "drop@99 r: computed 17323, published 17324"),
+        ("defeat", "DEFEAT", lambda t: _with_row(t, 0, rt=3115),
+         "defeat(41) rt: computed 3114, published 3115"),
+        # published values all agree, but the prime build is no longer better
+        ("defeat", "DEFEAT", lambda t: (tables.DefeatRow(41, 13, 2465, 210, 404, 449, (2, 3, 5, 7)),),
+         "defeat(41): 404 does not beat 2465"),
+    ]
+    for argv, name, patch, line in cases:
+        with monkeypatch.context() as patched:
+            patched.setattr(tables, name, patch(getattr(tables, name)))
+            code, out = run(capsys, "tables", *argv.split())
+        assert code == 1, argv
+        assert [row for row in out.splitlines() if "MISMATCH" in row] == [f"MISMATCH {line}"]
 
 
 def test_race_word_round_trips_through_solver(capsys):
@@ -201,6 +222,12 @@ def test_nmax_below_two_is_usage_error(capsys, argv, nmax):
     assert dispatch([*argv, "--nmax", nmax]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "n_max" in captured.err
+
+
+def test_negative_cmax_is_usage_error(capsys):
+    assert dispatch(["tables", "grid", "--cmax", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "c_max" in captured.err
 
 
 @pytest.mark.parametrize(
