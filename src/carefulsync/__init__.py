@@ -33,6 +33,7 @@ from .pawnrace import (
     SequenceCache,
     TooManyPlans,
     build_sync_word,
+    cache_info,
     count_races,
     enumerate_plans,
     f_closed,
@@ -76,7 +77,7 @@ __all__ = [
     "LimitExceeded", "NotSynchronizing", "SolveLimits", "SolveResult",
     "count_shortest", "solve",
     "RacePlan", "RaceTrace", "SequenceCache", "TooManyPlans",
-    "build_sync_word", "count_races", "enumerate_plans", "f_closed",
+    "build_sync_word", "cache_info", "count_races", "enumerate_plans", "f_closed",
     "f_recursive", "generic_twinverse", "greedy_plan", "render_race",
     "sequences", "simulate_race", "split_interval", "twinverse",
     "DropEvent", "build_cerny", "build_cerny_star", "expand_star_word",

@@ -137,6 +137,26 @@ def cache_for(c: int) -> SequenceCache:
     return cache
 
 
+def cache_info() -> dict[str, int]:
+    """Sizes of the module-level memos: the run tables that ``cache_for``
+    holds (at most ``_CACHE_CAP``) and their runs, the ``f_recursive``
+    tables and their entries, and the ``count_races`` memos and the counts
+    they hold.  Reading them neither grows nor evicts anything."""
+    with _caches_lock:
+        sequence = list(_caches.values())
+    with _f_lock:
+        f_tables = list(_f_tables.values())
+    o_tables = list(_o_tables.values())
+    return {
+        "sequence_tables": len(sequence),
+        "sequence_runs": sum(len(cache._p) for cache in sequence),
+        "f_tables": len(f_tables),
+        "f_entries": sum(len(table) for table in f_tables),
+        "race_count_tables": len(o_tables),
+        "race_counts": sum(len(memo) for memo in o_tables),
+    }
+
+
 def sequences(c: int, k: int) -> tuple[int, int]:
     """The pair (p_c(k), q_c(k)) of split-sequence values."""
     cache = cache_for(c)

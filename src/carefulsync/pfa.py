@@ -4,11 +4,17 @@ States are numbered 1..n.  A transition may be undefined; applying a word
 to a set of states yields ``None`` as soon as any member would take an
 undefined transition.  All values here are immutable and hashable, so they
 can be shared freely between threads.
+
+:func:`image` is the one subset step, shared with the solver's search.
+:func:`apply_word` takes it once per run of equal letters, under that
+letter's partial map raised to the run's length, so a long word costs one
+step per run rather than one per letter.
 """
 
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 
 
 class FormatError(ValueError):
@@ -177,11 +183,18 @@ def parse_word(pfa: Pfa, text: str) -> Word:
 
     Whitespace separates symbols when present; otherwise symbols are matched
     greedily (longest label first), so multi-character labels work too.
+    When every label is one character, each character is looked up on its
+    own, and the greedy loop runs only to name the position of a miss.
     """
     index = {label: i for i, label in enumerate(pfa.symbols)}
-    if any(ch.isspace() for ch in text):
+    if any(map(str.isspace, text)):
         tokens = text.split()
     else:
+        if all(len(label) == 1 for label in index):
+            try:
+                return Word(tuple(map(index.__getitem__, text)))
+            except KeyError:
+                pass
         tokens = []
         by_length = sorted(index, key=len, reverse=True)
         pos = 0
@@ -233,21 +246,57 @@ def image(bits: int, mask: int, col: tuple[int, ...]) -> int | None:
     return out
 
 
+def _then(first, second):
+    """The partial map ``first`` followed by ``second``, both in the
+    ``(mask, col)`` form of :attr:`Pfa.kernel`: a state is in its domain iff
+    ``first`` is defined on it and ``second`` on its target."""
+    _, col1 = first
+    mask2, col2 = second
+    mask = 0
+    col = [0] * len(col1)
+    for q, target in enumerate(col1):
+        if target & mask2:
+            mask |= 1 << q
+            col[q] = col2[target.bit_length() - 1]
+    return mask, tuple(col)
+
+
 def apply_word(pfa: Pfa, s: StateSet, w: Word) -> StateSet | None:
     """Image of a state set under a word; ``None`` if any step is undefined.
 
     The empty set maps to the empty set.  A symbol index outside the
-    automaton's alphabet is a usage error, distinct from an undefined image.
+    automaton's alphabet is a usage error, distinct from an undefined image,
+    raised when the walk reaches it.
+
+    The word is applied one run of equal letters at a time: a run s^k takes
+    one :func:`image` step under the k-th power of s's partial map, composed
+    by binary doubling and kept for the rest of the call.  A state is in the
+    power's domain iff its whole path under s^k is defined, so a set's image
+    is ``None`` exactly when the letter-by-letter walk would reach ``None``.
     """
     if s.n != pfa.n:
         raise ValueError(f"state set over {s.n} states fed to a {pfa.n}-state automaton")
     masks, cols = pfa.kernel
     nsym = len(masks)
+    powers = {}
+
+    def power(sym, k):
+        if k == 1:
+            return masks[sym], cols[sym]
+        found = powers.get((sym, k))
+        if found is None:
+            half = power(sym, k >> 1)
+            found = _then(half, half)
+            if k & 1:
+                found = _then(found, (masks[sym], cols[sym]))
+            powers[sym, k] = found
+        return found
+
     bits = s.bits
-    for sym in w:
+    for sym, run in groupby(w):
         if not 0 <= sym < nsym:
             raise ValueError(f"symbol index {sym} out of range")
-        bits = image(bits, masks[sym], cols[sym])
+        bits = image(bits, *power(sym, len(list(run))))
         if bits is None:
             return None
     return StateSet(bits, pfa.n)

@@ -25,8 +25,9 @@ The search is level-synchronous, and each level takes one of two steps:
   no int64 sum can overflow.
 * The Python step walks each subset's set bits with
   :func:`carefulsync.pfa.image`, the step :func:`carefulsync.pfa.apply_word`
-  takes too, with arbitrary-precision counts.  It serves every other level,
-  and it is the reference that the tests hold the vectorized step to.
+  takes once per run of equal letters, with arbitrary-precision counts.  It
+  serves every other level, and it is the reference that the tests hold the
+  vectorized step to.
 
 Until the first vectorized level, the subsets seen are a Python set of ints
 and each level is a dict from subset to count; a search that never goes
@@ -41,7 +42,8 @@ probes of the table.
 
 The bit walk stays for narrow levels because numpy's fixed cost per level,
 about 0.1 ms, outweighs its per-subset gain below ``WIDE``
-subsets; ``apply_word`` steps one set at a time, where that is always so.
+subsets; ``apply_word`` steps one set at a time, one run of a letter per
+step, where that is always so.
 """
 
 from array import array

@@ -56,6 +56,33 @@ def test_apply_word_matches_simulator(case):
     assert apply_word(pfa, empty, w) == empty
 
 
+@st.composite
+def pfa_subset_run_word(draw):
+    """Words of long runs of one letter, over automata of up to 70 states,
+    so that sets span more than one machine word, with a few undefined
+    transitions, so that long runs both reach and escape ``None``.  The
+    targets, holes and members come uniformly from a seeded ``Random``."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(1, 70) | st.integers(65, 70))
+    nsym = draw(st.integers(1, 3))
+    holes = draw(st.integers(0, 4))
+    delta = [[rng.randint(1, n) for _ in range(nsym)] for _ in range(n)]
+    for _ in range(holes):
+        delta[rng.randrange(n)][rng.randrange(nsym)] = None
+    pfa = Pfa(n=n, symbols=("a", "b", "c")[:nsym], delta=tuple(map(tuple, delta)))
+    members = rng.sample(range(1, n + 1), draw(st.integers(0, n)))
+    runs = draw(st.lists(st.tuples(st.integers(0, nsym - 1), st.integers(1, 300)), max_size=8))
+    letters = tuple(sym for sym, k in runs for _ in range(k))
+    return pfa, StateSet.of(members, n), Word(letters)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pfa_subset_run_word())
+def test_apply_word_matches_simulator_on_long_runs(case):
+    pfa, s, w = case
+    assert apply_word(pfa, s, w) == expected_image(pfa, s, w)
+
+
 def check_against_oracle(pfa):
     cap = CAP[len(pfa.symbols)]
     hits = shortest_words(pfa, cap)

@@ -180,6 +180,29 @@ def test_sweep_over_every_c_keeps_memory_bounded():
     assert len(pawnrace._caches) <= pawnrace._CACHE_CAP
 
 
+def test_cache_info_reports_the_memos(monkeypatch):
+    from carefulsync import cache_info, pawnrace
+
+    # start from empty memos, whatever the tests before this one left
+    monkeypatch.setattr(pawnrace, "_caches", {})
+    monkeypatch.setattr(pawnrace, "_f_tables", {})
+    monkeypatch.setattr(pawnrace, "_o_tables", {})
+    assert set(cache_info().values()) == {0}
+    count_races(400, 3)
+    counted = cache_info()
+    assert counted["race_count_tables"] == 1
+    assert counted["race_counts"] > 2
+    assert counted["sequence_tables"] == 1 and counted["sequence_runs"] > 0
+    f_recursive(40, 2)
+    assert cache_info()["f_tables"] == 1 and cache_info()["f_entries"] > 40
+    for c in range(1, 3 * pawnrace._CACHE_CAP):
+        f_closed(500, c)
+    swept = cache_info()
+    assert swept["sequence_tables"] == pawnrace._CACHE_CAP
+    assert swept["sequence_runs"] >= pawnrace._CACHE_CAP
+    assert cache_info() == swept  # reading the sizes changes nothing
+
+
 def test_huge_race_cost_in_small_memory():
     values = []
     peak = traced_peak(lambda: values.append(f_closed(10**6, 420000)))

@@ -1,5 +1,7 @@
 import json
 import random
+from itertools import groupby
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,6 +14,8 @@ from carefulsync import (
     apply_word,
     build_cerny,
     build_prime_pfa,
+    build_sync_word,
+    enumerate_plans,
     format_word,
     from_json,
     is_sync_word,
@@ -20,6 +24,9 @@ from carefulsync import (
     to_dot,
     to_json,
 )
+from carefulsync import pfa as pfa_module
+from carefulsync.pfa import image
+from oracle import simulate
 
 
 def random_pfa(rng, n, nsym=2, hole_rate=0.3):
@@ -83,6 +90,46 @@ def test_symbol_out_of_range_is_usage_error():
     for q in (0, 5):
         with pytest.raises(ValueError):
             pfa.step(q, 0)
+
+
+def test_symbol_out_of_range_after_undefined_step_is_none():
+    pfa = build_cerny(8, 2)
+    # the walk stops at the undefined step and never reaches the bad index
+    assert apply_word(pfa, StateSet.full(8), Word((0, 5))) is None
+    assert apply_word(pfa, StateSet.full(8), Word((1, 1, 0, 0, 0, 5, 5))) is None
+
+
+def test_symbol_out_of_range_on_defined_set_raises():
+    pfa = build_cerny(8, 2)
+    for letters in ((2,), (2, 2, 1), (1, 1, 1, 2), (1, 1, 1, -1, -1)):
+        with pytest.raises(ValueError, match="out of range"):
+            apply_word(pfa, StateSet.full(8), Word(letters))
+
+
+def test_empty_set_survives_a_run_of_a_letter_undefined_everywhere():
+    pfa = Pfa(n=3, symbols=("a", "b"), delta=((None, 2), (None, 3), (None, 1)))
+    run = Word((1,) + (0,) * 50 + (1,))
+    assert apply_word(pfa, StateSet(0, 3), run) == StateSet(0, 3)
+    assert apply_word(pfa, StateSet.of([2], 3), run) is None
+
+
+def test_race_word_takes_one_image_step_per_run():
+    n, c = 100, 35
+    member = build_cerny(n, c)
+    word = build_sync_word(n, c, enumerate_plans(n - c - 1, c)[0])
+    runs = sum(1 for _ in groupby(word))
+    assert (len(word), runs) == (17700, 769)
+    steps = []
+
+    def counted(*args):
+        steps.append(1)
+        return image(*args)
+
+    with patch.object(pfa_module, "image", counted):
+        result = apply_word(member, StateSet.full(n), word)
+    assert len(steps) <= runs
+    assert result == StateSet.of(simulate(member, range(1, n + 1), word.letters), n)
+    assert len(result) == 1
 
 
 def test_is_sync_word_edges():
@@ -248,6 +295,24 @@ def test_word_parse_and_format():
     assert parse_word(pfa, "b b a a b") == w
     with pytest.raises(ValueError):
         parse_word(pfa, "bxa")
+
+
+def test_parse_word_errors_name_the_position():
+    one_char = build_cerny(5, 1)
+    mixed = Pfa(n=1, symbols=("a", "bb", "c"), delta=((1, 1, 1),))
+    cases = [
+        (one_char, "bbaxb", "cannot match a symbol at position 3 of 'bbaxb'"),
+        (one_char, "x", "cannot match a symbol at position 0 of 'x'"),
+        (mixed, "abbcbx", "cannot match a symbol at position 4 of 'abbcbx'"),
+        (one_char, "b a x", "unknown symbol 'x'"),
+        (mixed, "a bb b", "unknown symbol 'b'"),
+    ]
+    for pfa, text, message in cases:
+        with pytest.raises(ValueError) as info:
+            parse_word(pfa, text)
+        assert str(info.value) == message
+    assert parse_word(mixed, "abbcbba") == Word((0, 1, 2, 1, 0))
+    assert parse_word(one_char, "") == Word()
 
 
 def test_strongly_connected():
