@@ -3,19 +3,33 @@
 Symbol ``a`` advances the low states and wraps n to 1 but is undefined just
 below the top; ``b`` idles on the low states and climbs the top ones.  For
 c = 0 this is exactly the Cerny sequence.  The reset threshold of every
-member has a closed form driven by the pawn race solution.  Every
-value comes from the runs of the split sequences in ``pawnrace``, built for
-one c at a time: ``rt_formula`` evaluates single points through the memoized
-tables, ``optimal_c`` and ``local_optima`` read one row of exact points
+member has a closed form driven by the pawn race solution.  Every value
+comes from the runs of the split sequences in ``pawnrace``:
+``rt_formula`` evaluates single points through ``f_closed``, and the family
+queries read the one ``RunTemplate`` that serves every c >= c_min at once,
+with a run table of its own only for each c < c_min (c_min is 12 at
+n = 7200).  ``optimal_c`` and ``local_optima`` read one row of exact points
 through ``_row``, and the ``scan_*`` functions read the int64 column
 evaluator ``_columns``, whose layout no other module sees.
 
-The int64 values are exact: ``_columns`` accepts only n_max < 2^21.  In the
-race on n' = n - c - 1 pawns each of the n' - 1 iterations costs at most
-c + 1 per pawn, so f_c(n') <= (c+1) n'(n'-1), and then
-rt = n'(n'-1) + c + 1 + f_c(n') < (c+2) n'^2 <= n^3 < 2^63.  Every
-intermediate value is smaller: the run values scattered are below the
-column length, and the prefix sums below f_c(n').
+From the template, the terms <= j of p_c number A(j) + c·B(j) for every
+c >= c_min, so f_c(n') = (n'-1) + SA(n') + c·SB(n') with SA and SB the
+prefix sums of A and B below n', and the threshold is
+rt(n, c) = n'(n'-1) + c + 1 + f_c(n') = (n'^2 + SA(n')) + c·(1 + SB(n')):
+one multiply-add over two arrays shared by every such c.
+
+The int64 values are exact: ``_columns`` and ``_row`` accept only
+n < 2^21.  In the race on n' = n - c - 1 pawns each of the n' - 1
+iterations costs at most c + 1 per pawn, so f_c(n') <= (c+1) n'(n'-1), and
+then rt = n'(n'-1) + c + 1 + f_c(n') < (c+2) n'^2 <= n^3 < 2^63.  The
+template's arrays stay below n^3 too.  p_c(k) >= k/c - 1 (it is 1 up to
+k = 2c and rises by at least 1 every c terms), so at most (j+1)c terms are
+<= j.  A(j) + c·B(j) counts them for every c >= c_min and no run has b < 0,
+so 0 <= B(j) <= j+1; the count is >= 0 at c = c_min, so
+|A(j)| <= c_min·(j+1).  As c_min < 21 below 2^21 and c_min <= c < n,
+c·(1 + SB), |SA| and |n'^2 + SA| stay below n^3, and so do the partial
+cumsums.  The per-c columns below c_min scatter run values below the
+column length, and their prefix sums stay below f_c(n').
 """
 
 from dataclasses import dataclass
@@ -99,16 +113,42 @@ def _check_n_max(n_max: int):
         raise ValueError(f"need 2 <= n_max < 2**21, got {n_max}")
 
 
+def _template_columns(top: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """c_min and the int64 arrays u, v over n' = 1 .. top with
+    rt(n' + c + 1, c) = u[n'-1] + c·v[n'-1] for every c >= c_min: u is
+    n'^2 + SA(n') and v is 1 + SB(n'), SA and SB built once from the
+    template's runs below top."""
+    template = pawnrace.run_template()
+    values, a, b = template.runs(top - 1)
+    squares = np.arange(1, top + 1, dtype=np.int64) ** 2
+    return template.c_min(top - 1), squares + _sums_below(top, values, a), 1 + _sums_below(top, values, b)
+
+
+def _sums_below(size: int, values: list[int], counts: list[int]) -> np.ndarray:
+    """Entry n'-1, for n' = 1 .. size, sums over j < n' the counts at the
+    values <= j: one scatter and two cumsums."""
+    hist = np.zeros(size, dtype=np.int64)
+    hist[values] = counts
+    out = np.zeros(size, dtype=np.int64)
+    np.cumsum(np.cumsum(hist[1:]), out=out[1:])
+    return out
+
+
 def _row(n: int) -> list[int]:
-    """rt(n, c) for c = 0 .. n-2, as Python ints, each from a run table built
-    for that c alone and dropped after its one point."""
+    """rt(n, c) for c = 0 .. n-2, as Python ints: one gather along the
+    anti-diagonal of the template's arrays for c >= c_min, and below c_min
+    one point each from a run table built for that c alone."""
     _check_n_max(n)
+    c_min, u, v = _template_columns(n - 1)
+    head = min(c_min, n - 1)
     row = []
-    for c in range(n - 1):
+    for c in range(head):
         npr = n - c - 1
         f = npr - 1 if c == 0 else pawnrace.race_cost(pawnrace.SequenceCache(c), npr)
         row.append(npr * (npr - 1) + c + 1 + f)
-    return row
+    c = np.arange(head, n - 1, dtype=np.int64)
+    j = n - 2 - c  # n' - 1
+    return row + (u[j] + c * v[j]).tolist()
 
 
 def optimal_c(n: int) -> tuple[int, set[int]]:
@@ -158,12 +198,12 @@ def _columns(n_max: int):
     Yields ``(c, column)``, where entry j (0-based) of ``column`` is the
     threshold for n' = j + 1, that is n = c + 2 + j.  Each column is
     n'(n'-1) + c + 1 + f_c(n'), with f_c(n') the partial sums of
-    m_c(j) = twinverse(j) over j < n'.  The multiplicities of the runs of p_c
-    below the column length are scattered into a count array at their
-    values; one cumsum counts the terms <= j, which is m_c(j) - 1, and a
-    second sums those.  All scratch is allocated once, so ``column`` is a
-    view that the next column overwrites: consume or copy it before
-    advancing.
+    m_c(j) = twinverse(j) over j < n'.  For c >= c_min it is the prefix of
+    u + c·v from ``_template_columns``, one multiply-add into one reused
+    buffer; ``column`` is then a view that the next column overwrites, so
+    consume or copy it before advancing.  The c < c_min columns (c = 0 .. 11
+    up to n_max = 7200) scatter the runs of their own p_c and take two
+    cumsums.
 
     Raises ValueError at once unless 2 <= n_max < 2^21, the range in which
     every value is exact in int64 (see the module docstring).
@@ -174,27 +214,17 @@ def _columns(n_max: int):
 
 def _fill_columns(n_max: int):
     top = n_max - 1  # largest n'
-    nprime = np.arange(1, top + 1, dtype=np.int64)
-    base = nprime * (nprime - 1)
-    f = np.empty(top, dtype=np.int64)
+    c_min, u, v = _template_columns(top)
+    squares = np.arange(1, top + 1, dtype=np.int64) ** 2
+    for c in range(min(c_min, top)):
+        count = top - c
+        values, counts = pawnrace.SequenceCache(c).runs(count - 1) if c else ([], [])
+        yield c, squares[:count] + _sums_below(count, values, counts) + c
     column = np.empty(top, dtype=np.int64)
-    hist = np.zeros(top, dtype=np.int64)  # hist[v]: terms of p_c equal to v
-    below = np.empty(top, dtype=np.int64)
-    for c in range(n_max - 1):
-        count = n_max - c - 1
-        if c == 0:
-            np.subtract(nprime[:count], 1, out=f[:count])
-        else:
-            values, multiplicities = pawnrace.SequenceCache(c).runs(count - 1)
-            hist[values] = multiplicities
-            np.cumsum(hist[1:count], out=below[: count - 1])  # terms <= j
-            hist[values] = 0
-            f[0] = 0
-            np.cumsum(below[: count - 1], out=f[1:count])
-            f[1:count] += nprime[: count - 1]  # m = below + 1
-        out = column[:count]
-        np.add(base[:count], c + 1, out=out)
-        out += f[:count]
+    for c in range(c_min, top):
+        out = column[: top - c]
+        np.multiply(v[: out.size], c, out=out)
+        out += u[: out.size]
         yield c, out
 
 

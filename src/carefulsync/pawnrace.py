@@ -6,6 +6,12 @@ the same spot merge.  ``f_recursive`` minimizes the total cost by brute
 recursion, ``f_closed`` evaluates the closed form built on the generalized
 Fibonacci sequences below, and the plan machinery enumerates and simulates
 the optimal races themselves.
+
+The split sequences p_c are held as runs of equal values.  One recurrence
+builds them: ``SequenceCache`` runs it for one c, and ``RunTemplate`` runs it
+once for every c from a small ``c_min`` on, with each run's length affine in
+c.  ``f_closed``, ``split_interval`` and ``count_races`` read the template
+where it is exact for their c and fall back to the per-c tables below that.
 """
 
 import threading
@@ -15,6 +21,43 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pfa import Word
+
+
+def _next_block(block, before, need):
+    """One step of the run recurrence, for one c or for every c at once.
+
+    Block j holds the terms (j-1)c+1 .. jc of p_c, and
+    B_j[i] = B_{j-1}[i-1] + B_{j-1}[i], where B_{j-1}[0] is the last term of
+    B_{j-2}.  So a run (v, m) of block j-1, preceded by the value u, becomes
+    (u+v, 1) and (2v, m-1) in block j, and equal neighbours merge.  A run is
+    ``(v, a, b, need)``: the value v repeated a + b·c times.  ``block`` holds
+    the runs of the last complete block and ``before`` the last term of the
+    block before it.  Only the values are compared, so the one branch that
+    depends on c is whether m > 1; when b > 0 it is taken, and ``need``, a
+    running maximum along the runs, rises to the least c for which it holds,
+    ceil((2-a)/b).  Returns the runs of the next block and its ``before``.
+    """
+    out = []
+    u = before
+    # values increase along a block, so u+v exceeds every value before it
+    # and merges only into (2v, m-1), when u == v
+    for v, a, b, _ in block:
+        if u == v:
+            out.append((2 * v, a, b, need))
+        else:
+            out.append((u + v, 1, 0, need))
+            if b:
+                need = max(need, -((a - 2) // b))
+                out.append((2 * v, a - 1, b, need))
+            elif a > 1:
+                out.append((2 * v, a - 1, 0, need))
+        u = v
+    return out, u
+
+
+def _steps(ends):
+    """The run lengths behind running term counts."""
+    return [end - start for start, end in zip([0, *ends], ends)]
 
 
 class SequenceCache:
@@ -30,15 +73,12 @@ class SequenceCache:
     <= ``_p[i]`` and ``_sums[i]`` adds them up, so p, q and twinverse are
     each one bisection.  ``_p`` keeps its name because its length is still
     the table's size, now one entry per run, as the benchmark's cache
-    statistics read it.
-
-    The table grows block by block.  Block j holds the terms (j-1)c+1 .. jc,
-    and B_j[i] = B_{j-1}[i-1] + B_{j-1}[i], where B_{j-1}[-1] is the last
-    term of B_{j-2}.  So a run (v, m) of block j-1, preceded by the value u,
-    becomes (u+v, 1) and (2v, m-1) in block j, and equal neighbours merge.
+    statistics read it.  The table grows block by block through
+    ``_next_block``.
 
     ``cache_for`` memoizes at most ``_CACHE_CAP`` tables and evicts the least
-    recently used; the family scans build one table per c and drop it.
+    recently used; the family scans build a table only for c below the
+    template's ``c_min`` and drop it.
 
     Values are exact Python ints.  Growth holds a lock, appends a value and
     its sum before its count, and changes only the last run, so reads, which
@@ -53,26 +93,14 @@ class SequenceCache:
         self._p = [1]
         self._ends = [2 * c]
         self._sums = [2 * c]
-        self._block = [(1, c)]  # runs of the last complete block
+        self._block = [(1, c, 0, 1)]  # runs of the last complete block
         self._before = 1  # last term of the block before it
         self._lock = threading.Lock()
 
     def _extend_block(self):
-        block = []
-        u = self._before
-        # values increase along a block, so u+v exceeds every value before it
-        # and merges only into (2v, m-1), when u == v
-        for v, m in self._block:
-            if u == v:
-                block.append((2 * v, m))
-            else:
-                block.append((u + v, 1))
-                if m > 1:
-                    block.append((2 * v, m - 1))
-            u = v
-        self._before, self._block = u, block
+        self._block, self._before = _next_block(self._block, self._before, 1)
         values, sums, ends = self._p, self._sums, self._ends
-        for value, count in block:
+        for value, count, _, _ in self._block:
             if value == values[-1]:
                 sums[-1] += value * count
                 ends[-1] += count
@@ -115,8 +143,130 @@ class SequenceCache:
         """The distinct values v <= limit of p, and how many terms equal each."""
         self._grow_beyond(limit)
         r = bisect_right(self._p, limit)
-        ends = self._ends[:r]
-        return self._p[:r], [end - start for start, end in zip([0, *ends], ends)]
+        return self._p[:r], _steps(self._ends[:r])
+
+
+class RunTemplate:
+    """The runs of p_c for every large c at once, each run's length affine in c.
+
+    The run recurrence compares values only, and the values do not depend on
+    c: the first 2c terms are 1 and the first block is c ones.  So
+    ``_next_block`` runs once here with every multiplicity held as a + b·c,
+    starting from (0, 2) ones and a first block of (0, 1) ones.  Where the
+    one c-dependent branch, m > 1, has b > 0, it is taken, and the least c
+    for which it holds is recorded: ``_floor[i]`` is the largest such c over
+    the runs up to ``_p[i]``.  A branch decision changes only runs of equal
+    or larger value, so the runs up to a limit are exactly those of
+    ``SequenceCache(c)`` for every c >= ``c_min(limit)``, by construction;
+    c_min is 8 at 300, 12 at 7200 and 20 just below 2^21.  ``_ends_a[i] +
+    c·_ends_b[i]`` counts the terms <= ``_p[i]`` and ``_sums_a[i] +
+    c·_sums_b[i]`` adds them up.
+
+    Built lazily by ``run_template``, it grows like a ``SequenceCache``,
+    under the same locking rules, and only as far as a query that it
+    answers needs: ``at`` stops growing once the floor passes the query's c.
+    So it holds about as many runs as the per-c table of such a query would.
+    """
+
+    def __init__(self):
+        self._p = [1]
+        self._ends_a, self._ends_b = [0], [2]
+        self._sums_a, self._sums_b = [0], [2]
+        self._floor = [1]
+        self._block = [(1, 0, 1, 1)]  # runs of the last complete block
+        self._before = 1  # last term of the block before it
+        self._lock = threading.Lock()
+
+    def _extend_block(self):
+        self._block, self._before = _next_block(self._block, self._before, self._floor[-1])
+        values, floor = self._p, self._floor
+        ends_a, ends_b, sums_a, sums_b = self._ends_a, self._ends_b, self._sums_a, self._sums_b
+        for value, a, b, need in self._block:
+            if value == values[-1]:
+                sums_a[-1] += value * a
+                sums_b[-1] += value * b
+                ends_a[-1] += a
+                ends_b[-1] += b
+                floor[-1] = need
+            else:
+                values.append(value)
+                sums_a.append(sums_a[-1] + value * a)
+                sums_b.append(sums_b[-1] + value * b)
+                ends_a.append(ends_a[-1] + a)
+                ends_b.append(ends_b[-1] + b)
+                floor.append(need)
+
+    def _grow_beyond(self, value: int, c: int | None = None) -> bool:
+        """Grow until a run exceeds ``value``; with ``c``, stop early and
+        return False once a run up to ``value`` needs a larger c."""
+        with self._lock:
+            while self._p[-1] <= value:
+                if c is not None and self._floor[-1] > c:
+                    return False
+                self._extend_block()
+        return True
+
+    def c_min(self, limit: int) -> int:
+        """The least c >= 1 from which the runs of values <= limit are exact."""
+        self._grow_beyond(limit)
+        r = bisect_right(self._p, limit)
+        return self._floor[r - 1] if r else 1
+
+    def runs(self, limit: int) -> tuple[list[int], list[int], list[int]]:
+        """The distinct values v <= limit of p, and for each the a and b of
+        its multiplicity a + b·c, exact for c >= ``c_min(limit)``."""
+        self._grow_beyond(limit)
+        r = bisect_right(self._p, limit)
+        return self._p[:r], _steps(self._ends_a[:r]), _steps(self._ends_b[:r])
+
+    def at(self, c: int, limit: int) -> "TemplateRuns | None":
+        """p_c, q_c and twinverse for reads of values <= limit, or None when
+        c < ``c_min(limit)``."""
+        if not self._grow_beyond(limit, c):
+            return None
+        r = bisect_right(self._p, limit)
+        if r and self._floor[r - 1] > c:
+            return None
+        return TemplateRuns(self, c, r, limit)
+
+
+class TemplateRuns:
+    """The ``SequenceCache`` reads for one c, off the template's first ``r``
+    runs, all of values <= ``limit`` and exact for this c."""
+
+    def __init__(self, template: RunTemplate, c: int, r: int, limit: int):
+        self.c = c
+        self._t = template
+        self._r = r
+        self._limit = limit
+
+    def _end(self, i: int) -> int:
+        return self._t._ends_a[i] + self.c * self._t._ends_b[i]
+
+    def _run(self, k: int) -> int:
+        """Index of the run holding p(k)."""
+        i = bisect_left(range(self._r), k, key=self._end)
+        if i == self._r:
+            raise ValueError(f"p({k}) exceeds the limit {self._limit} of these runs")
+        return i
+
+    def p(self, k: int) -> int:
+        if k < 1:
+            raise ValueError("index must be >= 1")
+        return self._t._p[self._run(k)]
+
+    def q(self, k: int) -> int:
+        if k < 1:
+            raise ValueError("index must be >= 1")
+        i = self._run(k - 1)  # the run holding p(k-1)
+        t = self._t
+        done, total = (self._end(i - 1), t._sums_a[i - 1] + self.c * t._sums_b[i - 1]) if i else (0, 0)
+        return 1 + total + t._p[i] * (k - 1 - done)
+
+    def twinverse(self, n: int) -> int:
+        if not 1 <= n <= self._limit:
+            raise ValueError(f"argument must be in 1..{self._limit}")
+        return self._end(bisect_right(self._t._p, n) - 1) + 1
 
 
 # Run tables memoized by ``cache_for``, least recently used first; a fixed
@@ -137,19 +287,41 @@ def cache_for(c: int) -> SequenceCache:
     return cache
 
 
+_template: RunTemplate | None = None
+
+
+def run_template() -> RunTemplate:
+    """The one process-wide ``RunTemplate``, built on first use."""
+    global _template
+    with _caches_lock:
+        if _template is None:
+            _template = RunTemplate()
+        return _template
+
+
+def _runs_for(c: int, limit: int):
+    """The runs of p_c that answer every read of a value <= limit: the
+    template where it is exact for c, else the per-c table of ``cache_for``."""
+    runs = run_template().at(c, limit)
+    return cache_for(c) if runs is None else runs
+
+
 def cache_info() -> dict[str, int]:
     """Sizes of the module-level memos: the run tables that ``cache_for``
-    holds (at most ``_CACHE_CAP``) and their runs, the ``f_recursive``
-    tables and their entries, and the ``count_races`` memos and the counts
-    they hold.  Reading them neither grows nor evicts anything."""
+    holds (at most ``_CACHE_CAP``) and their runs, the runs of the shared
+    template (0 before its first use), the ``f_recursive`` tables and their
+    entries, and the ``count_races`` memos and the counts they hold.
+    Reading them neither grows nor evicts anything."""
     with _caches_lock:
         sequence = list(_caches.values())
+        template = _template
     with _f_lock:
         f_tables = list(_f_tables.values())
     o_tables = list(_o_tables.values())
     return {
         "sequence_tables": len(sequence),
         "sequence_runs": sum(len(cache._p) for cache in sequence),
+        "template_runs": 0 if template is None else len(template._p),
         "f_tables": len(f_tables),
         "f_entries": sum(len(table) for table in f_tables),
         "race_count_tables": len(o_tables),
@@ -237,13 +409,14 @@ def f_closed(n: int, c: int) -> int:
         raise ValueError("cost parameter must be >= 0")
     if c == 0:
         return n - 1
-    return race_cost(cache_for(c), n)
+    return race_cost(_runs_for(c, n), n)
 
 
-def race_cost(cache: SequenceCache, n: int) -> int:
-    """f_c(n) = n*m - q(m) with m = twinverse(n), read from one run table."""
-    m = cache.twinverse(n)
-    return n * m - cache.q(m)
+def race_cost(runs, n: int) -> int:
+    """f_c(n) = n*m - q(m) with m = twinverse(n), read from one run table
+    (a ``SequenceCache`` or ``TemplateRuns``)."""
+    m = runs.twinverse(n)
+    return n * m - runs.q(m)
 
 
 def split_interval(n: int, c: int) -> list[int]:
@@ -255,9 +428,13 @@ def split_interval(n: int, c: int) -> list[int]:
     """
     if n < 3:
         raise ValueError("meaningful only for n >= 3")
-    cache = cache_for(c)
-    k = cache.twinverse(n) - c - 1
-    pk_prev, pk, pk_next = cache.p(k - 1), cache.p(k), cache.p(k + 1)
+    return _split_interval(_runs_for(c, n), n, c)
+
+
+def _split_interval(runs, n, c):
+    # every value read is at most p(m-1) <= n
+    k = runs.twinverse(n) - c - 1
+    pk_prev, pk, pk_next = runs.p(k - 1), runs.p(k), runs.p(k + 1)
     lo = max(pk, n - pk)
     hi = min(pk_next, n - pk_prev)
     result = list(range(lo, hi + 1))
@@ -280,16 +457,17 @@ def count_races(n: int, c: int) -> int:
     if c < 1:
         raise ValueError("optimal-race counting needs cost parameter >= 1")
     memo = _o_tables.setdefault(c, {1: 1, 2: 1})
-    return _count_races(n, c, memo)
+    return memo.get(n) or _count_races(n, c, memo, _runs_for(c, n))
 
 
-def _count_races(n, c, memo):
+def _count_races(n, c, memo, runs):
+    """Counts for every n' <= n not in the memo, all read from ``runs``."""
     known = memo.get(n)
     if known is not None:
         return known
     total = 0
-    for i in split_interval(n, c):
-        total += _count_races(n - i, c, memo) * _count_races(i, c, memo)
+    for i in _split_interval(runs, n, c):
+        total += _count_races(n - i, c, memo, runs) * _count_races(i, c, memo, runs)
     memo[n] = total
     return total
 
@@ -364,20 +542,20 @@ def enumerate_plans(n: int, c: int, cap: int = 1000) -> list[RacePlan]:
     total = 1 if n <= 2 else count_races(n, c)
     if total > cap:
         raise TooManyPlans(total, cap)
-    return _plans(1, n, c)
+    return _plans(1, n, c, _runs_for(c, n) if n > 2 else None)
 
 
-def _plans(lo, hi, c):
+def _plans(lo, hi, c, runs):
     n = hi - lo + 1
     if n == 1:
         return [leaf(lo)]
     if n == 2:
         return [RacePlan(lo, hi, lo, leaf(lo), leaf(hi))]
     out = []
-    for i in split_interval(n, c):
+    for i in _split_interval(runs, n, c):
         split = lo + i - 1
-        for left in _plans(lo, split, c):
-            for right in _plans(split + 1, hi, c):
+        for left in _plans(lo, split, c, runs):
+            for right in _plans(split + 1, hi, c, runs):
                 out.append(RacePlan(lo, hi, split, left, right))
     return out
 

@@ -7,12 +7,19 @@ every term of the split sequence p_c in a list, where the package keeps runs
 of equal values, and ``exact_row`` evaluates the closed form from it with
 arbitrary-precision integers, one c at a time, so neither shares code with
 the run tables behind ``rt_formula``, ``f_closed`` and the family-wide
-queries.
+queries.  ``columns`` is the int64 column loop that the family scans ran
+before the shared run template: one ``SequenceCache`` per c (itself checked
+against ``TermSequence``), its runs scattered into a count array and summed
+by two cumsums, with no term shared between two values of c.
 """
 
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import product
+
+import numpy as np
+
+from carefulsync.pawnrace import SequenceCache
 
 
 def simulate(pfa, states, letters):
@@ -107,3 +114,32 @@ def row_optimum(row):
     """The maximum of a row and the set of every c that attains it."""
     best = max(row)
     return best, {c for c, value in enumerate(row) if value == best}
+
+
+def columns(n_max):
+    """``(c, column)`` for c = 0 .. n_max-2, as ``cerny._columns`` yields
+    them: entry j of ``column`` is rt(c + 2 + j, c).  The column is a view
+    of a buffer that the next one overwrites."""
+    top = n_max - 1  # largest n'
+    nprime = np.arange(1, top + 1, dtype=np.int64)
+    base = nprime * (nprime - 1)
+    f = np.empty(top, dtype=np.int64)
+    column = np.empty(top, dtype=np.int64)
+    hist = np.zeros(top, dtype=np.int64)  # hist[v]: terms of p_c equal to v
+    below = np.empty(top, dtype=np.int64)
+    for c in range(n_max - 1):
+        count = n_max - c - 1
+        if c == 0:
+            np.subtract(nprime[:count], 1, out=f[:count])
+        else:
+            values, multiplicities = SequenceCache(c).runs(count - 1)
+            hist[values] = multiplicities
+            np.cumsum(hist[1:count], out=below[: count - 1])  # terms <= j
+            hist[values] = 0
+            f[0] = 0
+            np.cumsum(below[: count - 1], out=f[1:count])
+            f[1:count] += nprime[: count - 1]  # m = below + 1
+        out = column[:count]
+        np.add(base[:count], c + 1, out=out)
+        out += f[:count]
+        yield c, out

@@ -143,6 +143,28 @@ def test_08_extended_full_drop_table():
     ok("criterion 8 extended: all eight drops up to n=7133")
 
 
+def track_end(n, cs, step):
+    """Follow a local-optimum track from the set ``cs`` of its c at ``n``,
+    one n at a time in the direction ``step``; forward the track's c moves
+    by 0 or +1 per n (backward by 0 or -1), and a tie keeps every branch.
+    Returns the last n at which some branch is still a local optimum."""
+    while True:
+        optima = {c for c, _ in local_optima(n + step)}
+        following = {c + step * move for c in cs for move in (0, 1)} & optima
+        if not following:
+            return n
+        n, cs = n + step, following
+
+
+def test_08_drop_tracks_follow_local_optima():
+    for row in DROPS:
+        assert row.c_left in dict(local_optima(row.n_left)), row
+        assert row.c_right in dict(local_optima(row.n_right)), row
+        assert track_end(row.n_left, {row.c_left}, 1) == row.track_end, row
+        assert track_end(row.n_right, {row.c_right}, -1) == row.track_start, row
+    ok("criterion 8 tracks: every old track ends and every new one starts as published")
+
+
 def test_09_double_double_3512():
     assert rt_formula(3512, 1438) == 37170635
     assert rt_formula(3512, 1439) == 37170635

@@ -1,8 +1,9 @@
 import tracemalloc
 from math import ceil, log2
 
+import oracle
 import pytest
-from oracle import exact_f
+from oracle import TermSequence, exact_f
 
 from carefulsync import (
     RacePlan,
@@ -24,7 +25,8 @@ from carefulsync import (
     split_interval,
     twinverse,
 )
-from carefulsync.pawnrace import SequenceCache, leaf, plan_text
+from carefulsync import cerny, pawnrace
+from carefulsync.pawnrace import SequenceCache, leaf, plan_text, run_template
 
 
 def f_reference(n, c):
@@ -172,8 +174,6 @@ def traced_peak(call):
 
 
 def test_sweep_over_every_c_keeps_memory_bounded():
-    from carefulsync import pawnrace
-
     n = 1000
     peak = traced_peak(lambda: [f_closed(n - c - 1, c) for c in range(n - 1)])
     assert peak < 2 * 2**20, peak
@@ -181,26 +181,54 @@ def test_sweep_over_every_c_keeps_memory_bounded():
 
 
 def test_cache_info_reports_the_memos(monkeypatch):
-    from carefulsync import cache_info, pawnrace
+    from carefulsync import cache_info
 
     # start from empty memos, whatever the tests before this one left
     monkeypatch.setattr(pawnrace, "_caches", {})
     monkeypatch.setattr(pawnrace, "_f_tables", {})
     monkeypatch.setattr(pawnrace, "_o_tables", {})
+    monkeypatch.setattr(pawnrace, "_template", None)
     assert set(cache_info().values()) == {0}
-    count_races(400, 3)
+    count_races(400, 3)  # below c_min: a per-c table
     counted = cache_info()
     assert counted["race_count_tables"] == 1
     assert counted["race_counts"] > 2
     assert counted["sequence_tables"] == 1 and counted["sequence_runs"] > 0
+    assert counted["template_runs"] > 0
     f_recursive(40, 2)
     assert cache_info()["f_tables"] == 1 and cache_info()["f_entries"] > 40
     for c in range(1, 3 * pawnrace._CACHE_CAP):
-        f_closed(500, c)
+        twinverse(c, 500)  # always a per-c table, so the LRU fills to its cap
     swept = cache_info()
     assert swept["sequence_tables"] == pawnrace._CACHE_CAP
     assert swept["sequence_runs"] >= pawnrace._CACHE_CAP
     assert cache_info() == swept  # reading the sizes changes nothing
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The c of every ``SequenceCache`` the package builds from here on."""
+    built = []
+
+    class Counting(SequenceCache):
+        def __init__(self, c):
+            built.append(c)
+            super().__init__(c)
+
+    monkeypatch.setattr(pawnrace, "SequenceCache", Counting)
+    return built
+
+
+def test_rt_formula_sweep_builds_few_run_tables(monkeypatch, built):
+    # every c >= c_min reads the shared template, so a sweep over c no longer
+    # rebuilds an evicted per-c table on each call
+    monkeypatch.setattr(pawnrace, "_caches", {})
+    c_min = run_template().c_min(400)
+    for _ in range(2):
+        for c in range(399):
+            rt_formula(400, c)
+    assert 0 < len(built) <= c_min
+    assert 0 < pawnrace.cache_info()["sequence_tables"] <= c_min
 
 
 def test_huge_race_cost_in_small_memory():
@@ -468,15 +496,15 @@ def test_render_distinguishes_all_optimal_races():
     assert len(pictures) == 3
 
 
-def test_concurrent_queries_are_consistent():
+def test_concurrent_queries_are_consistent(monkeypatch):
     import sys
     import threading
 
-    from carefulsync import pawnrace
-
     expected = {(n, c): f_closed(n, c) for n in (500, 1500) for c in (7, 19)}
     races = {(n, c): count_races(n, c) for n in (300, 2000) for c in (2, 11)}
-    # more distinct c than the run tables kept, so tables are evicted under the readers
+    # more distinct c than the run tables kept, so per-c tables are evicted
+    # under the readers, and the template grows under them from scratch
+    monkeypatch.setattr(pawnrace, "_template", None)
     sweep = {c: exact_f(300, c) for c in range(1, 2 * pawnrace._CACHE_CAP + 2)}
     for c in (2, 11):
         pawnrace._o_tables.pop(c)  # make the threads fill the memo themselves
@@ -501,6 +529,8 @@ def test_concurrent_queries_are_consistent():
             for c, want in sweep.items():
                 if f_closed(300, c) != want:
                     errors.append(("sweep", c))
+                if pawnrace.race_cost(pawnrace.cache_for(c), 300) != want:
+                    errors.append(("sweep per-c", c))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -524,3 +554,121 @@ def test_render_golden_two_pawns():
         "--------\n"
         "  1 | CR  merge@2\n"
     )
+
+
+# --- the run template shared by every large c -------------------------------
+
+TEMPLATE_LIMITS = (1, 2, 10, 300, 2000, 7198)
+LARGE_C = (64, 300, 499, 1502, 5000)
+
+
+def template_runs(c, limit):
+    values, a, b = run_template().runs(limit)
+    return values, [x + c * y for x, y in zip(a, b)]
+
+
+def test_template_c_min_values():
+    t = run_template()
+    assert [t.c_min(limit) for limit in (1, 10, 300, 2000, 7198, 30000, 2**21 - 3)] == [
+        1, 3, 8, 10, 12, 14, 20,
+    ]
+
+
+@pytest.mark.parametrize("limit", TEMPLATE_LIMITS)
+def test_template_runs_match_per_c_tables(limit):
+    c_min = run_template().c_min(limit)
+    for c in [*range(c_min, c_min + 41), *LARGE_C]:
+        assert template_runs(c, limit) == SequenceCache(c).runs(limit), c
+
+
+@pytest.mark.parametrize("limit", TEMPLATE_LIMITS)
+def test_c_min_is_the_exact_boundary(limit):
+    t = run_template()
+    c_min = t.c_min(limit)
+    assert t.at(c_min, limit) is not None
+    for c in range(1, c_min):  # c_min - 1 among them
+        assert template_runs(c, limit) != SequenceCache(c).runs(limit), c
+        assert t.at(c, limit) is None, c
+
+
+@pytest.mark.parametrize("limit", [300, 2000])
+def test_template_reads_match_term_lists(limit):
+    c_min = run_template().c_min(limit)
+    for c in [*range(c_min, c_min + 41), *LARGE_C]:
+        runs, terms = run_template().at(c, limit), TermSequence(c)
+        count = runs.twinverse(limit) - 1  # every term <= limit
+        for k in range(1, count + 1, 1 + count // 3000):
+            assert (runs.p(k), runs.q(k)) == (terms.p(k), terms.q(k)), (c, k)
+        assert runs.q(count + 1) == terms.q(count + 1), c
+        for n in range(1, limit + 1):
+            assert runs.twinverse(n) == terms.twinverse(n), (c, n)
+        with pytest.raises(ValueError):
+            runs.p(count + 1)  # beyond the limit the template does not answer
+
+
+def test_point_queries_read_the_template():
+    n = 2000
+    c_min = run_template().c_min(n)
+    for c in [*range(1, c_min + 41), *LARGE_C]:
+        assert f_closed(n, c) == exact_f(n, c), c
+        assert split_interval(n, c) == split_interval_reference(n, c), c
+    assert [count_races(300, c) for c in (40, 41)] == [
+        count_races_reference(300, 40), count_races_reference(300, 41),
+    ]
+
+
+def split_interval_reference(n, c):
+    terms = TermSequence(c)
+    k = terms.twinverse(n) - c - 1
+    return list(range(max(terms.p(k), n - terms.p(k)),
+                      min(terms.p(k + 1), n - terms.p(k - 1)) + 1))
+
+
+def count_races_reference(n, c):
+    counts = [0, 1, 1]
+    for m in range(3, n + 1):
+        counts.append(sum(counts[m - i] * counts[i] for i in split_interval_reference(m, c)))
+    return counts[n]
+
+
+def oracle_results(monkeypatch, query, *args):
+    """``query`` run over the per-c column loop instead of the template."""
+    with monkeypatch.context() as patched:
+        patched.setattr(cerny, "_columns", oracle.columns)
+        return query(*args)
+
+
+def scans(n_max):
+    best, best_c = cerny.scan_optimal(n_max)
+    return (best.tolist(), best_c.tolist(), cerny.scan_drops(n_max),
+            cerny.scan_maximizers(n_max), cerny.scan_grid(n_max, min(n_max, 60)))
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 4, 5, 13, 48, 301, 2000])
+def test_scans_match_the_per_c_column_loop(monkeypatch, n_max):
+    assert scans(n_max) == oracle_results(monkeypatch, scans, n_max)
+
+
+def test_rows_match_the_per_c_column_loop():
+    n_max = 2000
+    ns = sorted({*range(2, 130), *range(130, n_max + 1, 41), 204, 205, 854, 855,
+                 1737, 1738, n_max})
+    want = {n: [] for n in ns}
+    for c, column in oracle.columns(n_max):
+        for n in ns:
+            if n >= c + 2:
+                want[n].append(int(column[n - c - 2]))
+    for n in ns:
+        assert cerny._row(n) == want[n], n
+
+
+def test_drops_to_7200_match_the_per_c_column_loop(monkeypatch):
+    drops = cerny.scan_drops(7200)
+    assert len(drops) == 8
+    assert drops == oracle_results(monkeypatch, cerny.scan_drops, 7200)
+
+
+def test_scan_builds_run_tables_only_below_c_min(built):
+    cerny.scan_drops(7200)
+    c_min = run_template().c_min(7200)
+    assert len(built) <= c_min and max(built) < c_min, built
