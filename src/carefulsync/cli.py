@@ -13,6 +13,11 @@ from .solver import SolveLimits, LimitExceeded, NotSynchronizing, solve
 
 OK, MISMATCH, USAGE, RESOURCES = 0, 1, 2, 3
 
+# `race count` refuses a larger --n.  count_races does about n^2.7
+# big-integer products, and c = 1 costs the most: 22 s at n = 20 000, against
+# 7.6 s for c = 2 and 2 s for c = 3 (2-vCPU VM).
+RACE_COUNT_MAX_N = 20_000
+
 
 def _parser():
     top = argparse.ArgumentParser(prog="carefulsync")
@@ -45,7 +50,8 @@ def _parser():
     race.add_argument("what", choices=["f", "count", "enumerate", "render", "word"])
     race.add_argument(
         "--n", type=int, required=True,
-        help="pawn count; for `word` the automaton size (racing n-c-1 pawns)",
+        help=f"pawn count, at most {RACE_COUNT_MAX_N} for `count`; for `word` the "
+        "automaton size (racing n-c-1 pawns)",
     )
     race.add_argument("--c", type=int, required=True)
     race.add_argument("--cap-plans", type=int, default=1000)
@@ -158,6 +164,10 @@ def _cmd_race(args, out):
         print(json.dumps({"f": value}) if args.json else value, file=out)
         return OK
     if args.what == "count":
+        if n > RACE_COUNT_MAX_N:
+            print(f"resources: race count takes --n up to {RACE_COUNT_MAX_N}, not {n}",
+                  file=sys.stderr)
+            return RESOURCES
         value = pawnrace.count_races(n, c)
         print(json.dumps({"count": value}) if args.json else value, file=out)
         return OK

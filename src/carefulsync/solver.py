@@ -13,7 +13,7 @@ the current level's path counts in discovery order, and one flat array that
 holds, by discovery number, each subset's parent and symbol, from which the
 word is read back.
 
-The search is level-synchronous, and each level takes one of two steps:
+The search is level-synchronous, and each level takes one of three steps:
 
 * The vectorized step (:class:`_WideKernel`) expands the whole level with
   numpy: images by byte-chunk table gathers over a ``uint64`` frontier,
@@ -27,7 +27,21 @@ The search is level-synchronous, and each level takes one of two steps:
   :func:`carefulsync.pfa.image`, the step :func:`carefulsync.pfa.apply_word`
   takes once per run of equal letters, with arbitrary-precision counts.  It
   serves every other level, and it is the reference that the tests hold the
-  vectorized step to.
+  two other steps to.
+* The chain step (:class:`_Chain`) takes many levels at once where the
+  frontier is one subset T whose only new image is s(T), for the symbol s
+  that found T: the long runs of one letter in the words of the prime
+  constructions.  It is taken when the automaton has at most 64 states and
+  the last ``CHAIN`` levels each held one subset and found one new subset in
+  the Python step.  It reads the orbit s(T), s^2(T), ... a batch at a time
+  off a table of every state's trajectory under s, and the other symbols'
+  images of the orbit with the vectorized step's byte tables, then commits
+  level by level while the Python step would make exactly one discovery,
+  the next set of the orbit: that set is defined, unseen and not a
+  singleton, every other symbol's image is undefined or already seen, and
+  both caps still hold.  Such a level adds one subset under s and keeps the
+  count, as the Python step would; the first level that fails goes to the
+  Python step, so the result and every exception are the Python step's.
 
 Until the first vectorized level, the subsets seen are a Python set of ints
 and each level is a dict from subset to count; a search that never goes
@@ -38,7 +52,7 @@ that takes each level's distinct images in vectorized probe rounds.  From
 then on, a level that follows a vectorized one stays a ``uint64`` array of
 subsets beside an int64 array of counts when it is wide too; a narrow level
 turns the arrays back into a dict and tests and adds its images by scalar
-probes of the table.
+probes of the table, as the chain step does.
 
 The bit walk stays for narrow levels because numpy's fixed cost per level,
 about 0.1 ms, outweighs its per-subset gain below ``WIDE``
@@ -58,6 +72,18 @@ from .pfa import Pfa, Word, image
 # steps broke even between 64 and 128 subsets; from 128 up the vectorized
 # step was the faster on every input, 1.5-1.7x at 256-511 subsets.
 WIDE = 128
+
+# A level of one subset takes the chain step once at least this many (and at
+# least 1) levels in a row have each held one subset and found one new subset
+# in the Python step.  C(20, 4) and C(22, 4) never have more than 7 such
+# levels in a row, so their searches never take it.
+CHAIN = 8
+# Levels the chain step reads in its first batch, doubled after every batch
+# that commits them all, up to the cap.  On the prime solves of 55 507 and
+# 86 257 levels, caps of 256 to 4096 all ran in the same time, and each
+# doubling of the cap from 256 on added about 0.5 MB of peak RSS.
+_BATCH = 64
+_BATCH_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -138,12 +164,29 @@ def _search(pfa: Pfa, limits: SolveLimits):
     # weight while levels stay wide (counts is then None)
     counts = {full: 1}
     front = weight = None
-    wide = None
+    wide = chain = None
     level = 0
+    # consecutive levels of one subset that the Python step expanded into one
+    narrow = 0
     # nsym times the discovery number of the next subset to expand; subsets
     # are expanded in discovery order, so this only ever counts up
     base = 0
     while True:
+        if narrow >= CHAIN and pfa.n <= 64:
+            if chain is None:
+                wide = wide or _WideKernel(pfa)
+                chain = _Chain(pfa, wide)
+            [(bits, c)] = counts.items()
+            s = origin[-1] % nsym
+            room = min(limits.max_length - level, limits.max_subsets - len(seen))
+            bits, done = chain.run(bits, s, seen, room)
+            origin.extend(range(base + s, base + nsym * done, nsym))
+            counts = {bits: c}
+            level += done
+            base += nsym * done
+            if not done:
+                # one batch per CHAIN levels at most where chains never commit
+                narrow = 0
         width = len(counts) if counts is not None else front.size
         if not width:
             raise NotSynchronizing(len(seen), level)
@@ -156,8 +199,8 @@ def _search(pfa: Pfa, limits: SolveLimits):
             and nsym * width * (int(weight.max()) if counts is None else max(counts.values()))
             < 1 << 63
         ):
-            if wide is None:
-                wide = _WideKernel(pfa)
+            wide = wide or _WideKernel(pfa)
+            if isinstance(seen, set):
                 seen = _SubsetTable(np.fromiter(seen, np.uint64, len(seen)))
             if counts is not None:
                 front = np.fromiter(counts, np.uint64, width)
@@ -165,6 +208,7 @@ def _search(pfa: Pfa, limits: SolveLimits):
                 counts = None
             front, weight, hit = wide.step(front, weight, base, seen, origin, limits, level)
             base += nsym * width
+            narrow = 0
         else:
             if counts is None:
                 counts = dict(zip(front.tolist(), weight.tolist()))
@@ -187,6 +231,7 @@ def _search(pfa: Pfa, limits: SolveLimits):
                     elif target in next_counts:
                         next_counts[target] += c
                 base += nsym
+            narrow = narrow + 1 if width == 1 and len(next_counts) == 1 else 0
             counts = next_counts
         level += 1
         if hit is not None:
@@ -312,6 +357,15 @@ class _WideKernel:
         full = (1 << pfa.n) - 1
         self.outside = np.array([full & ~m for m in masks], np.uint64)
 
+    def images(self, front):
+        """The images of the ``uint64`` subsets ``front`` under every symbol,
+        one row per subset, correct where the symbol is defined on it."""
+        octets = front.view(np.uint8).reshape(front.size, 8)
+        images = np.take(self.tables[0], octets[:, 0], axis=0)
+        for k in range(1, len(self.tables)):
+            images |= np.take(self.tables[k], octets[:, k], axis=0)
+        return images
+
     def step(self, front, weight, base, seen, origin, limits, level):
         """One level at once; the same discoveries, in the same order, with
         the same counts as the Python step of :func:`_search`, whose state
@@ -320,10 +374,7 @@ class _WideKernel:
         singleton, or None."""
         width = front.size
         nsym = self.outside.size
-        octets = front.view(np.uint8).reshape(width, 8)
-        images = np.take(self.tables[0], octets[:, 0], axis=0)
-        for k in range(1, len(self.tables)):
-            images |= np.take(self.tables[k], octets[:, k], axis=0)
+        images = self.images(front)
         # candidates in (parent, symbol) order, the Python step's order
         where = np.flatnonzero((front[:, None] & self.outside) == 0)
         found = images.ravel()[where]
@@ -351,6 +402,83 @@ class _WideKernel:
         singles = np.flatnonzero(np.bitwise_count(found) == 1)
         hit = before + int(singles[0]) if singles.size else None
         return found, sums[new], hit
+
+
+class _Chain:
+    """The chain step of :func:`_search`: levels of one subset that each
+    find one new subset under one symbol s, taken a batch at a time over the
+    orbit T_0, T_1 = s(T_0), ... of the level's subset.
+
+    ``orbits[s][q, j]`` is the one-bit set of s^(j+1) of state ``q + 1``, or
+    0 from the first undefined step on, built by index doubling once per
+    symbol and batch size.  The OR of a subset's rows is its orbit, exact up
+    to the first T_i that meets ``outside[s]``, beyond which no level
+    commits."""
+
+    def __init__(self, pfa: Pfa, wide: _WideKernel):
+        self.wide = wide
+        n = pfa.n
+        self.full = np.uint64((1 << n) - 1)
+        # state index -> one-bit set, with index n standing for undefined
+        self.bit = np.append(np.uint64(1) << np.arange(n, dtype=np.uint64), np.uint64(0))
+        self.succ = [
+            np.array([t.bit_length() - 1 if t else n for t in col] + [n], np.uint8)
+            for col in pfa.kernel[1]
+        ]
+        self.orbits = {}
+
+    def _orbit_table(self, s, size):
+        table = self.orbits.get(s)
+        if table is None or table.shape[1] < size:
+            at = self.succ[s][:, None]
+            while at.shape[1] < size:
+                # s^(m+j) = s^j after s^m, for j = 1..m
+                at = np.hstack([at, at[at[:, -1]]])
+            table = self.orbits[s] = self.bit[at[:-1]]
+        return table
+
+    def run(self, bits, s, seen, room):
+        """Expand the levels from ``bits`` on under symbol ``s`` for as long
+        as the Python step would find exactly one new subset, T_(i+1), from
+        each T_i: it is defined, unseen and not a singleton, and every other
+        symbol's image of T_i is undefined or already seen.  Commits at most
+        ``room`` levels, adding each T_(i+1) to ``seen``; returns the last
+        subset reached and the number of levels committed."""
+        wide = self.wide
+        others = [r for r in range(wide.outside.size) if r != s]
+        has, add = seen.__contains__, seen.add
+        done = 0
+        size = _BATCH
+        while room > 0:
+            k = min(size, room)
+            members = np.flatnonzero(
+                np.unpackbits(np.array([bits], "<u8").view(np.uint8), bitorder="little")
+            )
+            orbit = np.bitwise_or.reduce(self._orbit_table(s, size)[members, :k], axis=0)
+            front = np.concatenate((np.array([bits], np.uint64), orbit[:-1]))
+            defined = (front[:, None] & wide.outside) == 0
+            stop = np.flatnonzero(~defined[:, s] | (np.bitwise_count(orbit) == 1))
+            stop = int(stop[0]) if stop.size else k
+            # an undefined image counts as the full set, which is always seen
+            checks = np.where(defined, wide.images(front), self.full)[:stop, others]
+            if len(others) == 1:
+                rows, known = checks[:, 0].tolist(), has
+            else:
+                rows, known = checks.tolist(), lambda row: all(map(has, row))
+            committed = stop
+            for i, (target, row) in enumerate(zip(orbit[:stop].tolist(), rows)):
+                if has(target) or not known(row):
+                    committed = i
+                    break
+                add(target)
+            if committed:
+                bits = orbit[committed - 1].item()
+            done += committed
+            room -= committed
+            if committed < size:
+                break
+            size = min(2 * size, _BATCH_CAP)
+        return bits, done
 
 
 def _backtrack(origin, nsym, d):

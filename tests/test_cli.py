@@ -17,8 +17,10 @@ def run(capsys, *argv):
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli"
 
 
-# stdout recorded before the tables and the --full tie pass moved behind
-# `verify` and `cerny`, one file per case under tests/golden/cli
+# stdout recorded before a change behind it, one file per case under
+# tests/golden/cli: the tables and the --full tie pass before they moved
+# behind `verify` and `cerny`, the prime solves (55 507 and 86 257 levels,
+# almost all of one subset) before the search took the chain step
 GOLDEN_RUNS = {
     "tables_pn2": "tables pn2",
     "tables_grid": "tables grid",
@@ -27,6 +29,8 @@ GOLDEN_RUNS = {
     "tables_drops_120": "tables drops --nmax 120",
     "tables_grid_json_20_6": "tables grid --json --nmax 20 --cmax 6",
     "scan_optimal_c_full_json_120": "scan optimal-c --nmax 120 --full --json",
+    "solve_prime_5_13_pretty": "solve prime --primes 5,7,9,11,13 --pretty",
+    "solve_prime_3_13_json_count": "solve prime --primes 3,4,5,7,11,13 --json --count",
 }
 
 
@@ -84,6 +88,16 @@ def test_race_f_count_enumerate_render(capsys):
     code, out = run(capsys, "race", "render", "--n", "7", "--c", "1")
     assert code == 0
     assert len([line for line in out.splitlines() if "|" in line]) == 7  # header + 6
+
+
+def test_race_count_refuses_n_above_its_limit(capsys, monkeypatch):
+    from carefulsync import cli, pawnrace
+
+    monkeypatch.setattr(pawnrace, "count_races", lambda n, c: n)
+    assert run(capsys, "race", "count", "--n", "20000", "--c", "1") == (0, "20000\n")
+    n = str(cli.RACE_COUNT_MAX_N + 1)
+    assert dispatch(["race", "count", "--n", n, "--c", "3", "--json"]) == 3
+    assert capsys.readouterr() == ("", f"resources: race count takes --n up to 20000, not {n}\n")
 
 
 def test_gen_json_round_trip(capsys):

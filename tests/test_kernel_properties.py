@@ -117,6 +117,49 @@ def test_wide_step_matches_brute_force(pfa):
         check_against_oracle(pfa)
 
 
+@st.composite
+def chain_pfas(draw):
+    """Automata whose letter 'a' is one cycle through every state, changed
+    at one or two states, while the other letters are mostly undefined: 'a'
+    moves a subset on for many levels in which the others find nothing new,
+    and the changed states shrink it, so these levels of one subset run
+    until a singleton or a subset seen before."""
+    n = draw(st.integers(4, 8))
+    nsym = draw(st.integers(1, 3))
+    order = draw(st.permutations(range(1, n + 1)))
+    a = dict(zip(order, order[1:] + order[:1]))
+    for q in draw(st.lists(st.sampled_from(order), min_size=1, max_size=2, unique=True)):
+        a[q] = draw(st.sampled_from(order))
+    target = st.sampled_from((None, None, None, *range(1, n + 1)))
+    delta = tuple((a[q], *(draw(target) for _ in range(nsym - 1))) for q in range(1, n + 1))
+    return Pfa(n=n, symbols=("a", "b", "c")[:nsym], delta=delta)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(chain_pfas())
+def test_chain_step_matches_brute_force(pfa):
+    # a chain of 1 tries the chain step after every level of one subset
+    # that found one new subset
+    with patch.object(solver, "CHAIN", 1):
+        check_against_oracle(pfa)
+
+
+def test_chain_pfas_take_the_chain_step(monkeypatch):
+    # the test above holds the chain step to the oracle only if its automata
+    # make the chain step commit levels
+    committed = []
+    run = solver._Chain.run
+
+    def spy(self, bits, s, seen, room):
+        bits, done = run(self, bits, s, seen, room)
+        committed.append(done)
+        return bits, done
+
+    monkeypatch.setattr(solver._Chain, "run", spy)
+    test_chain_step_matches_brute_force()
+    assert sum(committed) > 200
+
+
 # a key k sits at home slot (k * GOLDEN mod 2^64) >> (64 - bits) of a table of
 # 2^bits slots, so r * INVERSE for small r lands in slot 0 of every table, and
 # -r * INVERSE in the last slot, from which probes wrap around

@@ -10,6 +10,7 @@ from carefulsync import (
     Pfa,
     SolveLimits,
     Word,
+    best_prime_list,
     build_cerny,
     build_prime_pfa,
     count_shortest,
@@ -18,11 +19,15 @@ from carefulsync import (
     sequences,
     solve,
     solver,
+    tables,
 )
 
 # WIDE values that send every level to the vectorized step, or none of them
 ALL_WIDE = 1
 PYTHON_ONLY = 1 << 62
+# CHAIN values that take the chain step wherever a level allows it, or never
+ALL_CHAINS = 1
+NO_CHAINS = 1 << 62
 
 
 def funnel(n):
@@ -32,10 +37,11 @@ def funnel(n):
     return Pfa(n=n, symbols=("a", "b", "c"), delta=tuple(row(q) for q in range(1, n + 1)))
 
 
-def outcome(pfa, wide, limits=SolveLimits()):
+def outcome(pfa, wide, limits=SolveLimits(), chain=NO_CHAINS):
     """solve's result, or the fields of the exception it raised, with levels
-    of at least ``wide`` subsets taking the vectorized step."""
-    with patch.object(solver, "WIDE", wide):
+    of at least ``wide`` subsets taking the vectorized step, and the chain
+    step taken after ``chain`` levels of one subset."""
+    with patch.object(solver, "WIDE", wide), patch.object(solver, "CHAIN", chain):
         try:
             return solve(pfa, limits)
         except (LimitExceeded, NotSynchronizing) as exc:
@@ -279,3 +285,132 @@ def test_wide_search_keeps_its_subsets_off_the_python_heap():
         tracemalloc.stop()
     assert result == expected
     assert peak < 12 * 2**20, peak
+
+
+def relay(p, r, leak=None):
+    """Two paths of p and r states: 'a' walks the first to its end and
+    fixes the second, 'b' walks the second and, once the first has shrunk to
+    its end state, merges that into the second's end.  'b' is undefined
+    below state ``leak`` of the first path (below p when None), so the
+    shortest word is a^(p-1) b^(r-1), one subset a level: a chain under 'a'
+    that ends where its next image is seen, then one under 'b' that ends in
+    a singleton.  With a ``leak`` below p, 'b' finds a new subset from level
+    ``leak - 1`` on and breaks the 'a' chain there."""
+    first = lambda q: (min(q + 1, p), p + r if q == p else q if leak and q >= leak else None)
+    second = lambda q: (q, min(q + 1, p + r))
+    rows = [first(q) for q in range(1, p + 1)] + [second(q) for q in range(p + 1, p + r + 1)]
+    return Pfa(n=p + r, symbols=("a", "b"), delta=tuple(rows))
+
+
+@pytest.fixture
+def chains(monkeypatch):
+    """(symbol, levels committed, whether ``seen`` is the hash table) of
+    every chain step."""
+    steps = []
+    run = solver._Chain.run
+
+    def spy(self, bits, s, seen, room):
+        bits, done = run(self, bits, s, seen, room)
+        steps.append((s, done, isinstance(seen, solver._SubsetTable)))
+        return bits, done
+
+    monkeypatch.setattr(solver._Chain, "run", spy)
+    return steps
+
+
+def chained(pfa, limits=SolveLimits(), chain=ALL_CHAINS, wide=solver.WIDE):
+    """The outcome with the chain step, which must equal the Python step's."""
+    result = outcome(pfa, wide, limits, chain)
+    assert result == outcome(pfa, PYTHON_ONLY, limits), (pfa.n, limits, chain, wide)
+    return result
+
+
+def test_chain_step_matches_python_step_on_prime_builds(chains):
+    cases = [build_prime_pfa(*best_prime_list(n)[:2]) for n in (60, 62)]
+    cases += [build_prime_pfa(row.primes, row.padding, transitive)
+              for row in tables.DEFEAT for transitive in (False, True)]
+    for pfa in cases:
+        for chain in (ALL_CHAINS, solver.CHAIN):
+            del chains[:]
+            levels = chained(pfa, chain=chain).levels
+            # most levels of these searches are chain levels
+            assert 2 * sum(done for _, done, _ in chains) > levels
+    assert max(done for _, done, _ in chains) > solver._BATCH_CAP
+
+
+def test_chain_changes_symbol_and_ends_in_a_singleton(chains):
+    result = chained(relay(30, 30))
+    assert (result.threshold, format_word(relay(30, 30), result.word, pretty=True)) == (58, "a^29 b^29")
+    # level 0 by the Python step, levels 1-28 by the chain under 'a', which
+    # stops where the image under 'a' is seen; level 29 by the Python step,
+    # then the chain under 'b' up to the level whose image is the singleton
+    assert chains == [(0, 28, False), (1, 27, False)]
+    chained(relay(30, 30), chain=solver.CHAIN)
+    assert chains[2:] == [(0, 21, False), (1, 27, False)]
+
+
+def test_chain_broken_by_a_new_image_of_another_symbol(chains):
+    pfa = relay(30, 30, leak=10)
+    result = chained(pfa)
+    assert result.count > 1
+    # the chain stops below the level that expands {10..30} and the second
+    # path, where 'b' first finds a new subset
+    assert chains[0] == (0, 8, False)
+
+
+def test_chain_ending_where_its_letter_is_undefined(chains):
+    # 'b' maps everything into {1, 2, 3}, which 'a' moves round a path of m
+    # states until it holds m, where 'a' is undefined: no new subset follows
+    m = 30
+    pfa = Pfa(n=m, symbols=("a", "b"),
+              delta=tuple((q + 1 if q < m else None, q % 3 + 1) for q in range(1, m + 1)))
+    for chain in (ALL_CHAINS, solver.CHAIN):
+        assert chained(pfa, chain=chain) == (NotSynchronizing, None, m - 1, m - 1)
+    # the first chain, under 'b', commits nothing
+    assert [done for _, done, _ in chains] == [0, m - 4, m - 10]
+
+
+def test_chain_longer_than_its_batches(chains, monkeypatch):
+    monkeypatch.setattr(solver, "_BATCH", 2)
+    monkeypatch.setattr(solver, "_BATCH_CAP", 8)
+    sizes = set()
+    table = solver._Chain._orbit_table
+    monkeypatch.setattr(solver._Chain, "_orbit_table",
+                        lambda self, s, size: sizes.add(size) or table(self, s, size))
+    for p, r in ((30, 30), (12, 40), (3, 50)):
+        chained(relay(p, r))
+        chained(relay(p, r), chain=2)
+    assert max(done for _, done, _ in chains) == 47
+    assert sizes == {2, 4, 8}
+
+
+def test_chain_after_a_wide_level(chains):
+    # levels of two subsets go wide and move the seen subsets to the table
+    chained(build_prime_pfa((5, 7, 8, 9)), wide=2)
+    assert not chains[0][2]
+    assert any(table and done for _, done, table in chains)
+
+
+def test_chain_step_covers_64_states_and_no_more(chains):
+    # relay(34, 30) ends in state 64, bit 63 of the subsets
+    result = chained(relay(34, 30))
+    assert result.threshold == 62 and result.word.letters[-1] == 1
+    assert chains == [(0, 32, False), (1, 27, False)]
+    del chains[:]
+    assert chained(relay(35, 30)).threshold == 63
+    assert chains == []
+
+
+def test_caps_inside_a_chain(chains):
+    cases = [relay(30, 30), relay(34, 30), build_prime_pfa((5, 7, 8, 9))]
+    for pfa in cases:
+        full = outcome(pfa, PYTHON_ONLY)
+        for cap in (2, 3, 10, full.explored // 2, full.explored - 1, full.explored):
+            expected = chained(pfa, SolveLimits(max_subsets=cap))
+            if cap < full.explored:
+                assert expected[:3] == (LimitExceeded, "max_subsets", cap + 1)
+        for cap in (2, 3, 10, full.levels // 2, full.levels - 1):
+            expected = chained(pfa, SolveLimits(max_length=cap))
+            assert expected == (LimitExceeded, "max_length", expected[2], cap)
+        assert chained(pfa, SolveLimits(max_length=full.levels)) == full
+    assert any(done for _, done, _ in chains)
