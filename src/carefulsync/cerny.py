@@ -6,11 +6,11 @@ c = 0 this is exactly the Cerny sequence.  The reset threshold of every
 member has a closed form driven by the pawn race solution.  Every value
 comes from the runs of the split sequences in ``pawnrace``:
 ``rt_formula`` evaluates single points through ``f_closed``, and the family
-queries read the one ``RunTemplate`` that serves every c >= c_min at once,
-with a run table of its own only for each c < c_min (c_min is 12 at
-n = 7200).  ``optimal_c`` and ``local_optima`` read one row of exact points
-through ``_row``, and the ``scan_*`` functions read the int64 column
-evaluator ``_columns``, whose layout no other module sees.
+queries read the one template of ``pawnrace.run_template`` that serves every
+c >= c_min at once, with a run table of its own only for each c < c_min
+(c_min is 12 at n = 7200).  ``optimal_c`` and ``local_optima`` read one row
+of exact points through ``_row``, and the ``scan_*`` functions read the
+int64 column evaluator ``_columns``, whose layout no other module sees.
 
 From the template, the terms <= j of p_c number A(j) + c·B(j) for every
 c >= c_min, so f_c(n') = (n'-1) + SA(n') + c·SB(n') with SA and SB the

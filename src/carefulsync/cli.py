@@ -244,9 +244,8 @@ def _cmd_estimate(args, out):
                 "simple_upper": shi,
             }
         )
-        cache = pawnrace.cache_for(c)
-        k = cache.twinverse(n) - 1
-        if cache.p(k) == n and n >= 10:
+        k = pawnrace.twinverse(c, n) - 1
+        if pawnrace.sequences(c, k)[0] == n and n >= 10:
             doc["leading_estimate"] = estimates.f_leading_estimate(k, c)
     if args.json:
         print(json.dumps(doc), file=out)

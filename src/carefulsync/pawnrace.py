@@ -7,11 +7,11 @@ recursion, ``f_closed`` evaluates the closed form built on the generalized
 Fibonacci sequences below, and the plan machinery enumerates and simulates
 the optimal races themselves.
 
-The split sequences p_c are held as runs of equal values.  One recurrence
-builds them: ``SequenceCache`` runs it for one c, and ``RunTemplate`` runs it
-once for every c from a small ``c_min`` on, with each run's length affine in
-c.  ``f_closed``, ``split_interval`` and ``count_races`` read the template
-where it is exact for their c and fall back to the per-c tables below that.
+The split sequences p_c are held as runs of equal values in one kind of
+table, ``SequenceCache``, whose run lengths are affine in c.  A table for
+one c fixes them; the template of ``run_template`` runs the recurrence once
+for every c from a small ``c_min`` on.  Every query reads the template where
+it is exact for its c and a table of that c alone below that.
 """
 
 import threading
@@ -61,7 +61,8 @@ def _steps(ends):
 
 
 class SequenceCache:
-    """Exact values of the split sequences for one cost parameter ``c``.
+    """Exact values of the split sequences, for one cost parameter ``c`` or,
+    as the template, for every large c at once.
 
     ``p(k)`` is 1 for k <= 2c and p(k-c-1) + p(k-c) afterwards (Fibonacci for
     c=1, a shifted Padovan for c=2).  ``q(k)`` is 1 plus the partial sums of
@@ -69,111 +70,45 @@ class SequenceCache:
 
     p is nondecreasing with few distinct values (at c = 420000 the 8.8 M
     terms up to 579999 form 198 runs), so the table holds runs: ``_p`` lists
-    the distinct values in increasing order, ``_ends[i]`` counts the terms
-    <= ``_p[i]`` and ``_sums[i]`` adds them up, so p, q and twinverse are
-    each one bisection.  ``_p`` keeps its name because its length is still
-    the table's size, now one entry per run, as the benchmark's cache
-    statistics read it.  The table grows block by block through
-    ``_next_block``.
+    the distinct values in increasing order, the terms <= ``_p[i]`` number
+    ``_ends_a[i] + c·_ends_b[i]`` and add up to ``_sums_a[i] +
+    c·_sums_b[i]``, so p, q and twinverse are each one bisection.  ``_p``
+    keeps its name because its length is still the table's size, one entry
+    per run, as the benchmark's cache statistics read it.
 
-    ``cache_for`` memoizes at most ``_CACHE_CAP`` tables and evicts the least
-    recently used; the family scans build a table only for c below the
-    template's ``c_min`` and drop it.
+    The table grows block by block through ``_next_block``, which compares
+    values only; the values do not depend on c.  ``SequenceCache(c)`` seeds
+    it with b = 0: 2c ones and a first block of c ones, so every branch is
+    decided for that c.  The template, ``SequenceCache()``, seeds it with
+    (0, 2) ones and a first block of (0, 1) ones.  Where the one
+    c-dependent branch, m > 1, has b > 0, it is taken, and the least c for
+    which it holds is recorded: ``_floor[i]`` is the largest such c over the
+    runs up to ``_p[i]`` (always 1 in a table of one c).  A branch decision
+    changes only runs of equal or larger value, so the template's runs up to
+    a limit are exactly those of ``SequenceCache(c)`` for every c >=
+    ``c_min(limit)``, by construction; c_min is 8 at 300, 12 at 7200 and 20
+    just below 2^21.  ``at`` reads the template for one such c, and the
+    template grows only as far as the queries that it answers need.
 
     Values are exact Python ints.  Growth holds a lock, appends a value and
-    its sum before its count, and changes only the last run, so reads, which
-    take the lock only to grow, see final runs below the last while another
-    thread grows the table.
+    its sums before its counts, and changes only the last run, so reads,
+    which take the lock only to grow, see final runs below the last while
+    another thread grows the table.
     """
 
-    def __init__(self, c: int):
-        if c < 1:
+    def __init__(self, c: int | None = None):
+        if c is not None and c < 1:
             raise ValueError("cost parameter must be >= 1")
         self.c = c
+        self._limit = None  # the values that a table made by ``at`` reads
+        a, b = (0, 1) if c is None else (c, 0)  # the first block: c ones
         self._p = [1]
-        self._ends = [2 * c]
-        self._sums = [2 * c]
-        self._block = [(1, c, 0, 1)]  # runs of the last complete block
-        self._before = 1  # last term of the block before it
-        self._lock = threading.Lock()
-
-    def _extend_block(self):
-        self._block, self._before = _next_block(self._block, self._before, 1)
-        values, sums, ends = self._p, self._sums, self._ends
-        for value, count, _, _ in self._block:
-            if value == values[-1]:
-                sums[-1] += value * count
-                ends[-1] += count
-            else:
-                values.append(value)
-                sums.append(sums[-1] + value * count)
-                ends.append(ends[-1] + count)
-
-    def _grow_to(self, k: int):
-        with self._lock:
-            while self._ends[-1] < k:
-                self._extend_block()
-
-    def _grow_beyond(self, value: int):
-        with self._lock:
-            while self._p[-1] <= value:
-                self._extend_block()
-
-    def p(self, k: int) -> int:
-        if k < 1:
-            raise ValueError("index must be >= 1")
-        self._grow_to(k)
-        return self._p[bisect_left(self._ends, k)]
-
-    def q(self, k: int) -> int:
-        if k < 1:
-            raise ValueError("index must be >= 1")
-        self._grow_to(k)
-        i = bisect_left(self._ends, k - 1)  # the run holding p(k-1)
-        done, total = (self._ends[i - 1], self._sums[i - 1]) if i else (0, 0)
-        return 1 + total + self._p[i] * (k - 1 - done)
-
-    def twinverse(self, n: int) -> int:
-        if n < 1:
-            raise ValueError("argument must be >= 1")
-        self._grow_beyond(n)
-        return self._ends[bisect_right(self._p, n) - 1] + 1
-
-    def runs(self, limit: int) -> tuple[list[int], list[int]]:
-        """The distinct values v <= limit of p, and how many terms equal each."""
-        self._grow_beyond(limit)
-        r = bisect_right(self._p, limit)
-        return self._p[:r], _steps(self._ends[:r])
-
-
-class RunTemplate:
-    """The runs of p_c for every large c at once, each run's length affine in c.
-
-    The run recurrence compares values only, and the values do not depend on
-    c: the first 2c terms are 1 and the first block is c ones.  So
-    ``_next_block`` runs once here with every multiplicity held as a + b·c,
-    starting from (0, 2) ones and a first block of (0, 1) ones.  Where the
-    one c-dependent branch, m > 1, has b > 0, it is taken, and the least c
-    for which it holds is recorded: ``_floor[i]`` is the largest such c over
-    the runs up to ``_p[i]``.  A branch decision changes only runs of equal
-    or larger value, so the runs up to a limit are exactly those of
-    ``SequenceCache(c)`` for every c >= ``c_min(limit)``, by construction;
-    c_min is 8 at 300, 12 at 7200 and 20 just below 2^21.  ``_ends_a[i] +
-    c·_ends_b[i]`` counts the terms <= ``_p[i]`` and ``_sums_a[i] +
-    c·_sums_b[i]`` adds them up.
-
-    Built lazily by ``run_template``, it grows like a ``SequenceCache``,
-    under the same locking rules, and only as far as a query that it
-    answers needs: ``at`` stops growing once the floor passes the query's c.
-    So it holds about as many runs as the per-c table of such a query would.
-    """
-
-    def __init__(self):
-        self._p = [1]
-        self._ends_a, self._ends_b = [0], [2]
-        self._sums_a, self._sums_b = [0], [2]
+        self._ends_a, self._ends_b = [2 * a], [2 * b]
+        # the terms <= _p[i] at this table's c: where every b is 0, the a's
+        self._ends = None if c is None else self._ends_a
+        self._sums_a, self._sums_b = [2 * a], [2 * b]
         self._floor = [1]
-        self._block = [(1, 0, 1, 1)]  # runs of the last complete block
+        self._block = [(1, a, b, 1)]  # runs of the last complete block
         self._before = 1  # last term of the block before it
         self._lock = threading.Lock()
 
@@ -196,122 +131,128 @@ class RunTemplate:
                 ends_b.append(ends_b[-1] + b)
                 floor.append(need)
 
-    def _grow_beyond(self, value: int, c: int | None = None) -> bool:
-        """Grow until a run exceeds ``value``; with ``c``, stop early and
-        return False once a run up to ``value`` needs a larger c."""
+    def _grow(self, value: int, count: int = 0, c: int | None = None) -> bool:
+        """Grow until a run exceeds ``value`` and, read at ``c``, the runs
+        hold ``count`` terms.  With ``c``, stop early and return False once
+        the last run needs a larger c (never, in a table of its own c)."""
         with self._lock:
-            while self._p[-1] <= value:
+            while (self._p[-1] <= value
+                   or count and self._ends_a[-1] + c * self._ends_b[-1] < count):
                 if c is not None and self._floor[-1] > c:
                     return False
                 self._extend_block()
         return True
 
-    def c_min(self, limit: int) -> int:
-        """The least c >= 1 from which the runs of values <= limit are exact."""
-        self._grow_beyond(limit)
-        r = bisect_right(self._p, limit)
-        return self._floor[r - 1] if r else 1
-
-    def runs(self, limit: int) -> tuple[list[int], list[int], list[int]]:
-        """The distinct values v <= limit of p, and for each the a and b of
-        its multiplicity a + b·c, exact for c >= ``c_min(limit)``."""
-        self._grow_beyond(limit)
-        r = bisect_right(self._p, limit)
-        return self._p[:r], _steps(self._ends_a[:r]), _steps(self._ends_b[:r])
-
-    def at(self, c: int, limit: int) -> "TemplateRuns | None":
-        """p_c, q_c and twinverse for reads of values <= limit, or None when
-        c < ``c_min(limit)``."""
-        if not self._grow_beyond(limit, c):
-            return None
-        r = bisect_right(self._p, limit)
-        if r and self._floor[r - 1] > c:
-            return None
-        return TemplateRuns(self, c, r, limit)
-
-
-class TemplateRuns:
-    """The ``SequenceCache`` reads for one c, off the template's first ``r``
-    runs, all of values <= ``limit`` and exact for this c."""
-
-    def __init__(self, template: RunTemplate, c: int, r: int, limit: int):
-        self.c = c
-        self._t = template
-        self._r = r
-        self._limit = limit
-
-    def _end(self, i: int) -> int:
-        return self._t._ends_a[i] + self.c * self._t._ends_b[i]
-
     def _run(self, k: int) -> int:
-        """Index of the run holding p(k)."""
-        i = bisect_left(range(self._r), k, key=self._end)
-        if i == self._r:
-            raise ValueError(f"p({k}) exceeds the limit {self._limit} of these runs")
-        return i
+        """Index of the run holding p(k), grown to it in a table of one c."""
+        if self._ends[-1] < k:
+            if self._limit is not None:
+                raise ValueError(f"p({k}) exceeds the limit {self._limit} of these runs")
+            self._grow(0, k, self.c)
+        return bisect_left(self._ends, k)
 
     def p(self, k: int) -> int:
         if k < 1:
             raise ValueError("index must be >= 1")
-        return self._t._p[self._run(k)]
+        return self._p[self._run(k)]
 
     def q(self, k: int) -> int:
         if k < 1:
             raise ValueError("index must be >= 1")
         i = self._run(k - 1)  # the run holding p(k-1)
-        t = self._t
-        done, total = (self._end(i - 1), t._sums_a[i - 1] + self.c * t._sums_b[i - 1]) if i else (0, 0)
-        return 1 + total + t._p[i] * (k - 1 - done)
+        if not i:
+            return k  # 1 plus k-1 ones
+        total = self._sums_a[i - 1] + self.c * self._sums_b[i - 1]
+        return 1 + total + self._p[i] * (k - 1 - self._ends[i - 1])
 
     def twinverse(self, n: int) -> int:
-        if not 1 <= n <= self._limit:
+        if n < 1:
+            raise ValueError("argument must be >= 1")
+        if self._limit is None:
+            self._grow(n)
+        elif n > self._limit:
             raise ValueError(f"argument must be in 1..{self._limit}")
-        return self._end(bisect_right(self._t._p, n) - 1) + 1
+        return self._ends[bisect_right(self._p, n) - 1] + 1
+
+    def runs(self, limit: int):
+        """The distinct values v <= limit of p, and how many terms equal
+        each; for the template, the a and b of each multiplicity a + b·c,
+        exact for c >= ``c_min(limit)``."""
+        self._grow(limit)
+        r = bisect_right(self._p, limit)
+        if self.c is None:
+            return self._p[:r], _steps(self._ends_a[:r]), _steps(self._ends_b[:r])
+        return self._p[:r], _steps(self._ends[:r])
+
+    def c_min(self, limit: int) -> int:
+        """The least c >= 1 from which the runs of values <= limit are exact."""
+        self._grow(limit)
+        return self._floor[max(bisect_right(self._p, limit) - 1, 0)]
+
+    def at(self, c: int, limit: int | None = None, index: int = 0) -> "SequenceCache | None":
+        """The template's p_c, q_c and twinverse, as a table of that c that
+        reads the runs of values <= ``limit`` (or, with ``limit`` None, the
+        runs through p_c(index)), holds their counts at c and never grows;
+        None when c < ``c_min`` of those runs."""
+        if limit is None:
+            if not self._grow(0, index, c):
+                return None
+            # search the runs before the last, final even while another
+            # thread grows the table; when none holds p_c(index), the last does
+            done = range(len(self._ends_b) - 1)
+            i = bisect_left(done, index, key=lambda i: self._ends_a[i] + c * self._ends_b[i])
+            limit = self._p[i]
+        if not self._grow(limit, c=c):
+            return None
+        r = bisect_right(self._p, limit)
+        if self._floor[max(r - 1, 0)] > c:
+            return None
+        ends = [a + c * b for a, b in zip(self._ends_a[:r], self._ends_b[:r])]
+        view = object.__new__(SequenceCache)  # the read state only, so it cannot grow
+        vars(view).update(c=c, _limit=limit, _p=self._p, _sums_a=self._sums_a,
+                          _sums_b=self._sums_b, _ends=ends)
+        return view
 
 
-# Run tables memoized by ``cache_for``, least recently used first; a fixed
-# cap keeps sweeps over many c from pinning a table per c.
-_CACHE_CAP = 64
+# Run tables of single c, each below the template's c_min for the query that
+# built it; c_min is below 40 for every value under 10^12.
 _caches: dict[int, SequenceCache] = {}
 _caches_lock = threading.Lock()
 
 
 def cache_for(c: int) -> SequenceCache:
     with _caches_lock:
-        cache = _caches.pop(c, None)
-        if cache is None:
-            cache = SequenceCache(c)
-            if len(_caches) >= _CACHE_CAP:
-                del _caches[next(iter(_caches))]
-        _caches[c] = cache
-    return cache
+        if c not in _caches:
+            _caches[c] = SequenceCache(c)
+        return _caches[c]
 
 
-_template: RunTemplate | None = None
+_template: SequenceCache | None = None
 
 
-def run_template() -> RunTemplate:
-    """The one process-wide ``RunTemplate``, built on first use."""
+def run_template() -> SequenceCache:
+    """The one process-wide template, built on first use."""
     global _template
     with _caches_lock:
         if _template is None:
-            _template = RunTemplate()
+            _template = SequenceCache()
         return _template
 
 
-def _runs_for(c: int, limit: int):
-    """The runs of p_c that answer every read of a value <= limit: the
-    template where it is exact for c, else the per-c table of ``cache_for``."""
-    runs = run_template().at(c, limit)
+def _runs_for(c: int, limit: int | None = None, index: int = 0) -> SequenceCache:
+    """The runs of p_c that answer every read of a value <= limit (or, with
+    ``limit`` None, of an index <= index): the template where it is exact
+    for c, else the table of ``cache_for``."""
+    runs = run_template().at(c, limit, index)
     return cache_for(c) if runs is None else runs
 
 
 def cache_info() -> dict[str, int]:
     """Sizes of the module-level memos: the run tables that ``cache_for``
-    holds (at most ``_CACHE_CAP``) and their runs, the runs of the shared
-    template (0 before its first use), the ``f_recursive`` tables and their
-    entries, and the ``count_races`` memos and the counts they hold.
-    Reading them neither grows nor evicts anything."""
+    holds (one per c below c_min that a query met) and their runs, the runs
+    of the shared template (0 before its first use), the ``f_recursive``
+    tables and their entries, and the ``count_races`` memos and the counts
+    they hold.  Reading them grows nothing."""
     with _caches_lock:
         sequence = list(_caches.values())
         template = _template
@@ -331,13 +272,13 @@ def cache_info() -> dict[str, int]:
 
 def sequences(c: int, k: int) -> tuple[int, int]:
     """The pair (p_c(k), q_c(k)) of split-sequence values."""
-    cache = cache_for(c)
-    return cache.p(k), cache.q(k)
+    runs = _runs_for(c, index=k)
+    return runs.p(k), runs.q(k)
 
 
 def twinverse(c: int, n: int) -> int:
     """Least k with n < p_c(k)."""
-    return cache_for(c).twinverse(n)
+    return _runs_for(c, n).twinverse(n)
 
 
 def generic_twinverse(p, i: int) -> int:
@@ -413,8 +354,8 @@ def f_closed(n: int, c: int) -> int:
 
 
 def race_cost(runs, n: int) -> int:
-    """f_c(n) = n*m - q(m) with m = twinverse(n), read from one run table
-    (a ``SequenceCache`` or ``TemplateRuns``)."""
+    """f_c(n) = n*m - q(m) with m = twinverse(n), read from one
+    ``SequenceCache`` of c (or the template's copy for c)."""
     m = runs.twinverse(n)
     return n * m - runs.q(m)
 
@@ -537,6 +478,8 @@ def enumerate_plans(n: int, c: int, cap: int = 1000) -> list[RacePlan]:
     number of plans exceeds ``cap``, raises :class:`TooManyPlans` with the
     exact count attached instead of building them.
     """
+    if n < 1:
+        raise ValueError("need at least one pawn")
     if cap < 1:
         raise ValueError("cap must be positive")
     total = 1 if n <= 2 else count_races(n, c)

@@ -8,9 +8,10 @@ of equal values, and ``exact_row`` evaluates the closed form from it with
 arbitrary-precision integers, one c at a time, so neither shares code with
 the run tables behind ``rt_formula``, ``f_closed`` and the family-wide
 queries.  ``columns`` is the int64 column loop that the family scans ran
-before the shared run template: one ``SequenceCache`` per c (itself checked
-against ``TermSequence``), its runs scattered into a count array and summed
-by two cumsums, with no term shared between two values of c.
+before the shared run template: one ``SequenceCache(c)``, a run table of
+that c alone, per c (itself checked against ``TermSequence``), its runs
+scattered into a count array and summed by two cumsums, with no term shared
+between two values of c.
 """
 
 from bisect import bisect_right

@@ -280,6 +280,13 @@ def test_output_is_byte_stable(capsys):
     assert third == fourth
 
 
+@pytest.mark.parametrize("what", ["enumerate", "render"])
+def test_race_without_pawns_is_usage_error(capsys, what):
+    assert dispatch(["race", what, "--n", "0", "--c", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: need at least one pawn\n"
+
+
 def test_usage_errors(capsys):
     assert dispatch(["nope"]) == 2
     assert dispatch(["race", "f", "--n", "7"]) == 2  # missing --c

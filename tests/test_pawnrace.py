@@ -173,11 +173,13 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
-def test_sweep_over_every_c_keeps_memory_bounded():
+def test_sweep_over_every_c_keeps_memory_bounded(monkeypatch):
+    monkeypatch.setattr(pawnrace, "_caches", {})
     n = 1000
     peak = traced_peak(lambda: [f_closed(n - c - 1, c) for c in range(n - 1)])
     assert peak < 2 * 2**20, peak
-    assert len(pawnrace._caches) <= pawnrace._CACHE_CAP
+    # every c >= c_min reads the template, so only smaller c keep a table
+    assert len(pawnrace._caches) < run_template().c_min(n)
 
 
 def test_cache_info_reports_the_memos(monkeypatch):
@@ -197,22 +199,25 @@ def test_cache_info_reports_the_memos(monkeypatch):
     assert counted["template_runs"] > 0
     f_recursive(40, 2)
     assert cache_info()["f_tables"] == 1 and cache_info()["f_entries"] > 40
-    for c in range(1, 3 * pawnrace._CACHE_CAP):
-        twinverse(c, 500)  # always a per-c table, so the LRU fills to its cap
+    for c in range(1, 192):
+        twinverse(c, 500)  # a table of its own exactly for each c < c_min
     swept = cache_info()
-    assert swept["sequence_tables"] == pawnrace._CACHE_CAP
-    assert swept["sequence_runs"] >= pawnrace._CACHE_CAP
+    c_min = run_template().c_min(500)
+    assert swept["sequence_tables"] == c_min - 1
+    assert swept["sequence_runs"] >= c_min - 1
     assert cache_info() == swept  # reading the sizes changes nothing
 
 
 @pytest.fixture
 def built(monkeypatch):
-    """The c of every ``SequenceCache`` the package builds from here on."""
+    """The c of every ``SequenceCache`` of one c the package builds from
+    here on; building the template, ``SequenceCache()``, is not counted."""
     built = []
 
     class Counting(SequenceCache):
-        def __init__(self, c):
-            built.append(c)
+        def __init__(self, c=None):
+            if c is not None:
+                built.append(c)
             super().__init__(c)
 
     monkeypatch.setattr(pawnrace, "SequenceCache", Counting)
@@ -310,6 +315,12 @@ def test_enumerate_cap():
     with pytest.raises(TooManyPlans) as info:
         enumerate_plans(12, 1, cap=2)
     assert info.value.count == count
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_enumerate_refuses_an_empty_race(n):
+    with pytest.raises(ValueError, match="^need at least one pawn$"):
+        enumerate_plans(n, 1)
 
 
 def test_three_optimal_races_for_seven():
@@ -502,10 +513,10 @@ def test_concurrent_queries_are_consistent(monkeypatch):
 
     expected = {(n, c): f_closed(n, c) for n in (500, 1500) for c in (7, 19)}
     races = {(n, c): count_races(n, c) for n in (300, 2000) for c in (2, 11)}
-    # more distinct c than the run tables kept, so per-c tables are evicted
-    # under the readers, and the template grows under them from scratch
+    # the template grows under the readers from scratch, and the sweepers
+    # read it and the per-c tables for every c
     monkeypatch.setattr(pawnrace, "_template", None)
-    sweep = {c: exact_f(300, c) for c in range(1, 2 * pawnrace._CACHE_CAP + 2)}
+    sweep = {c: exact_f(300, c) for c in range(1, 130)}
     for c in (2, 11):
         pawnrace._o_tables.pop(c)  # make the threads fill the memo themselves
     errors = []
@@ -604,6 +615,42 @@ def test_template_reads_match_term_lists(limit):
             assert runs.twinverse(n) == terms.twinverse(n), (c, n)
         with pytest.raises(ValueError):
             runs.p(count + 1)  # beyond the limit the template does not answer
+
+
+def test_sequence_queries_match_term_lists(monkeypatch):
+    # index reads go through the template's index-bounded tables for every
+    # c >= c_min, and through a table of their own c below it; each c starts
+    # from an empty template, so the reads themselves make it grow
+    monkeypatch.setattr(pawnrace, "_caches", {})
+    limit = 2000
+    c_min = run_template().c_min(limit)
+    for c in [*range(1, c_min + 41), *LARGE_C]:
+        monkeypatch.setattr(pawnrace, "_template", None)
+        terms = TermSequence(c)
+        count = terms.twinverse(limit) - 1  # every term <= limit
+        for k in range(1, count + 1, 1 + count // 300):
+            assert sequences(c, k) == (terms.p(k), terms.q(k)), (c, k)
+        assert sequences(c, count) == (terms.p(count), terms.q(count)), c
+        for n in range(1, limit + 1, 7):
+            assert twinverse(c, n) == terms.twinverse(n), (c, n)
+    assert sorted(pawnrace._caches) == list(range(1, c_min))
+
+
+def test_sequence_queries_keep_their_error_messages():
+    # the template's tables for one c refuse reads beyond their limit in
+    # words of their own; a public query must never show that message
+    c_min = run_template().c_min(500)
+    for c in [1, 2, c_min - 1, c_min, c_min + 1, *LARGE_C]:
+        with pytest.raises(ValueError, match=r"^index must be >= 1$"):
+            sequences(c, 0)
+        for n in (0, -5):
+            with pytest.raises(ValueError, match=r"^argument must be >= 1$"):
+                twinverse(c, n)
+        for bad in (0, -c):
+            with pytest.raises(ValueError, match=r"^cost parameter must be >= 1$"):
+                sequences(bad, 500)
+            with pytest.raises(ValueError, match=r"^cost parameter must be >= 1$"):
+                twinverse(bad, 500)
 
 
 def test_point_queries_read_the_template():
