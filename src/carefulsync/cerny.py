@@ -9,8 +9,10 @@ comes from the runs of the split sequences in ``pawnrace``:
 queries read the one template of ``pawnrace.run_template`` that serves every
 c >= c_min at once, with a run table of its own only for each c < c_min
 (c_min is 12 at n = 7200).  ``optimal_c`` and ``local_optima`` read one row
-of exact points through ``_row``, and the ``scan_*`` functions read the
-int64 column evaluator ``_columns``, whose layout no other module sees.
+of exact points through ``_row``.  ``scan_optimal``, ``scan_maximizers`` and
+``scan_drops`` take the maximum over c >= c_min on an upper envelope of
+lines, and ``scan_grid`` reads the int64 column evaluator ``_columns``,
+whose layout no other module sees.
 
 From the template, the terms <= j of p_c number A(j) + c·B(j) for every
 c >= c_min, so f_c(n') = (n'-1) + SA(n') + c·SB(n') with SA and SB the
@@ -30,8 +32,58 @@ so 0 <= B(j) <= j+1; the count is >= 0 at c = c_min, so
 c·(1 + SB), |SA| and |n'^2 + SA| stay below n^3, and so do the partial
 cumsums.  The per-c columns below c_min scatter run values below the
 column length, and their prefix sums stay below f_c(n').
+
+The family optimum on an upper envelope.  Put j = n' - 1 = n - c - 2, so
+c = n - 2 - j.  For c >= c_min the threshold is then
+rt(n, c) = u[j] + c·v[j] = b[j] + n·v[j] with b[j] = u[j] - (j+2)·v[j]:
+line j, with slope v[j] and intercept b[j], evaluated at n.
+
+- Eligibility.  Line j stands for c = n - 2 - j, which is >= c_min from
+  n = j + 2 + c_min on, and <= n - 2 as j >= 0.  So the maximum of row n
+  over c >= c_min is the maximum at n of the lines j = 0 .. n - 2 - c_min:
+  one line enters with each n, and the scan asks for n in increasing order.
+- Slopes.  v[j+1] - v[j] = B(j+1).  The template's first run, the 2c terms
+  equal to 1, has b = 2, and no run has b < 0, so B(j) >= B(1) = 2 for
+  j >= 1: the slopes increase strictly, in the order the lines enter.
+- Exactness.  Every comparison is made in Python ints.  The crossing of
+  lines i < k is x(i, k) = (b[i] - b[k]) / (v[k] - v[i]): line k is above
+  line i at n > x, equal at n = x and below at n < x; its floor and ceiling
+  are exact floor divisions.  The stacks hold j, b[j] and v[j] as int64:
+  with j + 2 <= n_max < 2^21, B(i) <= i+1 gives
+  (j+2)·v[j] <= n_max^3/2 + n_max, and |A(i)| <= c_min·(i+1) gives
+  |u[j]| <= (c_min+2)·n_max^2, so |b[j]| < 2^62 + 2^48.
+- Pop rule.  When line k enters, the back line m of the stack, with line i
+  before it, is popped while floor(x(m, k)) < ceil(x(i, m)): m attains the
+  maximum of i, m and k exactly at the integers n with x(i, m) <= n <=
+  x(m, k), and there are none.  A line that attains the maximum of a set at
+  n attains it in every subset that holds it, so a popped line attains the
+  maximum at no integer n of any later set either.  A line that only
+  touches, x(i, m) = x(m, k) = n, has ceil = floor = n and is kept.
+- Queries.  The rule keeps ceil(x) <= floor(x') for consecutive crossings
+  x, x' along the stack, so the crossings do not decrease, and two are
+  equal only at an integer.  At n the values along the stack rise strictly
+  while the crossing with the next line is < n, stay equal while it is
+  = n, and then fall strictly: the lines attaining the maximum are one
+  contiguous run.  The front line is dropped for good once the next line
+  is strictly above it, since the gap grows with n.  After that the front
+  line attains the maximum, with the least j, so the largest c; the lines
+  after it that equal it at n are the other maximizers with c >= c_min.
+- Ties.  ``best_c`` keeps the largest maximizing c.  The columns below
+  c_min fold in first, in increasing c with ties moving to the larger c,
+  then the envelope, whose c >= c_min exceeds each of theirs, so a tie
+  moves to it.  ``scan_maximizers`` also keeps each c that a tie displaced,
+  with its value, and each touching line, and keeps those whose value is
+  the final maximum.  Up to 30 000, 1 152 values of n have two maximizers
+  and none has three; apart from n = 99, the double drop, the two are
+  adjacent values of c.
+- Cost.  Each line enters and leaves the stack once, so the scan is
+  O(n_max) after the O(c_min·n_max) columns below c_min.  u and v are read,
+  and results written into the int64 ``best`` and ``best_c``, ``_CHUNK``
+  lines at a time.  The live stack holds about 0.43·n lines, and its dead
+  front is cut once it passes a quarter of the stack.
 """
 
+from array import array
 from dataclasses import dataclass
 from itertools import islice
 
@@ -120,17 +172,27 @@ def _template_columns(top: int) -> tuple[int, np.ndarray, np.ndarray]:
     template's runs below top."""
     template = pawnrace.run_template()
     values, a, b = template.runs(top - 1)
-    squares = np.arange(1, top + 1, dtype=np.int64) ** 2
-    return template.c_min(top - 1), squares + _sums_below(top, values, a), 1 + _sums_below(top, values, b)
+    u = _sums_below(top, values, a)
+    u += _squares(top)
+    v = _sums_below(top, values, b)
+    v += 1
+    return template.c_min(top - 1), u, v
+
+
+def _squares(top: int) -> np.ndarray:
+    """n'^2 for n' = 1 .. top, as int64."""
+    squares = np.arange(1, top + 1, dtype=np.int64)
+    squares *= squares
+    return squares
 
 
 def _sums_below(size: int, values: list[int], counts: list[int]) -> np.ndarray:
     """Entry n'-1, for n' = 1 .. size, sums over j < n' the counts at the
-    values <= j: one scatter and two cumsums."""
-    hist = np.zeros(size, dtype=np.int64)
-    hist[values] = counts
+    values <= j: one scatter and two cumsums, in place (every value is >= 1)."""
     out = np.zeros(size, dtype=np.int64)
-    np.cumsum(np.cumsum(hist[1:]), out=out[1:])
+    out[values] = counts
+    np.cumsum(out, out=out)  # entry j: the counts at the values <= j
+    np.cumsum(out, out=out)
     return out
 
 
@@ -201,9 +263,8 @@ def _columns(n_max: int):
     m_c(j) = twinverse(j) over j < n'.  For c >= c_min it is the prefix of
     u + c·v from ``_template_columns``, one multiply-add into one reused
     buffer; ``column`` is then a view that the next column overwrites, so
-    consume or copy it before advancing.  The c < c_min columns (c = 0 .. 11
-    up to n_max = 7200) scatter the runs of their own p_c and take two
-    cumsums.
+    consume or copy it before advancing.  The c < c_min columns come from
+    ``_head_columns``.
 
     Raises ValueError at once unless 2 <= n_max < 2^21, the range in which
     every value is exact in int64 (see the module docstring).
@@ -215,11 +276,7 @@ def _columns(n_max: int):
 def _fill_columns(n_max: int):
     top = n_max - 1  # largest n'
     c_min, u, v = _template_columns(top)
-    squares = np.arange(1, top + 1, dtype=np.int64) ** 2
-    for c in range(min(c_min, top)):
-        count = top - c
-        values, counts = pawnrace.SequenceCache(c).runs(count - 1) if c else ([], [])
-        yield c, squares[:count] + _sums_below(count, values, counts) + c
+    yield from _head_columns(top, c_min)
     column = np.empty(top, dtype=np.int64)
     for c in range(c_min, top):
         out = column[: top - c]
@@ -228,43 +285,124 @@ def _fill_columns(n_max: int):
         yield c, out
 
 
+def _head_columns(top: int, c_min: int):
+    """``(c, column)`` for c < c_min (c = 0 .. 11 up to n_max = 7200), laid
+    out as in ``_columns``: each scatters the runs of its own p_c and takes
+    two cumsums."""
+    squares = _squares(top)
+    for c in range(min(c_min, top)):
+        count = top - c
+        values, counts = pawnrace.SequenceCache(c).runs(count - 1) if c else ([], [])
+        column = _sums_below(count, values, counts)
+        column += squares[:count]
+        column += c
+        yield c, column
+
+
+_CHUNK = 1 << 10  # lines read from u and v, and results written, per step
+
+
+def _envelope(u: np.ndarray, v: np.ndarray, c_min: int, n_max: int, touches: list | None):
+    """The upper envelope of the lines j = 0 .. n_max - 2 - c_min, queried
+    at n = c_min + 2 .. n_max (see the module docstring).
+
+    Yields ``(n0, values, cs)`` for consecutive n from n0: the maximum of
+    rt(n, c) over c_min <= c <= n-2, and the largest c that attains it.
+    When ``touches`` is a list, appends ``(n, value, c)`` to it for every
+    other c >= c_min that attains it.  The hull is three int64 stacks, of
+    each line's j, intercept and slope; its live part starts at ``head``.
+    """
+    js, bs, ss = array("q"), array("q"), array("q")
+    head = 0
+    lines = n_max - 1 - c_min
+    for start in range(0, max(lines, 0), _CHUNK):
+        stop = min(start + _CHUNK, lines)
+        values, cs = [], []
+        for j, uj, vj in zip(range(start, stop), u[start:stop].tolist(), v[start:stop].tolist()):
+            b = uj - (j + 2) * vj
+            # pop the back line while it attains the maximum at no integer n
+            # between the line before it and line j
+            while len(js) - head >= 2 and (
+                (bs[-1] - b) // (vj - ss[-1]) < -((bs[-1] - bs[-2]) // (ss[-1] - ss[-2]))
+            ):
+                js.pop()
+                bs.pop()
+                ss.pop()
+            js.append(j)
+            bs.append(b)
+            ss.append(vj)
+            n = j + 2 + c_min
+            value = bs[head] + n * ss[head]
+            while head + 1 < len(js) and bs[head + 1] + n * ss[head + 1] > value:
+                head += 1
+                value = bs[head] + n * ss[head]
+            values.append(value)
+            cs.append(n - 2 - js[head])
+            if touches is not None:
+                i = head + 1
+                while i < len(js) and bs[i] + n * ss[i] == value:
+                    touches.append((n, value, n - 2 - js[i]))
+                    i += 1
+        if 4 * head > len(js):
+            for stack in (js, bs, ss):
+                del stack[:head]
+            head = 0
+        yield start + c_min + 2, values, cs
+
+
+def _merge(best: np.ndarray, best_c: np.ndarray, n0: int, values: np.ndarray, c, ties):
+    """Fold ``values`` for n = n0, n0+1, ... and their c (a scalar or one
+    per n), all larger than every c folded in before, into ``best`` and
+    ``best_c``.  A tie moves to the larger c, and the c it displaces goes
+    to ``ties`` as ``(n, value, c)`` when that is a list."""
+    window, window_c = best[n0: n0 + values.size], best_c[n0: n0 + values.size]
+    if ties is not None:
+        at = np.flatnonzero(values == window)
+        ties.extend(zip((at + n0).tolist(), window[at].tolist(), window_c[at].tolist()))
+    better = values >= window
+    np.copyto(window, values, where=better)
+    np.copyto(window_c, c, where=better)
+
+
+def _scan(n_max: int, ties: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays of ``scan_optimal``.  When ``ties`` is a list, it also
+    collects ``(n, value, c)`` for every c but the largest that attains the
+    maximum at n, among entries whose value falls short of it."""
+    _check_n_max(n_max)
+    top = n_max - 1  # largest n'
+    c_min, u, v = _template_columns(top)
+    best = np.full(n_max + 1, -1, dtype=np.int64)
+    best_c = np.full(n_max + 1, -1, dtype=np.int64)
+    for c, column in _head_columns(top, c_min):
+        _merge(best, best_c, c + 2, column, c, ties)
+    for n0, values, cs in _envelope(u, v, c_min, n_max, ties):
+        _merge(best, best_c, n0, np.array(values, dtype=np.int64), np.array(cs, dtype=np.int64), ties)
+    return best, best_c
+
+
 def scan_optimal(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-n maximum threshold and largest maximizing c, for 2 <= n <= n_max.
 
     Returns int64 arrays indexed by n (entries below n=2 are -1).
     """
-    columns = _columns(n_max)
-    best = np.full(n_max + 1, -1, dtype=np.int64)
-    best_c = np.full(n_max + 1, -1, dtype=np.int64)
-    better = np.empty(n_max - 1, dtype=bool)
-    for c, column in columns:
-        window_best = best[c + 2:]
-        mask = better[: column.size]
-        np.greater_equal(column, window_best, out=mask)  # ties move to the larger c
-        np.maximum(window_best, column, out=window_best)
-        np.copyto(best_c[c + 2:], c, where=mask)
-    return best, best_c
+    return _scan(n_max)
 
 
 def scan_maximizers(n_max: int) -> tuple[list[int], list[list[int]]]:
     """Per-n maximum threshold and every maximizing c, increasing, for
-    2 <= n <= n_max, as lists indexed by n.  One pass over the columns keeps
-    per n the best value so far, the first c to reach it, and every later c
-    that ties some value; a tie counts if its value is the final best."""
-    best = np.full(n_max + 1, -1, dtype=np.int64)
-    lead = np.full(n_max + 1, -1, dtype=np.int64)
+    2 <= n <= n_max, as lists indexed by n (entries below n=2 are -1 and
+    [-1])."""
     ties = []
-    for c, column in _columns(n_max):
-        window = best[c + 2:]
-        for j in np.flatnonzero(column == window).tolist():
-            ties.append((c + 2 + j, int(column[j]), c))
-        np.copyto(lead[c + 2:], c, where=column > window)
-        np.maximum(window, column, out=window)
-    argmax = [[c] for c in lead.tolist()]
+    best, best_c = _scan(n_max, ties)
+    best = best.tolist()
+    smaller = {}
     for n, value, c in ties:
         if value == best[n]:
-            argmax[n].append(c)
-    return best.tolist(), argmax
+            smaller.setdefault(n, []).append(c)
+    argmax = [[c] for c in best_c.tolist()]
+    for n, cs in smaller.items():
+        argmax[n][:0] = sorted(cs)
+    return best, argmax
 
 
 def scan_grid(n_max: int, c_max: int) -> list[list[int]]:
@@ -282,20 +420,14 @@ def scan_grid(n_max: int, c_max: int) -> list[list[int]]:
 def scan_drops(n_max: int) -> list[DropEvent]:
     """All drops of the largest optimal c between consecutive n up to n_max."""
     best, best_c = scan_optimal(n_max)
-    events = []
-    for n in range(2, n_max):
-        if best_c[n + 1] < best_c[n]:
-            events.append(
-                DropEvent(
-                    n_before=n,
-                    n_after=n + 1,
-                    c_before=int(best_c[n]),
-                    c_after=int(best_c[n + 1]),
-                    r_before=int(best[n]),
-                    r_after=int(best[n + 1]),
-                )
-            )
-    return events
+    at = np.flatnonzero(best_c[3:] < best_c[2:-1]) + 2  # the n before each drop
+    return [
+        DropEvent(n_before=n, n_after=n + 1, c_before=c_before, c_after=c_after,
+                  r_before=r_before, r_after=r_after)
+        for n, c_before, c_after, r_before, r_after in zip(
+            at.tolist(), best_c[at].tolist(), best_c[at + 1].tolist(),
+            best[at].tolist(), best[at + 1].tolist())
+    ]
 
 
 def greedy_factorization(text: str, c: int) -> list[str] | None:

@@ -11,7 +11,9 @@ queries.  ``columns`` is the int64 column loop that the family scans ran
 before the shared run template: one ``SequenceCache(c)``, a run table of
 that c alone, per c (itself checked against ``TermSequence``), its runs
 scattered into a count array and summed by two cumsums, with no term shared
-between two values of c.
+between two values of c.  ``scan_optimal``, ``scan_maximizers``,
+``scan_drops`` and ``scan_grid`` are the dense scans over every column, one
+c at a time, that the package's upper-envelope scans replaced.
 """
 
 from bisect import bisect_right
@@ -20,6 +22,7 @@ from itertools import product
 
 import numpy as np
 
+from carefulsync.cerny import DropEvent
 from carefulsync.pawnrace import SequenceCache
 
 
@@ -144,3 +147,53 @@ def columns(n_max):
         np.add(base[:count], c + 1, out=out)
         out += f[:count]
         yield c, out
+
+
+def scan_optimal(n_max):
+    """Per-n maximum threshold and largest maximizing c, as int64 arrays
+    indexed by n (-1 below n=2): the maximum over every column."""
+    best = np.full(n_max + 1, -1, dtype=np.int64)
+    best_c = np.full(n_max + 1, -1, dtype=np.int64)
+    for c, column in columns(n_max):
+        window = best[c + 2:]
+        better = column >= window  # ties move to the larger c
+        np.maximum(window, column, out=window)
+        np.copyto(best_c[c + 2:], c, where=better)
+    return best, best_c
+
+
+def scan_maximizers(n_max):
+    """Per-n maximum threshold and every maximizing c, increasing, as lists
+    indexed by n (-1 and [-1] below n=2)."""
+    best = np.full(n_max + 1, -1, dtype=np.int64)
+    lead = np.full(n_max + 1, -1, dtype=np.int64)  # the first c to reach the best
+    ties = []
+    for c, column in columns(n_max):
+        window = best[c + 2:]
+        for j in np.flatnonzero(column == window).tolist():
+            ties.append((c + 2 + j, int(column[j]), c))
+        np.copyto(lead[c + 2:], c, where=column > window)
+        np.maximum(window, column, out=window)
+    argmax = [[c] for c in lead.tolist()]
+    for n, value, c in ties:
+        if value == best[n]:
+            argmax[n].append(c)
+    return best.tolist(), argmax
+
+
+def scan_drops(n_max):
+    """Every n at which the largest optimal c falls from n to n + 1."""
+    best, best_c = (array.tolist() for array in scan_optimal(n_max))
+    return [DropEvent(n, n + 1, best_c[n], best_c[n + 1], best[n], best[n + 1])
+            for n in range(2, n_max) if best_c[n + 1] < best_c[n]]
+
+
+def scan_grid(n_max, c_max):
+    """rt(n, c) for c = 0 .. min(c_max, n-2), as lists indexed by n."""
+    grid = [[] for _ in range(n_max + 1)]
+    for c, column in columns(n_max):
+        if c > c_max:
+            break
+        for row, value in zip(grid[c + 2:], column.tolist()):
+            row.append(value)
+    return grid

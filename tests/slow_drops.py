@@ -1,32 +1,82 @@
-"""Slow check, outside the tier-1 suite: the drop table to n = 30 000.
+"""Slow checks, outside the tier-1 suite: the drop table to n = 2^21 - 1.
 
-The template scan ``scan_drops(30000)`` must equal the dense per-c column
-loop of ``oracle.columns`` and must find the two drops beyond the published
-eight.  The file name does not start with ``test_``, so a plain ``pytest``
-run does not collect it; run it by name, from the repository root:
+``test_drops_to_120000_match_the_dense_oracle`` compares the envelope scan
+``scan_drops(120000)`` with the dense per-c scan of ``oracle.scan_drops`` and
+pins the four drops beyond the published eight that it finds.
+``test_drops_to_2097151`` checks the two endpoints of each of the four
+drops after those with ``optimal_c``, one exact row each, which does not
+show that no other drop lies between them.  It also runs
+``scan drops --nmax 2097151`` as a CLI process, within 30 s and 200 MB,
+and pins the 16 drops it prints.
+
+The file name does not start with ``test_``, so a plain ``pytest`` run does
+not collect it; run it by name, from the repository root:
 
     PYTHONPATH=src python -m pytest -q tests/slow_drops.py
 
-The oracle side takes about 8 s and the template side about 1.4 s on a
-2-vCPU VM.
+On a 2-vCPU VM the first test takes about 2 minutes, nearly all of it in
+the oracle, and the second about 12 s.
 """
+
+import os
+import sys
+import tempfile
+import time
+from pathlib import Path
 
 import oracle
 
-from carefulsync import cerny, scan_drops
+from carefulsync import optimal_c, scan_drops
 
-N_MAX = 30000
+SRC = Path(__file__).resolve().parent.parent / "src"
+HEADER = "n_before\tn_after\tc_before\tc_after\tr_before\tr_after\tgap"
+# the drops after the published eight, as (n_before, n_after, c_before,
+# c_after, r_before, r_after)
+BEYOND_7200 = [
+    (14411, 14412, 6335, 6106, 729531301, 729638666),
+    (29076, 29077, 12914, 12476, 3180251137, 3180483339),
+    (58598, 58599, 26253, 25420, 13772143004, 13772634989),
+    (117988, 117989, 53258, 51669, 59304759967, 59305818693),
+    (237388, 237389, 107856, 104818, 254114969530, 254117210892),
+    (477311, 477312, 218114, 212298, 1084158816472, 1084163513572),
+    (959200, 959201, 440560, 429406, 4607842866185, 4607852933201),
+    (1926703, 1926704, 888969, 867545, 19517510201906, 19517531283404),
+]
 
 
-def test_drops_to_30000_match_the_per_c_column_loop(monkeypatch):
-    drops = scan_drops(N_MAX)
-    with monkeypatch.context() as patched:
-        patched.setattr(cerny, "_columns", oracle.columns)
-        assert scan_drops(N_MAX) == drops
-    assert len(drops) == 10
-    found = [(e.n_before, e.n_after, e.c_before, e.c_after, e.r_before, e.r_after)
-             for e in drops[8:]]
-    assert found == [
-        (14411, 14412, 6335, 6106, 729531301, 729638666),
-        (29076, 29077, 12914, 12476, 3180251137, 3180483339),
-    ]
+def rows(events):
+    return [(e.n_before, e.n_after, e.c_before, e.c_after, e.r_before, e.r_after) for e in events]
+
+
+def test_drops_to_120000_match_the_dense_oracle():
+    drops = scan_drops(120000)
+    assert drops == oracle.scan_drops(120000)
+    assert len(drops) == 12
+    assert rows(drops[8:]) == BEYOND_7200[:4]
+
+
+def test_drops_to_2097151():
+    # a child's ru_maxrss counts the peak of the process it was spawned
+    # from, so the CLI runs before this process gathers rows of 2 M points
+    argv = [sys.executable, "-m", "carefulsync", "scan", "drops", "--nmax", "2097151"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    with tempfile.TemporaryFile() as out:
+        start = time.perf_counter()
+        pid = os.posix_spawn(sys.executable, argv, env,
+                             file_actions=[(os.POSIX_SPAWN_DUP2, out.fileno(), 1)])
+        _, status, usage = os.wait4(pid, 0)
+        elapsed = time.perf_counter() - start
+        out.seek(0)
+        lines = out.read().decode().splitlines()
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert elapsed < 30, elapsed
+    assert usage.ru_maxrss < 200 * 1024, usage.ru_maxrss  # kilobytes on Linux
+    assert lines[0] == HEADER and len(lines) == 1 + 16
+    assert [tuple(map(int, line.split("\t")[:6])) for line in lines[-8:]] == BEYOND_7200
+
+    for n_before, n_after, c_before, c_after, r_before, r_after in BEYOND_7200[4:]:
+        best, argmax = optimal_c(n_before)
+        assert (best, max(argmax)) == (r_before, c_before), n_before
+        best, argmax = optimal_c(n_after)
+        assert (best, max(argmax)) == (r_after, c_after), n_after

@@ -2,6 +2,7 @@ import random
 import tracemalloc
 
 import numpy as np
+import oracle
 import pytest
 from oracle import TermSequence, exact_row, row_optimum
 
@@ -21,7 +22,7 @@ from carefulsync import (
     solve,
     format_word,
 )
-from carefulsync.cerny import STAR_SYMBOLS, _columns
+from carefulsync.cerny import STAR_SYMBOLS, _columns, _envelope, _template_columns, scan_maximizers
 from carefulsync.pawnrace import SequenceCache, f_closed
 from carefulsync.tables import CONCLUSION, GRID, P_N_2
 
@@ -227,6 +228,8 @@ def test_double_double_at_3512():
     assert rt_formula(3512, 1502) == 37180596
     assert rt_formula(3512, 1503) == 37180596
     assert optimal_c(3512) == (37180596, {1502, 1503})
+    best, argmax = scan_maximizers(3512)
+    assert (best[3512], argmax[3512]) == (37180596, [1502, 1503])
     assert local_optima(3512) == [
         (1438, 37170635), (1439, 37170635), (1502, 37180596), (1503, 37180596),
     ]
@@ -239,6 +242,83 @@ def test_scan_against_formula():
         value, argmax = row_optimum(exact_row(n))
         assert int(best[n]) == value, n
         assert int(best_c[n]) == max(argmax), n
+
+
+def test_maximizers_to_7200_match_the_dense_oracle():
+    best, argmax = scan_maximizers(7200)
+    assert (best, argmax) == oracle.scan_maximizers(7200)
+    tied = {n: cs for n, cs in enumerate(argmax) if len(cs) > 1}
+    assert len(tied) == 326 and tied[99] == [33, 35]  # the double drop at 99
+    assert all(len(cs) == 2 and cs[1] == cs[0] + 1 for n, cs in tied.items() if n != 99)
+
+
+def test_envelope_keeps_a_line_that_only_touches():
+    # with c_min = 0 line j enters at n = j + 2; lines 0, 1 and 2 meet at
+    # n = 10 with the value 1000, so line 1 attains the maximum there and
+    # nowhere else, and each later line stays far below
+    lines = 11
+    slopes = np.arange(1, lines + 1, dtype=np.int64)
+    intercepts = np.full(lines, -10**6, dtype=np.int64)
+    intercepts[:3] = 1000 - 10 * slopes[:3]
+    u = intercepts + (np.arange(lines) + 2) * slopes
+    touches = []
+    ((n0, values, cs),) = _envelope(u, slopes, 0, lines + 1, touches)
+    assert n0 == 2
+    assert values == [1000 + n - 10 for n in range(2, 11)] + [1003, 1006]
+    assert cs == [n - 2 for n in range(2, 11)] + [7, 8]
+    assert touches == [(10, 1000, 7), (10, 1000, 6)]
+
+
+def test_envelope_matches_every_line_on_random_sets():
+    # lines through a few shared integer points, so that many of them meet
+    # three or more at a time, against the maximum over every line
+    rng = random.Random(13)
+    for _ in range(300):
+        lines, c_min = rng.randint(1, 25), rng.randint(0, 3)
+        slopes = np.cumsum([rng.randint(1, 3) for _ in range(lines)])
+        points = [(rng.randint(0, 40), rng.randint(-50, 50)) for _ in range(3)]
+        intercepts = []
+        for s in slopes.tolist():
+            x, y = rng.choice(points)
+            intercepts.append(y - s * x + rng.choice([0, 0, 0, -1, 1]))
+        u = np.array(intercepts) + (np.arange(lines) + 2) * slopes
+        touches = []
+        got = [(n0 + i, value, c) for n0, values, cs in
+               _envelope(u, slopes, c_min, lines + 1 + c_min, touches)
+               for i, (value, c) in enumerate(zip(values, cs))]
+        want, want_touches = [], []
+        for n in range(c_min + 2, lines + 2 + c_min):
+            row = {n - 2 - j: intercepts[j] + n * int(slopes[j]) for j in range(n - 1 - c_min)}
+            best = max(row.values())
+            cs = sorted(c for c, value in row.items() if value == best)
+            want.append((n, best, cs[-1]))
+            want_touches += [(n, best, c) for c in reversed(cs[:-1])]
+        assert got == want
+        assert touches == want_touches
+
+
+def test_template_slopes_increase():
+    # the envelope adds its lines in order of slope v[j]; it divides by
+    # the difference of two slopes, so they must increase strictly
+    _, _, v = _template_columns(2**16)
+    assert v[0] == 1 and (np.diff(v) >= 2).all()
+
+
+def test_envelope_scan_memory_is_linear():
+    # no Python list as long as the scan: a list of n ints costs about
+    # 40 bytes per n on top of the int64 arrays.  Traced memory slows the
+    # envelope's Python loop about 25-fold, so the sizes stay small.
+    scan_optimal(2**14)  # grow the shared run template first
+    peaks = {}
+    for n_max in (2**12, 2**14):
+        tracemalloc.start()
+        try:
+            scan_optimal(n_max)
+            peaks[n_max] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    per_n = (peaks[2**14] - peaks[2**12]) / (2**14 - 2**12)
+    assert per_n < 64, peaks
 
 
 def test_first_drop():

@@ -257,6 +257,16 @@ def test_tables_refuse_options_they_ignore(capsys, which, option):
     assert captured.err == f"error: tables {which} takes no {option}\n"
 
 
+def test_tables_drops_refuses_nmax_past_the_published_table(capsys):
+    assert dispatch(["tables", "drops", "--nmax", "7247"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: tables drops checks the published drops for --nmax up to "
+                            "7246, not 7247; scan drops reports drops beyond that\n")
+    assert dispatch(["tables", "drops", "--nmax", "7246"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 8
+
+
 def test_scan_drops(capsys):
     code, out = run(capsys, "scan", "drops", "--nmax", "60", "--json")
     assert code == 0

@@ -678,22 +678,15 @@ def count_races_reference(n, c):
     return counts[n]
 
 
-def oracle_results(monkeypatch, query, *args):
-    """``query`` run over the per-c column loop instead of the template."""
-    with monkeypatch.context() as patched:
-        patched.setattr(cerny, "_columns", oracle.columns)
-        return query(*args)
-
-
-def scans(n_max):
-    best, best_c = cerny.scan_optimal(n_max)
-    return (best.tolist(), best_c.tolist(), cerny.scan_drops(n_max),
-            cerny.scan_maximizers(n_max), cerny.scan_grid(n_max, min(n_max, 60)))
+def scans(scanner, n_max):
+    best, best_c = scanner.scan_optimal(n_max)
+    return (best.tolist(), best_c.tolist(), scanner.scan_drops(n_max),
+            scanner.scan_maximizers(n_max), scanner.scan_grid(n_max, min(n_max, 60)))
 
 
 @pytest.mark.parametrize("n_max", [2, 3, 4, 5, 13, 48, 301, 2000])
-def test_scans_match_the_per_c_column_loop(monkeypatch, n_max):
-    assert scans(n_max) == oracle_results(monkeypatch, scans, n_max)
+def test_scans_match_the_per_c_column_loop(n_max):
+    assert scans(cerny, n_max) == scans(oracle, n_max)
 
 
 def test_rows_match_the_per_c_column_loop():
@@ -709,10 +702,10 @@ def test_rows_match_the_per_c_column_loop():
         assert cerny._row(n) == want[n], n
 
 
-def test_drops_to_7200_match_the_per_c_column_loop(monkeypatch):
+def test_drops_to_7200_match_the_per_c_column_loop():
     drops = cerny.scan_drops(7200)
     assert len(drops) == 8
-    assert drops == oracle_results(monkeypatch, cerny.scan_drops, 7200)
+    assert drops == oracle.scan_drops(7200)
 
 
 def test_scan_builds_run_tables_only_below_c_min(built):
