@@ -8,11 +8,12 @@ comes from the runs of the split sequences in ``pawnrace``:
 ``rt_formula`` evaluates single points through ``f_closed``, and the family
 queries read the one template of ``pawnrace.run_template`` that serves every
 c >= c_min at once, with a run table of its own only for each c < c_min
-(c_min is 12 at n = 7200).  ``optimal_c`` and ``local_optima`` read one row
-of exact points through ``_row``.  ``scan_optimal``, ``scan_maximizers`` and
-``scan_drops`` take the maximum over c >= c_min on an upper envelope of
-lines, and ``scan_grid`` reads the int64 column evaluator ``_columns``,
-whose layout no other module sees.
+(c_min is 12 at n = 7200).  Every family value comes from one of two int64
+sources: the columns of ``_head_columns`` for c < c_min, and the template's
+lines u + c·v of ``_template_columns`` for c >= c_min.  ``optimal_c`` and
+``local_optima`` read one row of them through ``_row``, ``scan_grid`` reads
+their columns, and ``scan_optimal``, ``scan_maximizers`` and ``scan_drops``
+take the maximum over c >= c_min on an upper envelope of the lines.
 
 From the template, the terms <= j of p_c number A(j) + c·B(j) for every
 c >= c_min, so f_c(n') = (n'-1) + SA(n') + c·SB(n') with SA and SB the
@@ -20,8 +21,8 @@ prefix sums of A and B below n', and the threshold is
 rt(n, c) = n'(n'-1) + c + 1 + f_c(n') = (n'^2 + SA(n')) + c·(1 + SB(n')):
 one multiply-add over two arrays shared by every such c.
 
-The int64 values are exact: ``_columns`` and ``_row`` accept only
-n < 2^21.  In the race on n' = n - c - 1 pawns each of the n' - 1
+The int64 values are exact: every family query accepts only n < 2^21.
+In the race on n' = n - c - 1 pawns each of the n' - 1
 iterations costs at most c + 1 per pawn, so f_c(n') <= (c+1) n'(n'-1), and
 then rt = n'(n'-1) + c + 1 + f_c(n') < (c+2) n'^2 <= n^3 < 2^63.  The
 template's arrays stay below n^3 too.  p_c(k) >= k/c - 1 (it is 1 up to
@@ -85,7 +86,7 @@ line j, with slope v[j] and intercept b[j], evaluated at n.
 
 from array import array
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -196,28 +197,24 @@ def _sums_below(size: int, values: list[int], counts: list[int]) -> np.ndarray:
     return out
 
 
-def _row(n: int) -> list[int]:
-    """rt(n, c) for c = 0 .. n-2, as Python ints: one gather along the
-    anti-diagonal of the template's arrays for c >= c_min, and below c_min
-    one point each from a run table built for that c alone."""
+def _row(n: int) -> np.ndarray:
+    """rt(n, c) for c = 0 .. n-2, as int64: below c_min the last entry of
+    each head column, which ends at n, and for c >= c_min the anti-diagonal
+    of the template's arrays, read backwards."""
     _check_n_max(n)
-    c_min, u, v = _template_columns(n - 1)
-    head = min(c_min, n - 1)
-    row = []
-    for c in range(head):
-        npr = n - c - 1
-        f = npr - 1 if c == 0 else pawnrace.race_cost(pawnrace.SequenceCache(c), npr)
-        row.append(npr * (npr - 1) + c + 1 + f)
-    c = np.arange(head, n - 1, dtype=np.int64)
-    j = n - 2 - c  # n' - 1
-    return row + (u[j] + c * v[j]).tolist()
+    top = n - 1  # largest n'
+    c_min, u, v = _template_columns(top)
+    head = [column[-1] for _, column in _head_columns(top, c_min)]
+    c = np.arange(len(head), top, dtype=np.int64)
+    u, v = u[: c.size][::-1], v[: c.size][::-1]  # at n' - 1 = n - 2 - c
+    return np.concatenate([np.array(head, dtype=np.int64), u + c * v])
 
 
 def optimal_c(n: int) -> tuple[int, set[int]]:
     """Maximum reset threshold over all c, with every maximizing c."""
     row = _row(n)
-    best = max(row)
-    return best, {c for c, value in enumerate(row) if value == best}
+    best = row.max()
+    return int(best), set(np.flatnonzero(row == best).tolist())
 
 
 def local_optima(n: int) -> list[tuple[int, int]]:
@@ -225,11 +222,9 @@ def local_optima(n: int) -> list[tuple[int, int]]:
     if n < 4:
         return []
     row = _row(n)
-    return [
-        (c, row[c])
-        for c in range(1, n - 2)
-        if row[c] >= row[c - 1] and row[c] >= row[c + 1]
-    ]
+    inner = row[1:-1]
+    at = np.flatnonzero((inner >= row[:-2]) & (inner >= row[2:])) + 1
+    return list(zip(at.tolist(), row[at].tolist()))
 
 
 @dataclass(frozen=True)
@@ -254,41 +249,13 @@ class DropEvent:
         return self.c_before - self.c_after
 
 
-def _columns(n_max: int):
-    """Thresholds of all members up to n_max, one column per c = 0 .. n_max-2.
-
-    Yields ``(c, column)``, where entry j (0-based) of ``column`` is the
-    threshold for n' = j + 1, that is n = c + 2 + j.  Each column is
-    n'(n'-1) + c + 1 + f_c(n'), with f_c(n') the partial sums of
-    m_c(j) = twinverse(j) over j < n'.  For c >= c_min it is the prefix of
-    u + c·v from ``_template_columns``, one multiply-add into one reused
-    buffer; ``column`` is then a view that the next column overwrites, so
-    consume or copy it before advancing.  The c < c_min columns come from
-    ``_head_columns``.
-
-    Raises ValueError at once unless 2 <= n_max < 2^21, the range in which
-    every value is exact in int64 (see the module docstring).
-    """
-    _check_n_max(n_max)
-    return _fill_columns(n_max)
-
-
-def _fill_columns(n_max: int):
-    top = n_max - 1  # largest n'
-    c_min, u, v = _template_columns(top)
-    yield from _head_columns(top, c_min)
-    column = np.empty(top, dtype=np.int64)
-    for c in range(c_min, top):
-        out = column[: top - c]
-        np.multiply(v[: out.size], c, out=out)
-        out += u[: out.size]
-        yield c, out
-
-
 def _head_columns(top: int, c_min: int):
-    """``(c, column)`` for c < c_min (c = 0 .. 11 up to n_max = 7200), laid
-    out as in ``_columns``: each scatters the runs of its own p_c and takes
-    two cumsums."""
+    """``(c, column)`` for c < c_min (c = 0 .. 11 up to n_max = 7200), with
+    n' = 1 .. top - c: entry j (0-based) of ``column`` is the threshold for
+    n' = j + 1, that is n = c + 2 + j, so the column ends at n = top + 1.
+    Each is n'(n'-1) + c + 1 + f_c(n'), with f_c(n') the partial sums of
+    m_c(j) = twinverse(j) over j < n': it scatters the runs of its own p_c
+    and takes two cumsums."""
     squares = _squares(top)
     for c in range(min(c_min, top)):
         count = top - c
@@ -410,8 +377,12 @@ def scan_grid(n_max: int, c_max: int) -> list[list[int]]:
     indexed by n <= n_max (entries below n=2 are empty)."""
     if c_max < 0:
         raise ValueError(f"need c_max >= 0, got {c_max}")
+    _check_n_max(n_max)
+    top = n_max - 1  # largest n'
+    c_min, u, v = _template_columns(top)
+    lines = ((c, u[: top - c] + c * v[: top - c]) for c in range(c_min, top))
     grid = [[] for _ in range(n_max + 1)]
-    for c, column in islice(_columns(n_max), c_max + 1):
+    for c, column in islice(chain(_head_columns(top, c_min), lines), c_max + 1):
         for row, value in zip(grid[c + 2:], column.tolist()):
             row.append(value)
     return grid

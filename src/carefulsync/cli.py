@@ -6,6 +6,7 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
+from itertools import islice
 
 from . import cerny, estimates, pawnrace, primes, verify
 from .pfa import from_json, to_dot, to_json, format_word
@@ -204,8 +205,16 @@ def _cmd_tables(args, out):
 
 
 def _emit_rows(args, out, rows, columns):
+    """Write an iterable of row dicts as TSV or as the JSON array that
+    ``json.dumps(list(rows))`` gives, a chunk of rows per write."""
     if args.json:
-        print(json.dumps(rows), file=out)
+        rows = iter(rows)
+        separator = ""
+        out.write("[")
+        while chunk := list(islice(rows, 4096)):
+            out.write(separator + json.dumps(chunk)[1:-1])
+            separator = ", "
+        print("]", file=out)
     else:
         print("\t".join(columns), file=out)
         for row in rows:
@@ -222,7 +231,7 @@ def _cmd_scan(args, out):
         best_c = [",".join(map(str, c)) for c in argmax]
     else:
         best, best_c = (array.tolist() for array in cerny.scan_optimal(nmax))
-    rows = [{"n": n, "value": best[n], "c": best_c[n]} for n in range(2, nmax + 1)]
+    rows = ({"n": n, "value": best[n], "c": best_c[n]} for n in range(2, nmax + 1))
     _emit_rows(args, out, rows, ("n", "value", "c"))
     return OK
 

@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil, log, log2
+from math import ceil, log, log1p, log2
 
 from . import pawnrace
 
@@ -31,14 +31,15 @@ def phi(c: int) -> PhiRoot:
     """Growth rate of the split sequence: root of x^(c+1) = x + 1 in (1, 2].
 
     Bisection to 1e-13 followed by a few Newton steps; strictly decreasing
-    in c and approaching 1.
+    in c and approaching 1.  The bisection tests x^(c+1) < x + 1 in logs, as
+    (c+1)·ln x < ln(1+x), since x^(c+1) overflows a float from c = 1750 on.
     """
     if c < 1:
         raise ValueError("cost parameter must be >= 1")
     lo, hi = 1.0, 2.0
     while hi - lo > 1e-13:
         mid = (lo + hi) / 2
-        if _char(c, mid) < 0:
+        if (c + 1) * log(mid) < log1p(mid):
             lo = mid
         else:
             hi = mid

@@ -17,6 +17,7 @@ it is exact for its c and a table of that c alone below that.
 import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
@@ -316,16 +317,20 @@ def f_recursive(n: int, c: int) -> int:
 
     f(1) = 0 and f(n) = min over 1<=i<=n-1 of f(i) + f(n-i) + (c+1)n - i.
     Memoized per cost parameter; deliberately independent of the closed form
-    so the two can check each other.
+    so the two can check each other.  The table is int64: f(m) <= (c+1)m(m-1),
+    so every split sum stays below (c+1)m^2, and n needs (c+1)n^2 < 2^63.
     """
     if n < 1:
         raise ValueError("need at least one pawn")
     if c < 0:
         raise ValueError("cost parameter must be >= 0")
+    m_max = isqrt((2**63 - 1) // (c + 1))  # the largest m with (c+1)m^2 < 2^63
+    if n > m_max:
+        raise ValueError(f"need (c + 1) * n**2 < 2**63, got n={n}, c={c}")
     with _f_lock:
         table = _f_tables.get(c)
         if table is None or len(table) <= n:
-            size = max(n + 1, 16, 0 if table is None else 2 * len(table))
+            size = min(max(n + 1, 16, 0 if table is None else 2 * len(table)), m_max + 1)
             new = np.zeros(size, dtype=np.int64)
             start = 2
             if table is not None:

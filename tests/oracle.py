@@ -121,7 +121,7 @@ def row_optimum(row):
 
 
 def columns(n_max):
-    """``(c, column)`` for c = 0 .. n_max-2, as ``cerny._columns`` yields
+    """``(c, column)`` for c = 0 .. n_max-2, as ``cerny.scan_grid`` reads
     them: entry j of ``column`` is rt(c + 2 + j, c).  The column is a view
     of a buffer that the next one overwrites."""
     top = n_max - 1  # largest n'

@@ -3,9 +3,12 @@
 ``test_drops_to_120000_match_the_dense_oracle`` compares the envelope scan
 ``scan_drops(120000)`` with the dense per-c scan of ``oracle.scan_drops`` and
 pins the four drops beyond the published eight that it finds.
-``test_drops_to_2097151`` checks the two endpoints of each of the four
-drops after those with ``optimal_c``, one exact row each, which does not
-show that no other drop lies between them.  It also runs
+``test_scan_optimal_c_to_2097151`` runs ``scan optimal-c --nmax 2097151``
+as a CLI process, plain and ``--json``, each within 300 MB, and pins its
+row count and last row: the rows stream out instead of being gathered
+first.  ``test_drops_to_2097151`` checks the two endpoints of each of the
+four drops after those with ``optimal_c``, one exact row each, which does
+not show that no other drop lies between them.  It also runs
 ``scan drops --nmax 2097151`` as a CLI process, within 30 s and 200 MB,
 and pins the 16 drops it prints.
 
@@ -15,7 +18,8 @@ not collect it; run it by name, from the repository root:
     PYTHONPATH=src python -m pytest -q tests/slow_drops.py
 
 On a 2-vCPU VM the first test takes about 2 minutes, nearly all of it in
-the oracle, and the second about 12 s.
+the oracle, the second about 30 s, at about 240 MB per CLI process, and
+the third about 12 s.
 """
 
 import os
@@ -55,23 +59,55 @@ def test_drops_to_120000_match_the_dense_oracle():
     assert rows(drops[8:]) == BEYOND_7200[:4]
 
 
-def test_drops_to_2097151():
-    # a child's ru_maxrss counts the peak of the process it was spawned
-    # from, so the CLI runs before this process gathers rows of 2 M points
-    argv = [sys.executable, "-m", "carefulsync", "scan", "drops", "--nmax", "2097151"]
+def spawn_cli(out, *args):
+    """Run ``python -m carefulsync *args`` with stdout into the file ``out``;
+    returns its exit code, wall time and ``ru_maxrss`` (kilobytes on Linux).
+    A child's ru_maxrss counts the peak of the process it was spawned from,
+    so each test runs its CLI before it gathers rows of 2 M points itself."""
+    argv = [sys.executable, "-m", "carefulsync", *args]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    start = time.perf_counter()
+    pid = os.posix_spawn(sys.executable, argv, env,
+                         file_actions=[(os.POSIX_SPAWN_DUP2, out.fileno(), 1)])
+    _, status, usage = os.wait4(pid, 0)
+    return os.waitstatus_to_exitcode(status), time.perf_counter() - start, usage.ru_maxrss
+
+
+def count_and_tail(out, mark):
+    """The occurrences of ``mark`` in the file ``out`` and its last 100 bytes,
+    read a chunk at a time."""
+    out.seek(0)
+    count = 0
+    while chunk := out.read(1 << 20):
+        count += chunk.count(mark)
+    out.seek(-100, os.SEEK_END)
+    return count, out.read()
+
+
+def test_scan_optimal_c_to_2097151():
+    rows = 2097151 - 1  # n = 2 .. 2097151
+    for flag, mark, last in (
+        ([], b"\n", b"\n2097151\t23299139627484\t948711\n"),
+        (["--json"], b"{", b', {"n": 2097151, "value": 23299139627484, "c": 948711}]\n'),
+    ):
+        with tempfile.TemporaryFile() as out:
+            code, _, maxrss = spawn_cli(out, "scan", "optimal-c", "--nmax", "2097151", *flag)
+            count, tail = count_and_tail(out, mark)
+        assert code == 0, flag
+        assert maxrss < 300 * 1024, (flag, maxrss)
+        assert count == rows + (not flag), flag  # the TSV header is one more line
+        assert tail.endswith(last), (flag, tail)
+
+
+def test_drops_to_2097151():
     with tempfile.TemporaryFile() as out:
-        start = time.perf_counter()
-        pid = os.posix_spawn(sys.executable, argv, env,
-                             file_actions=[(os.POSIX_SPAWN_DUP2, out.fileno(), 1)])
-        _, status, usage = os.wait4(pid, 0)
-        elapsed = time.perf_counter() - start
+        code, elapsed, maxrss = spawn_cli(out, "scan", "drops", "--nmax", "2097151")
         out.seek(0)
         lines = out.read().decode().splitlines()
-    assert os.waitstatus_to_exitcode(status) == 0
+    assert code == 0
     assert elapsed < 30, elapsed
-    assert usage.ru_maxrss < 200 * 1024, usage.ru_maxrss  # kilobytes on Linux
+    assert maxrss < 200 * 1024, maxrss
     assert lines[0] == HEADER and len(lines) == 1 + 16
     assert [tuple(map(int, line.split("\t")[:6])) for line in lines[-8:]] == BEYOND_7200
 

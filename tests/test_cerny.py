@@ -22,17 +22,17 @@ from carefulsync import (
     solve,
     format_word,
 )
-from carefulsync.cerny import STAR_SYMBOLS, _columns, _envelope, _template_columns, scan_maximizers
+from carefulsync.cerny import STAR_SYMBOLS, _envelope, _template_columns, scan_grid, scan_maximizers
 from carefulsync.pawnrace import SequenceCache, f_closed
 from carefulsync.tables import CONCLUSION, GRID, P_N_2
 
 
 def rt_table(n_max):
-    """Dense (n, c) threshold table from the columns, -1 in the invalid corner."""
-    columns = _columns(n_max)
+    """Dense (n, c) threshold table from ``scan_grid``, -1 in the invalid corner."""
+    grid = scan_grid(n_max, max(n_max - 2, 0))
     table = np.full((n_max + 1, n_max - 1), -1, dtype=np.int64)
-    for c, column in columns:
-        table[c + 2:, c] = column
+    for n, row in enumerate(grid):
+        table[n, : len(row)] = row
     return table
 
 

@@ -281,6 +281,20 @@ def test_estimate(capsys):
     assert "f\t29" in out
 
 
+@pytest.mark.parametrize("c", [1749, 1750, 2000])
+def test_estimate_large_c(capsys, c):
+    # 1.5^(c+1) overflows a float from c = 1750 on; the root stays exact
+    code, out = run(capsys, "estimate", "--c", str(c), "--json")
+    doc = json.loads(out)
+    assert code == 0 and doc["c"] == c and 1.0 < doc["phi"] < 1.0005
+    assert doc["residual"] <= 1e-12
+
+
+def test_estimate_refuses_a_root_it_cannot_resolve(capsys):
+    assert dispatch(["estimate", "--c", "10000"]) == 2
+    assert capsys.readouterr() == ("", "error: residual too large\n")
+
+
 def test_output_is_byte_stable(capsys):
     first = run(capsys, "tables", "grid", "--nmax", "12")
     second = run(capsys, "tables", "grid", "--nmax", "12")

@@ -1,4 +1,4 @@
-from math import sqrt
+from math import log, log1p, sqrt
 
 import numpy as np
 import pytest
@@ -29,6 +29,17 @@ def test_phi_residuals_and_monotonicity():
         previous = root.value
     with pytest.raises(ValueError):
         phi(0)
+
+
+def test_phi_for_large_c():
+    # the bisection works in logs: x^(c+1) overflows a float from c = 1750 on
+    for c in (1750, 2000, 5000):
+        root = phi(c)
+        assert root.residual <= 1e-12
+        assert (c + 1) * log(root.value) == pytest.approx(log1p(root.value), abs=1e-11)
+    assert phi(1749).value > phi(1750).value > phi(2000).value > phi(5000).value > 1.0
+    with pytest.raises(ValueError, match="residual too large"):
+        phi(10**4)
 
 
 def test_phi_root_validates():

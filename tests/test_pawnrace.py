@@ -1,5 +1,5 @@
 import tracemalloc
-from math import ceil, log2
+from math import ceil, isqrt, log2
 
 import oracle
 import pytest
@@ -132,6 +132,20 @@ def test_oracle_equivalence_moderate_grid():
     for c in range(1, 9):
         for n in range(1, 301):
             assert f_closed(n, c) == f_recursive(n, c), (n, c)
+
+
+def test_recursion_stays_within_int64():
+    # f(m) <= (c+1)m(m-1), so the int64 table is exact while (c+1)n^2 < 2^63;
+    # past that the sums would wrap silently or overflow
+    for n, c in ((12, 2**58), (3, 2**60)):
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            f_recursive(n, c)
+    for c in (2**58, 2**60, 2**40):
+        n = isqrt((2**63 - 1) // (c + 1))  # the largest n under the bound
+        assert f_recursive(n, c) == f_closed(n, c), c
+        assert len(pawnrace._f_tables[c]) == n + 1, c  # never grown past it
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            f_recursive(n + 1, c)
 
 
 def test_closed_form_bounds():
@@ -699,7 +713,7 @@ def test_rows_match_the_per_c_column_loop():
             if n >= c + 2:
                 want[n].append(int(column[n - c - 2]))
     for n in ns:
-        assert cerny._row(n) == want[n], n
+        assert cerny._row(n).tolist() == want[n], n
 
 
 def test_drops_to_7200_match_the_per_c_column_loop():
