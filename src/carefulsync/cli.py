@@ -20,91 +20,98 @@ OK, MISMATCH, USAGE, RESOURCES = 0, 1, 2, 3
 RACE_COUNT_MAX_N = 20_000
 
 
-def _parser():
-    top = argparse.ArgumentParser(prog="carefulsync")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def add_pfa_args(p, kinds):
-        p.add_argument("kind", choices=kinds)
-        p.add_argument("--n", type=int)
-        p.add_argument("--c", type=int)
-        p.add_argument("--primes", type=str, help="comma separated, e.g. 5,7,8,9")
-        p.add_argument("--padding", type=int, default=0)
-        p.add_argument("--transitive", action="store_true")
-
-    gen = sub.add_parser("gen", help="emit an automaton as JSON or DOT")
-    add_pfa_args(gen, ["cerny", "cerny-star", "prime"])
-    gen.add_argument("--dot", action="store_true")
-    gen.add_argument("--out")
-
-    slv = sub.add_parser("solve", help="exact shortest synchronizing word")
-    add_pfa_args(slv, ["cerny", "cerny-star", "prime", "path"])
-    slv.add_argument("--path", help="JSON automaton file (kind=path)")
-    slv.add_argument("--cap-subsets", type=int, default=SolveLimits.max_subsets)
-    slv.add_argument("--cap-length", type=int, default=SolveLimits.max_length)
-    slv.add_argument("--count", action="store_true", help="also count shortest words")
-    slv.add_argument("--json", action="store_true")
-    slv.add_argument("--pretty", action="store_true")
-    slv.add_argument("--out")
-
-    race = sub.add_parser("race", help="pawn race costs, plans and words")
-    race.add_argument("what", choices=["f", "count", "enumerate", "render", "word"])
-    race.add_argument(
-        "--n", type=int, required=True,
-        help=f"pawn count, at most {RACE_COUNT_MAX_N} for `count`; for `word` the "
-        "automaton size (racing n-c-1 pawns)",
-    )
-    race.add_argument("--c", type=int, required=True)
-    race.add_argument("--cap-plans", type=int, default=1000)
-    race.add_argument("--plan-index", type=int, default=0)
-    race.add_argument("--pretty", action="store_true")
-    race.add_argument("--json", action="store_true")
-    race.add_argument("--out")
-
-    tab = sub.add_parser("tables", help="reproduce a published table and diff it")
-    tab.add_argument("which", choices=list(verify.TABLES))
-    tab.add_argument("--nmax", type=int)
-    tab.add_argument("--cmax", type=int)
-    tab.add_argument("--json", action="store_true")
-    tab.add_argument("--out")
-
-    scan = sub.add_parser("scan", help="sweep the family over n")
-    scan.add_argument("what", choices=["optimal-c", "drops"])
-    scan.add_argument("--nmax", type=int, required=True)
-    scan.add_argument("--full", action="store_true", help="report every maximizer")
-    scan.add_argument("--json", action="store_true")
-    scan.add_argument("--out")
-
-    est = sub.add_parser("estimate", help="growth root and cost brackets")
-    est.add_argument("--c", type=int, required=True)
-    est.add_argument("--n", type=int)
-    est.add_argument("--json", action="store_true")
-    est.add_argument("--out")
-
-    return top
+def _flag(name, **spec):
+    """One option: its name and its ``add_argument`` keywords."""
+    return name, spec
 
 
-def _parse_primes(text):
-    if not text:
-        raise ValueError("--primes is required for prime automata")
-    return tuple(int(x) for x in text.split(","))
+N = _flag("--n", type=int, required=True, help="automaton size")
+PAWNS = _flag("--n", type=int, required=True,
+              help=f"pawn count, at most {RACE_COUNT_MAX_N} for `race count`")
+C = _flag("--c", type=int, required=True)
+NMAX = _flag("--nmax", type=int, required=True)
+JSON = _flag("--json", action="store_true")
+PRETTY = _flag("--pretty", action="store_true", help="run-length words, e.g. b^4 a^2")
+OUT = _flag("--out", help="write to this file instead of stdout")
+CAP_PLANS = _flag("--cap-plans", type=int, default=1000)
+PLAN_INDEX = _flag("--plan-index", type=int, default=0)
+SOLVE = (_flag("--cap-subsets", type=int, default=SolveLimits.max_subsets),
+         _flag("--cap-length", type=int, default=SolveLimits.max_length),
+         _flag("--count", action="store_true", help="also count shortest words"),
+         JSON, PRETTY, OUT)
+AUTOMATA = {
+    "cerny": (N, C),
+    "cerny-star": (N,),
+    "prime": (_flag("--primes", required=True, help="comma separated, e.g. 5,7,8,9"),
+              _flag("--padding", type=int, default=0),
+              _flag("--transitive", action="store_true")),
+    "path": (_flag("--path", required=True, help="JSON automaton file"),),
+}
+
+# command -> (help, {kind: the flags its handler reads}); estimate has no kind
+_COMMANDS = {
+    "gen": ("emit an automaton as JSON or DOT",
+            {kind: AUTOMATA[kind] + (_flag("--dot", action="store_true"), OUT)
+             for kind in ("cerny", "cerny-star", "prime")}),
+    "solve": ("exact shortest synchronizing word",
+              {kind: flags + SOLVE for kind, flags in AUTOMATA.items()}),
+    "race": ("pawn race costs, plans and words", {
+        "f": (PAWNS, C, JSON, OUT),
+        "count": (PAWNS, C, JSON, OUT),
+        "enumerate": (PAWNS, C, CAP_PLANS, JSON, OUT),
+        "render": (PAWNS, C, CAP_PLANS, PLAN_INDEX, OUT),
+        "word": (N, C, CAP_PLANS, PLAN_INDEX, PRETTY, JSON, OUT),
+    }),
+    # verify.check refuses the options a table does not read
+    "tables": ("reproduce a published table and diff it",
+               dict.fromkeys(verify.TABLES, (_flag("--nmax", type=int),
+                                             _flag("--cmax", type=int), JSON, OUT))),
+    "scan": ("sweep the family over n", {
+        "optimal-c": (NMAX, _flag("--full", action="store_true", help="report every maximizer"),
+                      JSON, OUT),
+        "drops": (NMAX, JSON, OUT),
+    }),
+    "estimate": ("growth root and cost brackets",
+                 {None: (C, _flag("--n", type=int, help="also bracket the race cost"),
+                         JSON, OUT)}),
+}
+
+
+def _choose(prog, name, choices, text, argv):
+    """Exit as argparse does for a missing or unknown word, or for -h."""
+    parser = argparse.ArgumentParser(prog=prog)
+    parser.add_argument(name, choices=choices, help=text)
+    parser.parse_args(argv)
+
+
+def _parse(argv):
+    """Parse one command line with the parser of its (command, kind) alone:
+    the command and the kind are the first two words."""
+    command = argv[0] if argv else None
+    if command not in _COMMANDS:
+        _choose("carefulsync", "command", _COMMANDS,
+                "; ".join(f"{c}: {text}" for c, (text, _) in _COMMANDS.items()), argv[:1])
+    text, kinds = _COMMANDS[command]
+    words = argv[:1] if None in kinds else argv[:2]
+    kind = words[1] if len(words) == 2 else None
+    if kind not in kinds:
+        _choose(f"carefulsync {command}", "kind", kinds, text, argv[1:2])
+    leaf = argparse.ArgumentParser(prog=" ".join(["carefulsync", *words]))
+    for name, spec in kinds[kind]:
+        leaf.add_argument(name, **spec)
+    args = leaf.parse_args(argv[len(words):])
+    args.command, args.kind = command, kind
+    return args
 
 
 def _build(args):
     if args.kind == "cerny":
-        if args.n is None or args.c is None:
-            raise ValueError("cerny needs --n and --c")
         return cerny.build_cerny(args.n, args.c)
     if args.kind == "cerny-star":
-        if args.n is None:
-            raise ValueError("cerny-star needs --n")
         return cerny.build_cerny_star(args.n)
     if args.kind == "prime":
-        return primes.build_prime_pfa(
-            _parse_primes(args.primes), args.padding, args.transitive
-        )
-    if getattr(args, "path", None) is None:
-        raise ValueError("kind=path needs --path FILE")
+        plist = tuple(int(p) for p in args.primes.split(","))
+        return primes.build_prime_pfa(plist, args.padding, args.transitive)
     with open(args.path, encoding="utf-8") as handle:
         return from_json(handle.read())
 
@@ -121,8 +128,7 @@ def _plan(n, c, cap, index):
 
 def _cmd_gen(args, out):
     pfa = _build(args)
-    print(to_dot(pfa) if args.dot else to_json(pfa), end="", file=out)
-    print(file=out)
+    print(to_dot(pfa) if args.dot else to_json(pfa), file=out)
     return OK
 
 
@@ -137,34 +143,25 @@ def _cmd_solve(args, out):
         else:
             print(f"not-synchronizing\texplored\t{exc.explored}", file=out)
         return OK
-    text = format_word(pfa, result.word, pretty=args.pretty)
-    if args.json:
-        doc = {
-            "threshold": result.threshold,
-            "word": text,
-            "explored": result.explored,
-            "levels": result.levels,
-        }
-        if args.count:
-            doc["count"] = result.count
-        print(json.dumps(doc), file=out)
-    else:
-        print(f"threshold\t{result.threshold}", file=out)
-        print(f"word\t{text}", file=out)
-        print(f"explored\t{result.explored}", file=out)
-        print(f"levels\t{result.levels}", file=out)
-        if args.count:
-            print(f"count\t{result.count}", file=out)
+    doc = {
+        "threshold": result.threshold,
+        "word": format_word(pfa, result.word, pretty=args.pretty),
+        "explored": result.explored,
+        "levels": result.levels,
+    }
+    if args.count:
+        doc["count"] = result.count
+    _emit_record(args, out, doc)
     return OK
 
 
 def _cmd_race(args, out):
     n, c = args.n, args.c
-    if args.what == "f":
+    if args.kind == "f":
         value = pawnrace.f_closed(n, c)
         print(json.dumps({"f": value}) if args.json else value, file=out)
         return OK
-    if args.what == "count":
+    if args.kind == "count":
         if n > RACE_COUNT_MAX_N:
             print(f"resources: race count takes --n up to {RACE_COUNT_MAX_N}, not {n}",
                   file=sys.stderr)
@@ -172,7 +169,7 @@ def _cmd_race(args, out):
         value = pawnrace.count_races(n, c)
         print(json.dumps({"count": value}) if args.json else value, file=out)
         return OK
-    if args.what == "enumerate":
+    if args.kind == "enumerate":
         plans = pawnrace.enumerate_plans(n, c, args.cap_plans)
         if args.json:
             print(json.dumps([pawnrace.plan_text(p) for p in plans]), file=out)
@@ -180,7 +177,7 @@ def _cmd_race(args, out):
             for i, plan in enumerate(plans):
                 print(f"{i}\t{pawnrace.plan_text(plan)}", file=out)
         return OK
-    if args.what == "render":
+    if args.kind == "render":
         plan = _plan(n, c, args.cap_plans, args.plan_index)
         print(pawnrace.render_race(pawnrace.simulate_race(plan, c)), end="", file=out)
         return OK
@@ -197,33 +194,41 @@ def _cmd_race(args, out):
 
 
 def _cmd_tables(args, out):
-    columns, rows, mismatches = verify.check(args.which, nmax=args.nmax, cmax=args.cmax)
+    columns, rows, mismatches = verify.check(args.kind, nmax=args.nmax, cmax=args.cmax)
     _emit_rows(args, out, rows, columns)
     for line in mismatches:
         print(line, file=out)
     return MISMATCH if mismatches else OK
 
 
+def _emit_record(args, out, doc):
+    """Write one record as ``key<TAB>value`` lines or as a JSON object."""
+    if args.json:
+        print(json.dumps(doc), file=out)
+    else:
+        print("\n".join(f"{key}\t{value}" for key, value in doc.items()), file=out)
+
+
 def _emit_rows(args, out, rows, columns):
     """Write an iterable of row dicts as TSV or as the JSON array that
     ``json.dumps(list(rows))`` gives, a chunk of rows per write."""
     if args.json:
-        rows = iter(rows)
-        separator = ""
         out.write("[")
-        while chunk := list(islice(rows, 4096)):
-            out.write(separator + json.dumps(chunk)[1:-1])
-            separator = ", "
-        print("]", file=out)
+        encode, between, end = (lambda chunk: json.dumps(chunk)[1:-1]), ", ", "]\n"
     else:
-        print("\t".join(columns), file=out)
-        for row in rows:
-            print("\t".join(str(row[col]) for col in columns), file=out)
+        out.write("\t".join(columns) + "\n")
+        line = "\t".join(f"{{{col}}}" for col in columns) + "\n"
+        encode, between, end = (lambda chunk: "".join(map(line.format_map, chunk))), "", ""
+    rows, separator = iter(rows), ""
+    while chunk := list(islice(rows, 4096)):
+        out.write(separator + encode(chunk))
+        separator = between
+    out.write(end)
 
 
 def _cmd_scan(args, out):
     nmax = args.nmax
-    if args.what == "drops":
+    if args.kind == "drops":
         _emit_rows(args, out, verify.drop_rows(cerny.scan_drops(nmax)), verify.DROP_COLUMNS)
         return OK
     if args.full:
@@ -243,24 +248,12 @@ def _cmd_estimate(args, out):
     if args.n is not None:
         n = args.n
         lo, hi, slo, shi = estimates.f_bounds(n, c)
-        doc.update(
-            {
-                "n": n,
-                "f": pawnrace.f_closed(n, c),
-                "tight_lower": lo,
-                "tight_upper": hi,
-                "simple_lower": slo,
-                "simple_upper": shi,
-            }
-        )
+        doc.update(n=n, f=pawnrace.f_closed(n, c), tight_lower=lo, tight_upper=hi,
+                   simple_lower=slo, simple_upper=shi)
         k = pawnrace.twinverse(c, n) - 1
         if pawnrace.sequences(c, k)[0] == n and n >= 10:
             doc["leading_estimate"] = estimates.f_leading_estimate(k, c)
-    if args.json:
-        print(json.dumps(doc), file=out)
-    else:
-        for key, value in doc.items():
-            print(f"{key}\t{value}", file=out)
+    _emit_record(args, out, doc)
     return OK
 
 
@@ -277,13 +270,11 @@ _HANDLERS = {
 def dispatch(argv) -> int:
     """Run one command line; returns the exit code instead of exiting."""
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return OK if exc.code in (0, None) else USAGE
-    out_path = getattr(args, "out", None)
-    context = open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout)
     try:
-        with context as out:
+        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
             return _HANDLERS[args.command](args, out)
     except (LimitExceeded, pawnrace.TooManyPlans) as exc:
         print(f"resources: {exc}", file=sys.stderr)

@@ -2,14 +2,19 @@
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil, log, log1p, log2
+from math import ceil, log, log1p, log2, ulp
 
 from . import pawnrace
 
 
 @dataclass(frozen=True)
 class PhiRoot:
-    """The unique real root > 1 of x^(c+1) - x - 1, with its residual."""
+    """The unique real root > 1 of x^(c+1) - x - 1, with its residual.
+
+    A root is accepted when the Newton step residual / f'(x), with
+    f'(x) = (c+1)x^c - 1, is at most one float step of x: the slope grows
+    with c, so a converged root's residual does too.
+    """
 
     c: int
     value: float
@@ -18,7 +23,7 @@ class PhiRoot:
     def __post_init__(self):
         if not 1.0 < self.value <= 2.0:
             raise ValueError("root outside (1, 2]")
-        if self.residual > 1e-12:
+        if self.residual > ulp(self.value) * ((self.c + 1) * self.value**self.c - 1.0):
             raise ValueError("residual too large")
 
 

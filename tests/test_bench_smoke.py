@@ -33,3 +33,19 @@ def test_quick_run_is_correct(workload):
     assert result["failed"] == 0
     assert result["attempted"] > 0
     assert set(result["metrics"]) == {"wall_s", "setup_s", "peak_rss_mb"}
+
+
+def test_traced_quick_run_times_the_cli_handlers():
+    # the tracer wraps the entries of cli._HANDLERS; a dispatch that went
+    # around them would leave the cli.* layers at zero
+    proc = subprocess.run(
+        [sys.executable, os.path.join("bench", "run.py"), "--quick",
+         "--workload", "family-scan", "--trace", "1", "--seconds", "1"],
+        capture_output=True, text=True, timeout=300, cwd=ROOT,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["metrics"]["cli.tables.s"]["value"] > 0
+    assert result["metrics"]["cli.scan.s"]["value"] > 0

@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from math import nextafter
 from pathlib import Path
+from textwrap import dedent
 
 import pytest
 from oracle import exact_row, row_optimum
 
-from carefulsync import build_cerny, from_json, is_sync_word, parse_word
+from carefulsync import build_cerny, from_json, is_sync_word, parse_word, to_json
 from carefulsync.cli import dispatch
 
 
@@ -15,6 +20,7 @@ def run(capsys, *argv):
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli"
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 # stdout recorded before a change behind it, one file per case under
@@ -176,6 +182,13 @@ def test_solve_path_and_out_file(tmp_path, capsys):
     assert json.loads(out)["threshold"] == 26
 
 
+def test_unwritable_out_file_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.tsv"
+    assert dispatch(["tables", "pn2", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: [Errno 2]")
+
+
 def test_solve_resource_exit(capsys):
     code, _ = run(capsys, "solve", "cerny", "--n", "10", "--c", "0", "--cap-subsets", "4")
     assert code == 3
@@ -290,7 +303,17 @@ def test_estimate_large_c(capsys, c):
     assert doc["residual"] <= 1e-12
 
 
-def test_estimate_refuses_a_root_it_cannot_resolve(capsys):
+def test_estimate_refuses_a_root_it_cannot_resolve(capsys, monkeypatch):
+    from carefulsync import PhiRoot, estimates
+
+    # the residual at c = 10^4 is 1.7e-12, within one float step of the root
+    code, out = run(capsys, "estimate", "--c", "10000")
+    assert code == 0
+    assert dict(line.split("\t") for line in out.splitlines()).keys() == {"c", "phi", "residual"}
+    # a root two float steps off is refused
+    x = estimates.phi(10**4).value
+    off = nextafter(nextafter(x, 2.0), 2.0)
+    monkeypatch.setattr(estimates, "phi", lambda c: PhiRoot(c, off, abs(off ** (c + 1) - off - 1.0)))
     assert dispatch(["estimate", "--c", "10000"]) == 2
     assert capsys.readouterr() == ("", "error: residual too large\n")
 
@@ -317,3 +340,140 @@ def test_usage_errors(capsys):
     assert dispatch(["gen", "cerny", "--n", "4", "--c", "3"]) == 2  # bad parameters
     assert dispatch(["solve", "path"]) == 2  # no --path
     capsys.readouterr()
+
+
+# the (command, kind, flag) slots that the parser accepted and no handler
+# read, each with a command line that runs without the flag
+IGNORED_FLAGS = [
+    *[("gen cerny --n 4 --c 1", flag) for flag in ("--primes 5,7", "--padding 1", "--transitive")],
+    *[("gen cerny-star --n 4", flag)
+      for flag in ("--c 3", "--primes 5,7", "--padding 1", "--transitive")],
+    *[("gen prime --primes 2,3", flag) for flag in ("--n 4", "--c 1")],
+    *[("solve cerny --n 4 --c 1", flag)
+      for flag in ("--primes 5,7", "--padding 1", "--transitive", "--path {pfa}")],
+    *[("solve cerny-star --n 4", flag)
+      for flag in ("--c 3", "--primes 5,7", "--padding 1", "--transitive", "--path {pfa}")],
+    *[("solve prime --primes 2,3", flag) for flag in ("--n 4", "--c 1", "--path {pfa}")],
+    *[("solve path --path {pfa}", flag)
+      for flag in ("--n 4", "--c 1", "--primes 5,7", "--padding 1", "--transitive")],
+    *[("race f --n 7 --c 1", flag) for flag in ("--cap-plans 5", "--plan-index 4", "--pretty")],
+    *[("race count --n 7 --c 1", flag) for flag in ("--cap-plans 5", "--plan-index 4", "--pretty")],
+    *[("race enumerate --n 7 --c 1", flag) for flag in ("--plan-index 4", "--pretty")],
+    *[("race render --n 7 --c 1", flag) for flag in ("--pretty", "--json")],
+    ("scan drops --nmax 60", "--full"),
+]
+
+
+@pytest.fixture
+def pfa_file(tmp_path):
+    path = tmp_path / "pfa.json"
+    path.write_text(to_json(build_cerny(5, 1)), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("line, flag", IGNORED_FLAGS)
+def test_flags_a_command_does_not_read_are_usage_errors(capsys, pfa_file, line, flag):
+    argv = line.format(pfa=pfa_file).split()
+    assert dispatch(argv) == 0
+    capsys.readouterr()
+    assert dispatch(argv + flag.format(pfa=pfa_file).split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # refused by the parser of the pair, as unrecognized, or as ambiguous
+    # where it abbreviates flags the pair reads (--c: --cap-subsets, --count)
+    assert captured.err.startswith(f"usage: carefulsync {' '.join(argv[:2])} [-h]")
+
+
+# one cheap command line per (command, kind), with no option it may leave out
+READ_ALL = {
+    ("gen", "cerny"): "gen cerny --n 4 --c 1",
+    ("gen", "cerny-star"): "gen cerny-star --n 4",
+    ("gen", "prime"): "gen prime --primes 2,3",
+    ("solve", "cerny"): "solve cerny --n 4 --c 1",
+    ("solve", "cerny-star"): "solve cerny-star --n 4",
+    ("solve", "prime"): "solve prime --primes 2,3",
+    ("solve", "path"): "solve path --path {pfa}",
+    ("race", "f"): "race f --n 7 --c 1",
+    ("race", "count"): "race count --n 7 --c 1",
+    ("race", "enumerate"): "race enumerate --n 7 --c 1",
+    ("race", "render"): "race render --n 7 --c 1",
+    ("race", "word"): "race word --n 9 --c 1",
+    ("tables", "pn2"): "tables pn2",
+    ("tables", "grid"): "tables grid",
+    ("tables", "conclusion"): "tables conclusion",
+    ("tables", "drops"): "tables drops --nmax 60",
+    ("tables", "defeat"): "tables defeat",
+    ("scan", "optimal-c"): "scan optimal-c --nmax 10",
+    ("scan", "drops"): "scan drops --nmax 10",
+    ("estimate", None): "estimate --c 1 --n 7",
+}
+
+
+class _Reads:
+    """Parsed arguments that record which of them are read."""
+
+    def __init__(self, args):
+        self._args, self.read = vars(args), set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return self._args[name]
+
+
+def test_every_declared_flag_is_read(capsys, monkeypatch, pfa_file):
+    from carefulsync import cli
+
+    pairs = {(command, kind) for command, (_, kinds) in cli._COMMANDS.items() for kind in kinds}
+    assert pairs == set(READ_ALL)
+    parse, seen = cli._parse, []
+
+    def recording(argv):
+        seen.append(_Reads(parse(argv)))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "_parse", recording)
+    for (command, kind), line in READ_ALL.items():
+        assert dispatch(line.format(pfa=pfa_file).split()) == 0, line
+        declared = {name[2:].replace("-", "_") for name, _ in cli._COMMANDS[command][1][kind]}
+        assert declared <= seen[-1].read, line
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["-h"], "usage: carefulsync [-h] {gen,solve,race,tables,scan,estimate}\n"),
+    (["race", "-h"], "usage: carefulsync race [-h] {f,count,enumerate,render,word}\n"),
+    (["race", "render", "--help"], "usage: carefulsync race render [-h] --n N --c C"),
+    (["estimate", "-h"], "usage: carefulsync estimate [-h] --c C [--n N] [--json] [--out OUT]\n"),
+])
+def test_help_at_every_level(capsys, argv, usage):
+    assert dispatch(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(usage) and captured.err == ""
+
+
+def test_one_dispatch_builds_at_most_two_parsers(capsys, monkeypatch, pfa_file):
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    for line in [*READ_ALL.values(), "", "-h", "nope", "race", "race -h", "race nope",
+                 "race word -h", "race word --n 9", "estimate -h", "scan drops --nmax 60 --full"]:
+        built.clear()
+        dispatch(line.format(pfa=pfa_file).split())
+        assert 1 <= len(built) <= 2, line
+    capsys.readouterr()
+
+
+def test_importing_the_cli_builds_no_parser():
+    script = dedent("""
+        import argparse
+        built, init = [], argparse.ArgumentParser.__init__
+        argparse.ArgumentParser.__init__ = lambda *a, **k: built.append(1) or init(*a, **k)
+        import carefulsync.cli
+        print(len(built))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=SRC))
+    assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr

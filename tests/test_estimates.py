@@ -1,4 +1,4 @@
-from math import log, log1p, sqrt
+from math import log, log1p, nextafter, sqrt
 
 import numpy as np
 import pytest
@@ -38,8 +38,16 @@ def test_phi_for_large_c():
         assert root.residual <= 1e-12
         assert (c + 1) * log(root.value) == pytest.approx(log1p(root.value), abs=1e-11)
     assert phi(1749).value > phi(1750).value > phi(2000).value > phi(5000).value > 1.0
-    with pytest.raises(ValueError, match="residual too large"):
-        phi(10**4)
+    # the residual grows with the slope 2(c+1) at the root; at c = 10^4 it
+    # is 1.7e-12, and the root is still within one float step
+    c = 10**4
+    x = phi(c).value
+    assert phi(5000).value > x > 1.0
+    assert (c + 1) * log(x) == pytest.approx(log1p(x), abs=1e-11)
+    # two float steps off the root, either way, is refused
+    for off in (nextafter(nextafter(x, 2.0), 2.0), nextafter(nextafter(x, 1.0), 1.0)):
+        with pytest.raises(ValueError, match="residual too large"):
+            PhiRoot(c=c, value=off, residual=abs(off ** (c + 1) - off - 1.0))
 
 
 def test_phi_root_validates():
