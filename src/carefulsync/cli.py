@@ -96,7 +96,7 @@ def _parse(argv):
     kind = words[1] if len(words) == 2 else None
     if kind not in kinds:
         _choose(f"carefulsync {command}", "kind", kinds, text, argv[1:2])
-    leaf = argparse.ArgumentParser(prog=" ".join(["carefulsync", *words]))
+    leaf = argparse.ArgumentParser(prog=" ".join(["carefulsync", *words]), allow_abbrev=False)
     for name, spec in kinds[kind]:
         leaf.add_argument(name, **spec)
     args = leaf.parse_args(argv[len(words):])

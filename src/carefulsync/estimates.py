@@ -13,7 +13,9 @@ class PhiRoot:
 
     A root is accepted when the Newton step residual / f'(x), with
     f'(x) = (c+1)x^c - 1, is at most one float step of x: the slope grows
-    with c, so a converged root's residual does too.
+    with c, so a converged root's residual does too.  The slope is taken as
+    (c+1)(1 + 1/x) - 1, its value at the root, where x^c = 1 + 1/x; unlike
+    x^c, that never overflows for a value far from the root.
     """
 
     c: int
@@ -23,7 +25,8 @@ class PhiRoot:
     def __post_init__(self):
         if not 1.0 < self.value <= 2.0:
             raise ValueError("root outside (1, 2]")
-        if self.residual > ulp(self.value) * ((self.c + 1) * self.value**self.c - 1.0):
+        slope = (self.c + 1) * (1.0 + 1.0 / self.value) - 1.0
+        if self.residual > ulp(self.value) * slope:
             raise ValueError("residual too large")
 
 

@@ -17,47 +17,43 @@ The search is level-synchronous, and each level takes one of three steps:
 
 * The vectorized step (:class:`_WideKernel`) expands the whole level with
   numpy: images by byte-chunk table gathers over a ``uint64`` frontier,
-  deduplication by sorting, exact int64 sums of the path counts, and new
-  subsets ordered by first occurrence in (parent, symbol) order, so it
-  discovers the same subsets in the same order as the Python step.  It is
-  taken when the automaton has at most 64 states, the level has at least
-  ``WIDE`` subsets, and ``symbols * width * largest count < 2^63``, so that
-  no int64 sum can overflow.
+  deduplication by sorting, exact sums of the path counts, and new subsets
+  ordered by first occurrence in (parent, symbol) order, so it discovers the
+  same subsets in the same order as the Python step.  A search over at most
+  64 states takes it for every level from its first of at least ``WIDE``
+  subsets on.  Its counts are int64 while ``symbols * width * largest count
+  < 2^63``, so that no sum overflows, and Python ints past that.
 * The Python step walks each subset's set bits with
-  :func:`carefulsync.pfa.image`, the step :func:`carefulsync.pfa.apply_word`
-  takes once per run of equal letters, with arbitrary-precision counts.  It
-  serves every other level, and it is the reference that the tests hold the
-  two other steps to.
+  :func:`carefulsync.pfa.image`, the step of :func:`carefulsync.pfa.apply_word`,
+  with arbitrary-precision counts.  It takes every level before the first
+  wide one, and it is the reference the tests hold the two other steps to.
 * The chain step (:class:`_Chain`) takes many levels at once where the
   frontier is one subset T whose only new image is s(T), for the symbol s
   that found T: the long runs of one letter in the words of the prime
   constructions.  It is taken when the automaton has at most 64 states and
   the last ``CHAIN`` levels each held one subset and found one new subset in
-  the Python step.  It reads the orbit s(T), s^2(T), ... a batch at a time
-  off a table of every state's trajectory under s, and the other symbols'
-  images of the orbit with the vectorized step's byte tables, then commits
-  level by level while the Python step would make exactly one discovery,
-  the next set of the orbit: that set is defined, unseen and not a
-  singleton, every other symbol's image is undefined or already seen, and
-  both caps still hold.  Such a level adds one subset under s and keeps the
-  count, as the Python step would; the first level that fails goes to the
-  Python step, so the result and every exception are the Python step's.
+  the Python step, so never after the first wide level.  It reads the orbit
+  s(T), s^2(T), ... a batch at a time off a table of every state's
+  trajectory under s, and the other symbols' images of the orbit with the
+  vectorized step's byte tables, then commits level by level while the
+  Python step would make exactly one discovery, the next set of the orbit:
+  that set is defined, unseen and not a singleton, every other symbol's
+  image is undefined or already seen, and both caps still hold.  Such a
+  level adds one subset under s and keeps the count, as the Python step
+  would; the first level that fails goes to the Python step, so the result
+  and every exception are the Python step's.
 
-Until the first vectorized level, the subsets seen are a Python set of ints
-and each level is a dict from subset to count; a search that never goes
-wide (every ``n > 64``, and every level narrower than ``WIDE``) keeps them
-so throughout.  The first vectorized level moves the set into a
-:class:`_SubsetTable`, an open-addressing hash table of ``uint64`` subsets
-that takes each level's distinct images in vectorized probe rounds.  From
-then on, a level that follows a vectorized one stays a ``uint64`` array of
-subsets beside an int64 array of counts when it is wide too; a narrow level
-turns the arrays back into a dict and tests and adds its images by scalar
-probes of the table, as the chain step does.
-
-The bit walk stays for narrow levels because numpy's fixed cost per level,
-about 0.1 ms, outweighs its per-subset gain below ``WIDE``
-subsets; ``apply_word`` steps one set at a time, one run of a letter per
-step, where that is always so.
+Until the first wide level, the subsets seen are a Python set of ints and
+each level is a dict from subset to count.  That level hands them over once
+and for good: the set to a :class:`_SubsetTable`, a hash table of ``uint64``
+subsets, and the level to a ``uint64`` array of subsets beside an array of
+counts.  The bit walk serves the narrow levels before it because numpy's
+fixed cost per level, about 0.1 ms, outweighs its per-subset gain below
+``WIDE`` subsets.  After it, a level of one subset costs one vectorized
+step, about 0.14 ms, against about 2 us a level for a chain step: going
+wide pays only while no search has a long tail of one-subset levels after a
+wide level, as none here has (the prime constructions, whose words are such
+tails, never go wide).
 """
 
 from array import array
@@ -67,10 +63,11 @@ import numpy as np
 
 from .pfa import Pfa, Word, image
 
-# Levels of at least this many subsets take the vectorized step.  Timed level
-# by level on C(14, 2), C(16, 3) and C(20, 4) (2 symbols, 2-vCPU VM), the two
-# steps broke even between 64 and 128 subsets; from 128 up the vectorized
-# step was the faster on every input, 1.5-1.7x at 256-511 subsets.
+# The first level of at least this many subsets, and every level after it,
+# take the vectorized step.  Timed level by level on C(14, 2), C(16, 3) and
+# C(20, 4) (2 symbols, 2-vCPU VM), the two steps broke even between 64 and
+# 128 subsets; from 128 up the vectorized step was the faster on every input,
+# 1.5-1.7x at 256-511 subsets.
 WIDE = 128
 
 # A level of one subset takes the chain step once at least this many (and at
@@ -160,13 +157,13 @@ def _search(pfa: Pfa, limits: SolveLimits):
     # by discovery number: the parent's discovery number * nsym + the symbol
     origin = array("q", [-1])
     # the current level in discovery order with its shortest-path counts: a
-    # dict keyed by subset, or, from a wide step on, the arrays front and
-    # weight while levels stay wide (counts is then None)
+    # dict keyed by subset, or, from the first wide level on, the arrays front
+    # and weight (counts is then None)
     counts = {full: 1}
-    front = weight = None
     wide = chain = None
     level = 0
-    # consecutive levels of one subset that the Python step expanded into one
+    # consecutive levels of one subset that the Python step expanded into one;
+    # still 0 at the first wide level, which is level 0 if it holds one subset
     narrow = 0
     # nsym times the discovery number of the next subset to expand; subsets
     # are expanded in discovery order, so this only ever counts up
@@ -174,7 +171,7 @@ def _search(pfa: Pfa, limits: SolveLimits):
     while True:
         if narrow >= CHAIN and pfa.n <= 64:
             if chain is None:
-                wide = wide or _WideKernel(pfa)
+                wide = _WideKernel(pfa)
                 chain = _Chain(pfa, wide)
             [(bits, c)] = counts.items()
             s = origin[-1] % nsym
@@ -193,26 +190,20 @@ def _search(pfa: Pfa, limits: SolveLimits):
         if level >= limits.max_length:
             raise LimitExceeded("max_length", len(seen), level)
         hit = None
-        if (
-            width >= WIDE
-            and pfa.n <= 64
-            and nsym * width * (int(weight.max()) if counts is None else max(counts.values()))
-            < 1 << 63
-        ):
+        if counts is not None and width >= WIDE and pfa.n <= 64:
+            # the one handoff: this level and every later one go wide
             wide = wide or _WideKernel(pfa)
-            if isinstance(seen, set):
-                seen = _SubsetTable(np.fromiter(seen, np.uint64, len(seen)))
-            if counts is not None:
-                front = np.fromiter(counts, np.uint64, width)
-                weight = np.fromiter(counts.values(), np.int64, width)
-                counts = None
+            seen = _SubsetTable(np.fromiter(seen, np.uint64, len(seen)))
+            front = np.fromiter(counts, np.uint64, width)
+            weight = np.fromiter(counts.values(), object, width)
+            counts = None
+        if counts is None:
+            # int64 sums are exact while no sum can reach 2^63; Python ints past that
+            big = nsym * width * int(weight.max()) >> 63
+            weight = weight.astype(object if big else np.int64, copy=False)
             front, weight, hit = wide.step(front, weight, base, seen, origin, limits, level)
             base += nsym * width
-            narrow = 0
         else:
-            if counts is None:
-                counts = dict(zip(front.tolist(), weight.tolist()))
-                front = weight = None
             next_counts = {}
             for bits, c in counts.items():
                 for s, mask, col in steps:
@@ -245,7 +236,6 @@ def _search(pfa: Pfa, limits: SolveLimits):
 # Fibonacci hashing: a subset's home slot is the top bits of the subset times
 # this odd constant (2^64 over the golden ratio), modulo 2^64.
 _GOLDEN = 0x9E3779B97F4A7C15
-_M64 = (1 << 64) - 1
 
 
 def _scramble(keys):
@@ -263,9 +253,9 @@ class _SubsetTable:
     empty).
 
     :meth:`insert` adds a batch of distinct keys in vectorized probe rounds;
-    ``in`` and :meth:`add` probe one key at a time.  The table doubles before
-    more than 3/4 of its slots would be taken, rehashing ``_CHUNK`` slots at
-    a time."""
+    it is the only way in, since every level from the first wide one on
+    takes the vectorized step.  The table doubles before more than 3/4
+    of its slots would be taken, rehashing ``_CHUNK`` slots at a time."""
 
     def __init__(self, keys):
         self.slots = np.zeros(2, np.uint64)
@@ -314,26 +304,6 @@ class _SubsetTable:
             left = np.flatnonzero(~done)
             todo, keys, at = todo.take(left), keys.take(left), (at.take(left) + 1) & mask
         return fresh
-
-    def _find(self, key):
-        """The slot that holds ``key``, or the empty slot where it would go."""
-        slots = self.slots
-        mask = slots.size - 1
-        at = (key * _GOLDEN & _M64) >> self.shift
-        while True:
-            held = slots.item(at)
-            if held == key or not held:
-                return at
-            at = (at + 1) & mask
-
-    def __contains__(self, key):
-        return self.slots.item(self._find(key)) != 0
-
-    def add(self, key):
-        """Add one key that is not in the table."""
-        self._reserve(1)
-        self.slots[self._find(key)] = key
-        self.size += 1
 
 
 class _WideKernel:

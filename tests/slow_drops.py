@@ -1,4 +1,5 @@
-"""Slow checks, outside the tier-1 suite: the drop table to n = 2^21 - 1.
+"""Slow checks, outside the tier-1 suite: the drop table to n = 2^21 - 1,
+and the family's best threshold against (n-1)^2 over the same range.
 
 ``test_drops_to_120000_match_the_dense_oracle`` compares the envelope scan
 ``scan_drops(120000)`` with the dense per-c scan of ``oracle.scan_drops`` and
@@ -11,6 +12,10 @@ four drops after those with ``optimal_c``, one exact row each, which does
 not show that no other drop lies between them.  It also runs
 ``scan drops --nmax 2097151`` as a CLI process, within 30 s and 200 MB,
 and pins the 16 drops it prints.
+``test_family_exceeds_the_cerny_bound_to_2097151`` checks the family side
+of the headline theorem, which the tier-1 suite checks to 7200: the
+family's best threshold is (n-1)^2 for n = 2..5 and more than (n-1)^2 for
+every 6 <= n <= 2^21 - 1.
 
 The file name does not start with ``test_``, so a plain ``pytest`` run does
 not collect it; run it by name, from the repository root:
@@ -18,8 +23,8 @@ not collect it; run it by name, from the repository root:
     PYTHONPATH=src python -m pytest -q tests/slow_drops.py
 
 On a 2-vCPU VM the first test takes about 2 minutes, nearly all of it in
-the oracle, the second about 30 s, at about 240 MB per CLI process, and
-the third about 12 s.
+the oracle, the second about 30 s, at about 240 MB per CLI process, the
+third about 12 s, and the fourth about 8 s.
 """
 
 import os
@@ -28,9 +33,10 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import oracle
 
-from carefulsync import optimal_c, scan_drops
+from carefulsync import optimal_c, scan_drops, scan_optimal
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 HEADER = "n_before\tn_after\tc_before\tc_after\tr_before\tr_after\tgap"
@@ -116,3 +122,11 @@ def test_drops_to_2097151():
         assert (best, max(argmax)) == (r_before, c_before), n_before
         best, argmax = optimal_c(n_after)
         assert (best, max(argmax)) == (r_after, c_after), n_after
+
+
+def test_family_exceeds_the_cerny_bound_to_2097151():
+    n_max = 2**21 - 1
+    best, _ = scan_optimal(n_max)
+    bound = (np.arange(n_max + 1) - 1) ** 2
+    assert best[2:6].tolist() == [1, 4, 9, 16] == bound[2:6].tolist()
+    assert (best[6:] > bound[6:]).all()

@@ -157,6 +157,17 @@ def test_one_beats_zero_eventually():
         assert rt_formula(n, 0) >= max(rt_formula(n, c) for c in range(n - 1))
 
 
+def test_family_exceeds_the_cerny_bound_from_6_to_7200():
+    # the family side of the headline theorem: the best threshold is
+    # (n-1)^2 for n = 2..5 and more than (n-1)^2 for every 6 <= n <= 7200;
+    # tests/slow_drops.py runs the same check to 2^21 - 1
+    n_max = 7200
+    best, _ = scan_optimal(n_max)
+    bound = (np.arange(n_max + 1) - 1) ** 2
+    assert best[2:6].tolist() == [1, 4, 9, 16] == bound[2:6].tolist()
+    assert (best[6:] > bound[6:]).all()
+
+
 def test_local_optima_13():
     found = dict(local_optima(13))
     assert found[2] == 176 and found[3] == 176

@@ -342,6 +342,18 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    "solve cerny-star --n 4 --p",  # not --pretty
+    "scan drops --nm 300",  # not --nmax
+])
+def test_abbreviated_flags_are_usage_errors(capsys, argv):
+    words = argv.split()
+    assert dispatch(words) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: carefulsync {' '.join(words[:2])} [-h]")
+
+
 # the (command, kind, flag) slots that the parser accepted and no handler
 # read, each with a command line that runs without the flag
 IGNORED_FLAGS = [
@@ -379,8 +391,8 @@ def test_flags_a_command_does_not_read_are_usage_errors(capsys, pfa_file, line, 
     assert dispatch(argv + flag.format(pfa=pfa_file).split()) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    # refused by the parser of the pair, as unrecognized, or as ambiguous
-    # where it abbreviates flags the pair reads (--c: --cap-subsets, --count)
+    # refused by the parser of the pair as unrecognized, also where it
+    # abbreviates flags the pair reads (--c: --cap-subsets, --count)
     assert captured.err.startswith(f"usage: carefulsync {' '.join(argv[:2])} [-h]")
 
 

@@ -55,6 +55,9 @@ def test_phi_root_validates():
         PhiRoot(c=1, value=2.5, residual=0.0)
     with pytest.raises(ValueError):
         PhiRoot(c=1, value=1.5, residual=1e-3)
+    # far from the root at a large c: x^c would overflow a float
+    with pytest.raises(ValueError, match="residual too large"):
+        PhiRoot(c=10**4, value=1.5, residual=1.0)
 
 
 def test_bounds_bracket_small():

@@ -174,13 +174,11 @@ keys = st.one_of(
 @st.composite
 def key_batches(draw):
     """Batches of distinct keys from the first quarter of a pool, so that
-    keys repeat across batches, each to be inserted vectorized or one key at
-    a time, and last the whole pool one key at a time, which grows the
-    table at least twice."""
+    keys repeat across batches, and last the whole pool one key a batch,
+    which grows the table at least twice."""
     pool = draw(st.lists(keys, min_size=32, max_size=64, unique=True))
     batch = st.lists(st.sampled_from(pool[: len(pool) // 4]), min_size=1, unique=True)
-    batches = draw(st.lists(st.tuples(batch, st.booleans()), max_size=8))
-    return batches + [(pool, False)]
+    return draw(st.lists(batch, max_size=8)) + [[key] for key in pool]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -191,18 +189,10 @@ def test_subset_table_matches_set(start, batches):
         table = solver._SubsetTable(np.array(start, np.uint64))
         model = set(start)
         sizes = {table.slots.size}
-        for batch, vectorized in batches:
-            if vectorized:
-                fresh = table.insert(np.array(batch, np.uint64))
-                assert fresh.tolist() == [key not in model for key in batch]
-                model.update(batch)
-            else:
-                for key in batch:
-                    assert (key in table) == (key in model)
-                    if key not in model:
-                        table.add(key)
-                        model.add(key)
-                        sizes.add(table.slots.size)
+        for batch in batches:
+            fresh = table.insert(np.array(batch, np.uint64))
+            assert fresh.tolist() == [key not in model for key in batch]
+            model.update(batch)
             sizes.add(table.slots.size)
             assert len(table) == len(model)
         assert len(sizes) >= 3  # grown at least twice

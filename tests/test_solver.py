@@ -119,11 +119,12 @@ def test_count_is_arbitrary_precision():
 
 def test_wide_counts_hand_over_before_int64_overflows(wide_levels):
     # n = 64 is in the vectorized step's range; the counts 3^k pass 2^63 on
-    # the way, so the int64 guard must hand the later levels to Python ints
+    # the way, so the later levels sum Python ints, still in the wide step
     with patch.object(solver, "WIDE", ALL_WIDE):
         assert count_shortest(funnel(64)) == (63, 3**63)
     assert 3**63 > 2**63
-    assert [level for level, _ in wide_levels] == list(range(39))
+    assert [level for level, _ in wide_levels] == list(range(63))
+    assert outcome(funnel(64), ALL_WIDE) == outcome(funnel(64), PYTHON_ONLY)
 
 
 def test_solved_word_always_synchronizes():
@@ -221,9 +222,14 @@ def test_wide_step_matches_python_step():
 
 def test_default_width_takes_the_wide_step(wide_levels):
     pfa = build_cerny(18, 4)
-    assert solve(pfa) == outcome(pfa, PYTHON_ONLY)
+    result = solve(pfa)
+    assert result == outcome(pfa, PYTHON_ONLY)
     assert max(width for _, width in wide_levels) == 502
-    assert min(width for _, width in wide_levels) >= solver.WIDE
+    assert wide_levels[0][1] >= solver.WIDE
+    # one run of wide levels from the first to the last, narrow ones included
+    first = wide_levels[0][0]
+    assert [level for level, _ in wide_levels] == list(range(first, result.levels))
+    assert min(width for _, width in wide_levels) < solver.WIDE
 
 
 def test_cap_inside_a_wide_level(wide_levels):
@@ -255,8 +261,9 @@ def test_not_synchronizing_explored_agrees(wide_levels):
 
 
 def test_every_handoff_between_the_steps(wide_levels):
-    # narrow -> wide -> narrow -> wide again, by width or (funnel(64) at WIDE
-    # 1) before int64 counts overflow, each run against the Python step alone
+    # the search goes wide at most once, by width, and stays wide, past the
+    # int64 range of the counts too (funnel(64)), each run against the
+    # Python step alone
     cases = [build_cerny(n, c) for n in (16, 17, 18) for c in (3, 4)]
     cases += [build_prime_pfa((5, 7, 8, 9)), funnel(64)]
     patterns = set()
@@ -268,8 +275,7 @@ def test_every_handoff_between_the_steps(wide_levels):
             taken = {level for level, _ in wide_levels}
             steps = (level in taken for level in range(expected.levels))
             patterns.add("".join("W" if w else "N" for w, _ in groupby(steps)))
-    assert any("NWNW" in pattern for pattern in patterns), patterns
-    assert "WN" in patterns  # the funnel's overflow handoff
+    assert patterns == {"N", "NW", "W"}, patterns
 
 
 def test_wide_search_keeps_its_subsets_off_the_python_heap():
@@ -384,11 +390,11 @@ def test_chain_longer_than_its_batches(chains, monkeypatch):
     assert sizes == {2, 4, 8}
 
 
-def test_chain_after_a_wide_level(chains):
-    # levels of two subsets go wide and move the seen subsets to the table
+def test_chain_after_a_wide_level(chains, wide_levels):
+    # levels of two subsets go wide, and no chain step follows them
     chained(build_prime_pfa((5, 7, 8, 9)), wide=2)
-    assert not chains[0][2]
-    assert any(table and done for _, done, table in chains)
+    assert wide_levels and any(done for _, done, _ in chains)
+    assert not any(table for _, _, table in chains)
 
 
 def test_chain_step_covers_64_states_and_no_more(chains):
