@@ -214,21 +214,18 @@ def parse_word(pfa: Pfa, text: str) -> Word:
 
 def format_word(pfa: Pfa, word: Word, pretty: bool = False) -> str:
     """Render a word as a plain string, or run-length compressed (``b^3 a^2``)."""
-    for s in word.letters:
-        if not 0 <= s < len(pfa.symbols):
-            raise ValueError(f"symbol index {s} out of range")
-    labels = [pfa.symbols[s] for s in word.letters]
+    letters = word.letters
+    nsym = len(pfa.symbols)
+    if letters and not (0 <= min(letters) and max(letters) < nsym):
+        bad = next(s for s in letters if not 0 <= s < nsym)
+        raise ValueError(f"symbol index {bad} out of range")
+    label = pfa.symbols.__getitem__
     if not pretty:
-        return "".join(labels)
+        return "".join(map(label, letters))
     parts = []
-    i = 0
-    while i < len(labels):
-        j = i
-        while j < len(labels) and labels[j] == labels[i]:
-            j += 1
-        run = j - i
-        parts.append(labels[i] if run == 1 else f"{labels[i]}^{run}")
-        i = j
+    for s, run in groupby(letters):
+        k = len(list(run))
+        parts.append(label(s) if k == 1 else f"{label(s)}^{k}")
     return " ".join(parts)
 
 

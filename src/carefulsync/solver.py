@@ -45,15 +45,20 @@ The search is level-synchronous, and each level takes one of three steps:
 
 Until the first wide level, the subsets seen are a Python set of ints and
 each level is a dict from subset to count.  That level hands them over once
-and for good: the set to a :class:`_SubsetTable`, a hash table of ``uint64``
-subsets, and the level to a ``uint64`` array of subsets beside an array of
-counts.  The bit walk serves the narrow levels before it because numpy's
-fixed cost per level, about 0.1 ms, outweighs its per-subset gain below
-``WIDE`` subsets.  After it, a level of one subset costs one vectorized
-step, about 0.14 ms, against about 2 us a level for a chain step: going
-wide pays only while no search has a long tail of one-subset levels after a
-wide level, as none here has (the prime constructions, whose words are such
-tails, never go wide).
+and for good: the level to a ``uint64`` array of subsets beside an array of
+counts, and the set to a :class:`_DenseSet`, a map of one byte per subset of
+the states indexed by the subset itself, when the automaton has at most
+``DENSE`` states, or else to a :class:`_SubsetTable`, a hash table of
+``uint64`` subsets.  The map needs no hashing and no probing, and its 2^n
+bytes are at most 16 MiB, a quarter of the hash table of the 3.1 million
+subsets of C(24, 4); past 24 states it would double with each state, where
+a search's subsets need not.  The bit walk serves the narrow levels before
+it because numpy's fixed cost per level, about 0.1 ms, outweighs its
+per-subset gain below ``WIDE`` subsets.  After it, a level of one subset
+costs one vectorized step, about 0.14 ms, against about 2 us a level for a
+chain step: going wide pays only while no search has a long tail of
+one-subset levels after a wide level, as none here has (the prime
+constructions, whose words are such tails, never go wide).
 """
 
 from array import array
@@ -75,6 +80,12 @@ WIDE = 128
 # in the Python step.  C(20, 4) and C(22, 4) never have more than 7 such
 # levels in a row, so their searches never take it.
 CHAIN = 8
+# A search over at most this many states keeps its subsets seen, from the
+# first wide level on, in a map of 2^n bytes (16 MiB at 24) instead of the
+# hash table.  In a fresh process on a 2-vCPU VM, the map took solve on
+# C(22, 4) from 0.42 to 0.22 s and 56 to 41 MB peak RSS, and on C(24, 4) from
+# 1.06 to 0.50 s and 105 to 66 MB.
+DENSE = 24
 # Levels the chain step reads in its first batch, doubled after every batch
 # that commits them all, up to the cap.  On the prime solves of 55 507 and
 # 86 257 levels, caps of 256 to 4096 all ran in the same time, and each
@@ -90,12 +101,17 @@ class SolveLimits:
     Memory grows with the subsets discovered.  Every subset costs 8 bytes of
     parent link.  While the seen subsets are a Python set, each costs about
     90 bytes more (97 bytes in all, measured on C(20, 4) with the Python
-    step alone).  Once the search has gone wide, the hash table costs 8 bytes
-    per slot and is kept at most 3/4 full, so 11-22 bytes per subset, and 32
-    while it doubles.  At the default ``max_subsets`` of 2^24, a search of at
-    most 64 states that goes wide early holds at most about 0.5 GB: a table
-    of 2^25 slots (256 MiB), or 384 MiB while it doubles, and 128 MiB of
-    parent links; one that stays in Python needs about 1.6 GB.
+    step alone).  Once a search over at most ``DENSE`` (24) states has gone
+    wide, they are a map of one byte per subset of the states, 2^n bytes
+    whatever the search holds, and only the pages the search touches count
+    in RSS: at most 16 MiB, which a sparse search pays too (C(24, 10) rose
+    from 35 to 41 MB of peak RSS with it).  Past 24 states, the hash table
+    costs 8 bytes per slot and is kept at most 3/4 full, so 11-22 bytes per
+    subset, and 32 while it doubles.  At the default ``max_subsets`` of
+    2^24, a search of 25 to 64 states that goes wide early holds at most
+    about 0.5 GB: a table of 2^25 slots (256 MiB), or 384 MiB while it
+    doubles, and 128 MiB of parent links; one that stays in Python needs
+    about 1.6 GB.
     """
 
     max_subsets: int = 1 << 24
@@ -168,6 +184,9 @@ def _search(pfa: Pfa, limits: SolveLimits):
     # nsym times the discovery number of the next subset to expand; subsets
     # are expanded in discovery order, so this only ever counts up
     base = 0
+    # (first discovery number, past the last, symbol) of every chain step's
+    # commits, each discovery's parent the one before it
+    runs = []
     while True:
         if narrow >= CHAIN and pfa.n <= 64:
             if chain is None:
@@ -177,6 +196,8 @@ def _search(pfa: Pfa, limits: SolveLimits):
             s = origin[-1] % nsym
             room = min(limits.max_length - level, limits.max_subsets - len(seen))
             bits, done = chain.run(bits, s, seen, room)
+            if done:
+                runs.append((len(origin), len(origin) + done, s))
             origin.extend(range(base + s, base + nsym * done, nsym))
             counts = {bits: c}
             level += done
@@ -193,7 +214,8 @@ def _search(pfa: Pfa, limits: SolveLimits):
         if counts is not None and width >= WIDE and pfa.n <= 64:
             # the one handoff: this level and every later one go wide
             wide = wide or _WideKernel(pfa)
-            seen = _SubsetTable(np.fromiter(seen, np.uint64, len(seen)))
+            keys = np.fromiter(seen, np.uint64, len(seen))
+            seen = _DenseSet(pfa.n, keys) if pfa.n <= DENSE else _SubsetTable(keys)
             front = np.fromiter(counts, np.uint64, width)
             weight = np.fromiter(counts.values(), object, width)
             counts = None
@@ -230,7 +252,7 @@ def _search(pfa: Pfa, limits: SolveLimits):
                 total = sum(weight[np.bitwise_count(front) == 1].tolist())
             else:
                 total = sum(v for k, v in counts.items() if k.bit_count() == 1)
-            return level, _backtrack(origin, nsym, hit), hit + 1, level, total
+            return level, _backtrack(origin, nsym, hit, runs), hit + 1, level, total
 
 
 # Fibonacci hashing: a subset's home slot is the top bits of the subset times
@@ -303,6 +325,29 @@ class _SubsetTable:
             fresh[todo[empty & done]] = True
             left = np.flatnonzero(~done)
             todo, keys, at = todo.take(left), keys.take(left), (at.take(left) + 1) & mask
+        return fresh
+
+
+class _DenseSet:
+    """A set of subsets of at most ``DENSE`` states: one byte per subset,
+    indexed by the subset itself.  It has the :meth:`_SubsetTable.insert`
+    and ``len`` of the hash table, without hashing or probing."""
+
+    def __init__(self, n, keys):
+        self.bits = np.zeros(1 << n, bool)
+        self.size = 0
+        self.insert(keys)
+
+    def __len__(self):
+        return self.size
+
+    def insert(self, keys):
+        """Add the distinct ``keys`` (a ``uint64`` array); returns the mask
+        of those that were not in the set."""
+        at = keys.view(np.int64)
+        fresh = ~self.bits.take(at)
+        self.bits[at] = True
+        self.size += int(np.count_nonzero(fresh))
         return fresh
 
 
@@ -451,11 +496,21 @@ class _Chain:
         return bits, done
 
 
-def _backtrack(origin, nsym, d):
+def _backtrack(origin, nsym, d, runs):
+    """The letters from the full set to discovery ``d``, jumping in one go
+    over each of the chain step's ``runs`` that the path enters; consumes
+    ``runs``."""
     letters = []
     while origin[d] >= 0:
-        d, s = divmod(origin[d], nsym)
-        letters.append(s)
+        while runs and runs[-1][0] > d:
+            runs.pop()
+        if runs and d < runs[-1][1]:
+            first, _, s = runs.pop()
+            letters += [s] * (d + 1 - first)
+            d = first - 1
+        else:
+            d, s = divmod(origin[d], nsym)
+            letters.append(s)
     letters.reverse()
     return letters
 

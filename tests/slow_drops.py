@@ -1,6 +1,12 @@
-"""Slow checks, outside the tier-1 suite: the drop table to n = 2^21 - 1,
-and the family's best threshold against (n-1)^2 over the same range.
+"""Slow checks, outside the tier-1 suite: the widest subset search pinned
+here, the drop table to n = 2^21 - 1, and the family's best threshold
+against (n-1)^2 over the same range.
 
+``test_solve_cerny_24_4`` runs ``solve cerny --n 24 --c 4 --count`` as a
+CLI process, within 80 MB, and compares its stdout (threshold 712, count 6,
+the lexicographically least word) with ``tests/golden/cli``.  It comes
+first, so that no earlier test of the same process raises the peak that
+the child's ``ru_maxrss`` counts (see ``spawn_cli``).
 ``test_drops_to_120000_match_the_dense_oracle`` compares the envelope scan
 ``scan_drops(120000)`` with the dense per-c scan of ``oracle.scan_drops`` and
 pins the four drops beyond the published eight that it finds.
@@ -22,9 +28,10 @@ not collect it; run it by name, from the repository root:
 
     PYTHONPATH=src python -m pytest -q tests/slow_drops.py
 
-On a 2-vCPU VM the first test takes about 2 minutes, nearly all of it in
-the oracle, the second about 30 s, at about 240 MB per CLI process, the
-third about 12 s, and the fourth about 8 s.
+On a 2-vCPU VM the solve takes about 1 s, at about 65 MB, the drop table to
+120000 about 2 minutes, nearly all of it in the oracle, the scan of
+optimal c about 30 s, at about 240 MB per CLI process, the drop table to
+2^21 - 1 about 12 s, and the family's best threshold about 8 s.
 """
 
 import os
@@ -56,6 +63,20 @@ BEYOND_7200 = [
 
 def rows(events):
     return [(e.n_before, e.n_after, e.c_before, e.c_after, e.r_before, e.r_after) for e in events]
+
+
+def test_solve_cerny_24_4():
+    golden = (Path(__file__).resolve().parent / "golden" / "cli"
+              / "solve_cerny_24_4_count.txt").read_text(encoding="utf-8")
+    with tempfile.TemporaryFile() as out:
+        code, _, maxrss = spawn_cli(out, "solve", "cerny", "--n", "24", "--c", "4", "--count")
+        out.seek(0)
+        text = out.read().decode()
+    assert code == 0
+    assert maxrss < 80 * 1024, maxrss
+    fields = dict(line.split("\t") for line in text.splitlines())
+    assert (fields["threshold"], fields["count"]) == ("712", "6")
+    assert text == golden
 
 
 def test_drops_to_120000_match_the_dense_oracle():

@@ -26,7 +26,8 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 # stdout recorded before a change behind it, one file per case under
 # tests/golden/cli: the tables and the --full tie pass before they moved
 # behind `verify` and `cerny`, the prime solves (55 507 and 86 257 levels,
-# almost all of one subset) before the search took the chain step
+# almost all of one subset) before the search took the chain step, the wide
+# search of C(22, 4) before it kept its subsets in the dense map
 GOLDEN_RUNS = {
     "tables_pn2": "tables pn2",
     "tables_grid": "tables grid",
@@ -37,6 +38,7 @@ GOLDEN_RUNS = {
     "scan_optimal_c_full_json_120": "scan optimal-c --nmax 120 --full --json",
     "solve_prime_5_13_pretty": "solve prime --primes 5,7,9,11,13 --pretty",
     "solve_prime_3_13_json_count": "solve prime --primes 3,4,5,7,11,13 --json --count",
+    "solve_cerny_22_4_count_json": "solve cerny --n 22 --c 4 --count --json",
 }
 
 

@@ -1,6 +1,7 @@
 """Property tests of the bitset kernel and the subset search against the
 per-state simulator and the brute-force word enumerator of ``oracle``, and
-of the search's hash table of subsets against a Python set."""
+of the search's two sets of subsets, the hash table and the dense map,
+against a Python set."""
 
 from unittest.mock import patch
 
@@ -197,3 +198,33 @@ def test_subset_table_matches_set(start, batches):
             assert len(table) == len(model)
         assert len(sizes) >= 3  # grown at least twice
         assert sorted(table.slots[table.slots != 0].tolist()) == sorted(model)
+
+
+@st.composite
+def dense_batches(draw):
+    """A number of states n, up to ``DENSE``, the keys the map starts with,
+    and batches of distinct keys as in :func:`key_batches`, from a pool that
+    holds the least and the greatest index of the map, 1 and 2^n - 1."""
+    n = draw(st.one_of(st.integers(1, 16), st.just(solver.DENSE)))
+    top = (1 << n) - 1
+    pool = draw(st.lists(st.integers(1, top), max_size=64, unique=True))
+    pool = list(dict.fromkeys([1, top, *pool]))
+    start = draw(st.lists(st.sampled_from(pool), max_size=3, unique=True))
+    batch = st.lists(st.sampled_from(pool[: max(2, len(pool) // 4)]), min_size=1, unique=True)
+    return n, start, draw(st.lists(batch, max_size=8)) + [[key] for key in pool]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dense_batches())
+def test_dense_set_matches_set(case):
+    n, start, batches = case
+    dense = solver._DenseSet(n, np.array(start, np.uint64))
+    model = set(start)
+    assert len(dense) == len(model)
+    for batch in batches:
+        fresh = dense.insert(np.array(batch, np.uint64))
+        assert fresh.tolist() == [key not in model for key in batch]
+        model.update(batch)
+        assert len(dense) == len(model)
+    assert dense.bits.size == 1 << n
+    assert np.flatnonzero(dense.bits).tolist() == sorted(model)

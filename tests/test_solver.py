@@ -37,11 +37,13 @@ def funnel(n):
     return Pfa(n=n, symbols=("a", "b", "c"), delta=tuple(row(q) for q in range(1, n + 1)))
 
 
-def outcome(pfa, wide, limits=SolveLimits(), chain=NO_CHAINS):
+def outcome(pfa, wide, limits=SolveLimits(), chain=NO_CHAINS, dense=solver.DENSE):
     """solve's result, or the fields of the exception it raised, with levels
-    of at least ``wide`` subsets taking the vectorized step, and the chain
-    step taken after ``chain`` levels of one subset."""
-    with patch.object(solver, "WIDE", wide), patch.object(solver, "CHAIN", chain):
+    of at least ``wide`` subsets taking the vectorized step, the chain step
+    taken after ``chain`` levels of one subset, and the wide levels keeping
+    their subsets in the dense map up to ``dense`` states."""
+    with (patch.object(solver, "WIDE", wide), patch.object(solver, "CHAIN", chain),
+          patch.object(solver, "DENSE", dense)):
         try:
             return solve(pfa, limits)
         except (LimitExceeded, NotSynchronizing) as exc:
@@ -60,6 +62,25 @@ def wide_levels(monkeypatch):
 
     monkeypatch.setattr(solver._WideKernel, "step", spy)
     return levels
+
+
+@pytest.fixture
+def seen_kinds(monkeypatch):
+    """The class of the set of subsets seen that each wide level fills."""
+    kinds = set()
+    step = solver._WideKernel.step
+
+    def spy(self, front, weight, base, seen, origin, limits, level):
+        kinds.add(type(seen))
+        return step(self, front, weight, base, seen, origin, limits, level)
+
+    monkeypatch.setattr(solver._WideKernel, "step", spy)
+    return kinds
+
+
+# DENSE values that keep every wide search of at most 24 states in the dense
+# map, or send it to the hash table, with the set kind each must fill
+SET_KINDS = ((solver.DENSE, solver._DenseSet), (0, solver._SubsetTable))
 
 
 def test_classic_cerny_4():
@@ -232,21 +253,24 @@ def test_default_width_takes_the_wide_step(wide_levels):
     assert min(width for _, width in wide_levels) < solver.WIDE
 
 
-def test_cap_inside_a_wide_level(wide_levels):
+def test_cap_inside_a_wide_level(wide_levels, seen_kinds):
     # C(18, 4) has levels of at least 128 subsets from 1 469 to 43 832 discovered
     pfa = build_cerny(18, 4)
-    for cap in (1_500, 10_000, 30_000, 43_000):
-        limits = SolveLimits(max_subsets=cap)
-        expected = outcome(pfa, PYTHON_ONLY, limits)
-        assert expected[:3] == (LimitExceeded, "max_subsets", cap + 1)
-        assert outcome(pfa, ALL_WIDE, limits) == expected
-        del wide_levels[:]
-        assert outcome(pfa, solver.WIDE, limits) == expected
-        # the cap fell inside the last level, which the wide step expanded
-        assert wide_levels[-1][0] + 1 == expected[3]
+    for dense, kind in SET_KINDS:
+        seen_kinds.clear()
+        for cap in (1_500, 10_000, 30_000, 43_000):
+            limits = SolveLimits(max_subsets=cap)
+            expected = outcome(pfa, PYTHON_ONLY, limits)
+            assert expected[:3] == (LimitExceeded, "max_subsets", cap + 1)
+            assert outcome(pfa, ALL_WIDE, limits, dense=dense) == expected
+            del wide_levels[:]
+            assert outcome(pfa, solver.WIDE, limits, dense=dense) == expected
+            # the cap fell inside the last level, which the wide step expanded
+            assert wide_levels[-1][0] + 1 == expected[3]
+        assert seen_kinds == {kind}
 
 
-def test_not_synchronizing_explored_agrees(wide_levels):
+def test_not_synchronizing_explored_agrees(wide_levels, seen_kinds):
     # C(16, 3) next to two more states that both letters swap: no subset of
     # the full set ever drops below two states
     core = build_cerny(16, 3)
@@ -254,43 +278,63 @@ def test_not_synchronizing_explored_agrees(wide_levels):
     pfa = Pfa(n=n, symbols=core.symbols, delta=core.delta + ((n, n), (n - 1, n - 1)))
     expected = outcome(pfa, PYTHON_ONLY)
     assert expected[0] is NotSynchronizing
-    assert outcome(pfa, ALL_WIDE) == expected
-    del wide_levels[:]
-    assert outcome(pfa, solver.WIDE) == expected
-    assert wide_levels
+    for dense, kind in SET_KINDS:
+        seen_kinds.clear()
+        assert outcome(pfa, ALL_WIDE, dense=dense) == expected
+        del wide_levels[:]
+        assert outcome(pfa, solver.WIDE, dense=dense) == expected
+        assert wide_levels
+        assert seen_kinds == {kind}
 
 
-def test_every_handoff_between_the_steps(wide_levels):
+def test_every_handoff_between_the_steps(wide_levels, seen_kinds):
     # the search goes wide at most once, by width, and stays wide, past the
     # int64 range of the counts too (funnel(64)), each run against the
-    # Python step alone
+    # Python step alone, with the dense map and with the hash table
     cases = [build_cerny(n, c) for n in (16, 17, 18) for c in (3, 4)]
     cases += [build_prime_pfa((5, 7, 8, 9)), funnel(64)]
     patterns = set()
     for pfa in cases:
         expected = outcome(pfa, PYTHON_ONLY)
         for wide in (ALL_WIDE, 2, 8, 64, 128, 500):
-            del wide_levels[:]
-            assert outcome(pfa, wide) == expected, (pfa.n, pfa.symbols, wide)
-            taken = {level for level, _ in wide_levels}
-            steps = (level in taken for level in range(expected.levels))
-            patterns.add("".join("W" if w else "N" for w, _ in groupby(steps)))
+            for dense, _ in SET_KINDS:
+                del wide_levels[:]
+                assert outcome(pfa, wide, dense=dense) == expected, (pfa.n, pfa.symbols, wide, dense)
+                taken = {level for level, _ in wide_levels}
+                steps = (level in taken for level in range(expected.levels))
+                patterns.add("".join("W" if w else "N" for w, _ in groupby(steps)))
     assert patterns == {"N", "NW", "W"}, patterns
+    assert seen_kinds == {solver._DenseSet, solver._SubsetTable}
+
+
+def traced_peak(pfa, dense=solver.DENSE):
+    """solve's result and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        with patch.object(solver, "DENSE", dense):
+            result = solve(pfa)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_wide_search_keeps_its_subsets_off_the_python_heap():
     # 196 592 subsets: about 19 MB as Python ints in a set and dicts, about
-    # 8 MB in the hash table and level arrays
+    # 8 MB in the hash table and level arrays, and the dense map is 1 MiB
     pfa = build_cerny(20, 4)
     expected = outcome(pfa, PYTHON_ONLY)
-    tracemalloc.start()
-    try:
-        result = solve(pfa)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert result == expected
-    assert peak < 12 * 2**20, peak
+    for dense, _ in SET_KINDS:
+        result, peak = traced_peak(pfa, dense)
+        assert result == expected
+        assert peak < 12 * 2**20, (dense, peak)
+
+
+def test_dense_map_bounds_a_wide_search_of_22_states():
+    # 786 400 subsets: the hash table grows to 2^21 slots (16 MiB, and 24 MiB
+    # while it doubles), where the dense map of 2^22 bytes holds all of them
+    result, peak = traced_peak(build_cerny(22, 4))
+    assert (result.threshold, result.explored, result.count) == (590, 786_400, 1)
+    assert peak < 16 * 2**20, peak
 
 
 def relay(p, r, leak=None):
@@ -310,14 +354,14 @@ def relay(p, r, leak=None):
 
 @pytest.fixture
 def chains(monkeypatch):
-    """(symbol, levels committed, whether ``seen`` is the hash table) of
+    """(symbol, levels committed, whether ``seen`` is still a Python set) of
     every chain step."""
     steps = []
     run = solver._Chain.run
 
     def spy(self, bits, s, seen, room):
         bits, done = run(self, bits, s, seen, room)
-        steps.append((s, done, isinstance(seen, solver._SubsetTable)))
+        steps.append((s, done, isinstance(seen, set)))
         return bits, done
 
     monkeypatch.setattr(solver._Chain, "run", spy)
@@ -350,9 +394,9 @@ def test_chain_changes_symbol_and_ends_in_a_singleton(chains):
     # level 0 by the Python step, levels 1-28 by the chain under 'a', which
     # stops where the image under 'a' is seen; level 29 by the Python step,
     # then the chain under 'b' up to the level whose image is the singleton
-    assert chains == [(0, 28, False), (1, 27, False)]
+    assert chains == [(0, 28, True), (1, 27, True)]
     chained(relay(30, 30), chain=solver.CHAIN)
-    assert chains[2:] == [(0, 21, False), (1, 27, False)]
+    assert chains[2:] == [(0, 21, True), (1, 27, True)]
 
 
 def test_chain_broken_by_a_new_image_of_another_symbol(chains):
@@ -361,7 +405,7 @@ def test_chain_broken_by_a_new_image_of_another_symbol(chains):
     assert result.count > 1
     # the chain stops below the level that expands {10..30} and the second
     # path, where 'b' first finds a new subset
-    assert chains[0] == (0, 8, False)
+    assert chains[0] == (0, 8, True)
 
 
 def test_chain_ending_where_its_letter_is_undefined(chains):
@@ -394,14 +438,14 @@ def test_chain_after_a_wide_level(chains, wide_levels):
     # levels of two subsets go wide, and no chain step follows them
     chained(build_prime_pfa((5, 7, 8, 9)), wide=2)
     assert wide_levels and any(done for _, done, _ in chains)
-    assert not any(table for _, _, table in chains)
+    assert all(python for _, _, python in chains)
 
 
 def test_chain_step_covers_64_states_and_no_more(chains):
     # relay(34, 30) ends in state 64, bit 63 of the subsets
     result = chained(relay(34, 30))
     assert result.threshold == 62 and result.word.letters[-1] == 1
-    assert chains == [(0, 32, False), (1, 27, False)]
+    assert chains == [(0, 32, True), (1, 27, True)]
     del chains[:]
     assert chained(relay(35, 30)).threshold == 63
     assert chains == []
