@@ -11,8 +11,8 @@ c >= c_min at once, with a run table of its own only for each c < c_min
 (c_min is 12 at n = 7200).  Every family value comes from one of two int64
 sources: the columns of ``_head_columns`` for c < c_min, and the template's
 lines u + c·v of ``_template_columns`` for c >= c_min.  ``optimal_c`` and
-``local_optima`` read one row of them through ``_row``, ``scan_grid`` reads
-their columns, and ``scan_optimal``, ``scan_maximizers`` and ``scan_drops``
+``local_optima`` read one row of them through ``_row``, ``scan_grid`` one
+row per n in turn, and ``scan_optimal``, ``scan_maximizers`` and ``scan_drops``
 take the maximum over c >= c_min on an upper envelope of the lines.
 
 From the template, the terms <= j of p_c number A(j) + c·B(j) for every
@@ -73,10 +73,10 @@ line j, with slope v[j] and intercept b[j], evaluated at n.
   c_min fold in first, in increasing c with ties moving to the larger c,
   then the envelope, whose c >= c_min exceeds each of theirs, so a tie
   moves to it.  ``scan_maximizers`` also keeps each c that a tie displaced,
-  with its value, and each touching line, and keeps those whose value is
-  the final maximum.  Up to 30 000, 1 152 values of n have two maximizers
-  and none has three; apart from n = 99, the double drop, the two are
-  adjacent values of c.
+  with its value, and each touching line, and returns those whose value is
+  the final maximum, by n.  Up to 30 000, 1 152 values of n have two
+  maximizers and none has three; apart from n = 99, the double drop, the
+  two are adjacent values of c.
 - Cost.  Each line enters and leaves the stack once, so the scan is
   O(n_max) after the O(c_min·n_max) columns below c_min.  u and v are read,
   and results written into the int64 ``best`` and ``best_c``, ``_CHUNK``
@@ -86,7 +86,7 @@ line j, with slope v[j] and intercept b[j], evaluated at n.
 
 from array import array
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -355,37 +355,36 @@ def scan_optimal(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return _scan(n_max)
 
 
-def scan_maximizers(n_max: int) -> tuple[list[int], list[list[int]]]:
-    """Per-n maximum threshold and every maximizing c, increasing, for
-    2 <= n <= n_max, as lists indexed by n (entries below n=2 are -1 and
-    [-1])."""
+def scan_maximizers(n_max: int) -> tuple[np.ndarray, np.ndarray, dict[int, list[int]]]:
+    """The arrays of ``scan_optimal``, and for each n that more than one c
+    attains, its maximizers below ``best_c[n]``, increasing."""
     ties = []
     best, best_c = _scan(n_max, ties)
-    best = best.tolist()
     smaller = {}
     for n, value, c in ties:
         if value == best[n]:
             smaller.setdefault(n, []).append(c)
-    argmax = [[c] for c in best_c.tolist()]
-    for n, cs in smaller.items():
-        argmax[n][:0] = sorted(cs)
-    return best, argmax
+    return best, best_c, {n: sorted(cs) for n, cs in smaller.items()}
 
 
-def scan_grid(n_max: int, c_max: int) -> list[list[int]]:
-    """rt(n, c) for c = 0 .. min(c_max, n-2), as lists of Python ints
-    indexed by n <= n_max (entries below n=2 are empty)."""
+def scan_grid(n_max: int, c_max: int):
+    """``(n, values)`` for n = 2 .. n_max in turn: rt(n, c) for c = 0 ..
+    min(c_max, n-2), as Python ints.  Checks the range on the call."""
     if c_max < 0:
         raise ValueError(f"need c_max >= 0, got {c_max}")
     _check_n_max(n_max)
     top = n_max - 1  # largest n'
     c_min, u, v = _template_columns(top)
-    lines = ((c, u[: top - c] + c * v[: top - c]) for c in range(c_min, top))
-    grid = [[] for _ in range(n_max + 1)]
-    for c, column in islice(chain(_head_columns(top, c_min), lines), c_max + 1):
-        for row, value in zip(grid[c + 2:], column.tolist()):
-            row.append(value)
-    return grid
+    head = np.zeros((min(c_min, c_max + 1, top), n_max + 1), dtype=np.int64)
+    for c, column in islice(_head_columns(top, c_min), len(head)):
+        head[c, c + 2:] = column
+
+    def values(n):  # the head columns below c_min, u[j] + c·v[j] above it, as in _row
+        c = np.arange(c_min, min(c_max, n - 2) + 1, dtype=np.int64)
+        j = n - 2 - c
+        return np.concatenate([head[: n - 1, n], u[j] + c * v[j]]).tolist()
+
+    return ((n, values(n)) for n in range(2, n_max + 1))
 
 
 def scan_drops(n_max: int) -> list[DropEvent]:

@@ -14,10 +14,15 @@ from .solver import SolveLimits, LimitExceeded, NotSynchronizing, solve
 
 OK, MISMATCH, USAGE, RESOURCES = 0, 1, 2, 3
 
-# `race count` refuses a larger --n.  count_races does about n^2.7
-# big-integer products, and c = 1 costs the most: 22 s at n = 20 000, against
-# 7.6 s for c = 2 and 2 s for c = 3 (2-vCPU VM).
+# Every race kind but `f` refuses more pawns, as it runs count_races (for
+# `render` and `word` through enumerate_plans when c > 0).  count_races does
+# about n^2.7 big-integer products, and c = 1 costs the most: 22 s at
+# n = 20 000, against 7.6 s for c = 2 and 2 s for c = 3 (2-vCPU VM).
 RACE_COUNT_MAX_N = 20_000
+# `render` and `word` also hold a trace of pawns^2 entries, and `word` a
+# word of about pawns^2 letters: at 5 000 pawns and c = 0 `race word` peaks
+# at about 630 MB in 21 s, and `race render` at 320 MB in 13 s (2-vCPU VM).
+RACE_TRACE_MAX_N = 5_000
 
 
 def _flag(name, **spec):
@@ -27,7 +32,8 @@ def _flag(name, **spec):
 
 N = _flag("--n", type=int, required=True, help="automaton size")
 PAWNS = _flag("--n", type=int, required=True,
-              help=f"pawn count, at most {RACE_COUNT_MAX_N} for `race count`")
+              help=f"pawn count, at most {RACE_COUNT_MAX_N} for `count` and `enumerate`, "
+                   f"{RACE_TRACE_MAX_N} for `render`")
 C = _flag("--c", type=int, required=True)
 NMAX = _flag("--nmax", type=int, required=True)
 JSON = _flag("--json", action="store_true")
@@ -161,11 +167,13 @@ def _cmd_race(args, out):
         value = pawnrace.f_closed(n, c)
         print(json.dumps({"f": value}) if args.json else value, file=out)
         return OK
+    pawns = n - c - 1 if args.kind == "word" else n
+    cap = RACE_TRACE_MAX_N if args.kind in ("render", "word") else RACE_COUNT_MAX_N
+    if pawns > cap:
+        print(f"resources: race {args.kind} takes --n up to {cap + n - pawns}, not {n}",
+              file=sys.stderr)
+        return RESOURCES
     if args.kind == "count":
-        if n > RACE_COUNT_MAX_N:
-            print(f"resources: race count takes --n up to {RACE_COUNT_MAX_N}, not {n}",
-                  file=sys.stderr)
-            return RESOURCES
         value = pawnrace.count_races(n, c)
         print(json.dumps({"count": value}) if args.json else value, file=out)
         return OK
@@ -183,7 +191,7 @@ def _cmd_race(args, out):
         return OK
     # word: n and c name the family member; the race runs on n-c-1 pawns
     member = cerny.build_cerny(n, c)
-    plan = _plan(n - c - 1, c, args.cap_plans, args.plan_index)
+    plan = _plan(pawns, c, args.cap_plans, args.plan_index)
     word = pawnrace.build_sync_word(n, c, plan)
     text = format_word(member, word, pretty=args.pretty)
     if args.json:
@@ -210,15 +218,16 @@ def _emit_record(args, out, doc):
 
 
 def _emit_rows(args, out, rows, columns):
-    """Write an iterable of row dicts as TSV or as the JSON array that
-    ``json.dumps(list(rows))`` gives, a chunk of rows per write."""
+    """Write an iterable of tuples in ``columns`` order as TSV or as the
+    JSON array of one object per row, a chunk of rows per write."""
     if args.json:
         out.write("[")
-        encode, between, end = (lambda chunk: json.dumps(chunk)[1:-1]), ", ", "]\n"
+        encode = lambda chunk: json.dumps([dict(zip(columns, row)) for row in chunk])[1:-1]
+        between, end = ", ", "]\n"
     else:
         out.write("\t".join(columns) + "\n")
-        line = "\t".join(f"{{{col}}}" for col in columns) + "\n"
-        encode, between, end = (lambda chunk: "".join(map(line.format_map, chunk))), "", ""
+        line = "\t".join(["%s"] * len(columns)) + "\n"
+        encode, between, end = (lambda chunk: "".join(map(line.__mod__, chunk))), "", ""
     rows, separator = iter(rows), ""
     while chunk := list(islice(rows, 4096)):
         out.write(separator + encode(chunk))
@@ -229,14 +238,12 @@ def _emit_rows(args, out, rows, columns):
 def _cmd_scan(args, out):
     nmax = args.nmax
     if args.kind == "drops":
-        _emit_rows(args, out, verify.drop_rows(cerny.scan_drops(nmax)), verify.DROP_COLUMNS)
+        _emit_rows(args, out, map(verify.drop_row, cerny.scan_drops(nmax)), verify.DROP_COLUMNS)
         return OK
-    if args.full:
-        best, argmax = cerny.scan_maximizers(nmax)
-        best_c = [",".join(map(str, c)) for c in argmax]
-    else:
-        best, best_c = (array.tolist() for array in cerny.scan_optimal(nmax))
-    rows = ({"n": n, "value": best[n], "c": best_c[n]} for n in range(2, nmax + 1))
+    best, best_c, *ties = (cerny.scan_maximizers if args.full else cerny.scan_optimal)(nmax)
+    rows = zip(range(2, nmax + 1), best[2:].tolist(), best_c[2:].tolist())
+    if args.full:  # every maximizer, increasing
+        rows = ((n, value, ",".join(map(str, [*ties[0].get(n, ()), c]))) for n, value, c in rows)
     _emit_rows(args, out, rows, ("n", "value", "c"))
     return OK
 

@@ -566,8 +566,11 @@ def _pawn_windows(plan: RacePlan):
     """
     stay_until = {}
     move_until = {}
-
-    def walk(node, ancestors):
+    ancestors = []  # the inner nodes above the node taken from ``pending``
+    pending = [(plan, 0)]  # (node, depth), preorder: a greedy plan is n deep
+    while pending:
+        node, depth = pending.pop()
+        del ancestors[depth:]
         if node.split is None:
             k = node.lo
             lo = node.lo
@@ -584,11 +587,7 @@ def _pawn_windows(plan: RacePlan):
             move_until[k] = (node.hi if parent is None else parent.hi) - lo
         else:
             ancestors.append(node)
-            walk(node.left, ancestors)
-            walk(node.right, ancestors)
-            ancestors.pop()
-
-    walk(plan, [])
+            pending += [(node.right, depth + 1), (node.left, depth + 1)]
     return stay_until, move_until
 
 

@@ -1,17 +1,17 @@
 """One verification path for the published tables, shared by the ``tables``
 command and the acceptance suite: ``check`` recomputes one table of
-``TABLES`` and returns ``(columns, rows, mismatches)``, each mismatch a line
-``MISMATCH <label>: computed X, published Y``.  The published values are
-read from ``tables`` at call time."""
+``TABLES`` and returns ``(columns, rows, mismatches)``, the rows tuples in
+``columns`` order, and each mismatch a line ``MISMATCH <label>: computed X,
+published Y``.  The published values are read from ``tables`` at call time."""
+
+from itertools import chain, islice
+from operator import attrgetter
 
 from . import cerny, primes, tables
 from .solver import solve
 
 DROP_COLUMNS = ("n_before", "n_after", "c_before", "c_after", "r_before", "r_after", "gap")
-
-
-def drop_rows(events):
-    return [{col: getattr(e, col) for col in DROP_COLUMNS} for e in events]
+drop_row = attrgetter(*DROP_COLUMNS)
 
 
 def _check(mismatches, label, got, expected):
@@ -25,19 +25,20 @@ def _best_values(published, label):
     for n, value in sorted(published.items()):
         got = cerny.optimal_c(n)[0]
         _check(mismatches, label.format(n), got, value)
-        rows.append({"n": n, "value": got})
+        rows.append((n, got))
     return ("n", "value"), rows, mismatches
 
 
 def _grid(nmax, cmax):
     best = cerny.scan_optimal(nmax)[0].tolist()
-    mismatches, rows = [], []
-    for n, values in enumerate(cerny.scan_grid(nmax, cmax)):
-        published = tables.GRID.get(n, ())
-        for c, got in enumerate(values):
-            if c < len(published):
-                _check(mismatches, f"grid({n},{c})", got, published[c])
-            rows.append({"n": n, "c": c, "value": got, "max": "*" if got == best[n] else ""})
+    grid = cerny.scan_grid(nmax, cmax)
+    first = list(islice(grid, max(tables.GRID) - 1))  # n = 2 .. 15, the published ones
+    mismatches = []
+    for n, values in first:
+        for c, (got, published) in enumerate(zip(values, tables.GRID.get(n, ()))):
+            _check(mismatches, f"grid({n},{c})", got, published)
+    rows = ((n, c, got, "*" if got == best[n] else "")
+            for n, values in chain(first, grid) for c, got in enumerate(values))
     return ("n", "c", "value", "max"), rows, mismatches
 
 
@@ -61,7 +62,7 @@ def _drops(nmax):
         _check(mismatches, label + " gap", event.gap, row.drop)
         if row.n_right == event.n_after:
             _check(mismatches, label + " r'", event.r_after, row.r_right)
-    return DROP_COLUMNS, drop_rows(events), mismatches
+    return DROP_COLUMNS, list(map(drop_row, events)), mismatches
 
 
 def _defeat():
@@ -78,8 +79,7 @@ def _defeat():
         _check(mismatches, f"defeat({row.n}) rt-transitive", trans, row.rt_transitive)
         if plain <= best:
             mismatches.append(f"MISMATCH defeat({row.n}): {plain} does not beat {best}")
-        rows.append({"n": row.n, "cerny": best, "q": plist.q, "rt": plain, "rt_transitive": trans,
-                     "primes": ",".join(str(p) for p in row.primes)})
+        rows.append((row.n, best, plist.q, plain, trans, ",".join(map(str, row.primes))))
     return ("n", "cerny", "q", "rt", "rt_transitive", "primes"), rows, mismatches
 
 
@@ -96,6 +96,8 @@ TABLES = {
 def check(which, **options):
     """Recompute one table against its published values.
 
+    The rows are an iterable of tuples: a list, but for ``grid``, whose
+    rows stream after its published cells were checked on the first ones.
     An option left at None takes the table's default; any other option
     that the table does not read raises ValueError.
     """

@@ -163,8 +163,9 @@ def scan_optimal(n_max):
 
 
 def scan_maximizers(n_max):
-    """Per-n maximum threshold and every maximizing c, increasing, as lists
-    indexed by n (-1 and [-1] below n=2)."""
+    """Per-n maximum threshold and largest maximizing c, as int64 arrays
+    indexed by n (-1 below n=2), and for each n with more than one
+    maximizing c the others, increasing."""
     best = np.full(n_max + 1, -1, dtype=np.int64)
     lead = np.full(n_max + 1, -1, dtype=np.int64)  # the first c to reach the best
     ties = []
@@ -178,7 +179,8 @@ def scan_maximizers(n_max):
     for n, value, c in ties:
         if value == best[n]:
             argmax[n].append(c)
-    return best.tolist(), argmax
+    best_c = np.array([cs[-1] for cs in argmax], dtype=np.int64)
+    return best, best_c, {n: cs[:-1] for n, cs in enumerate(argmax) if len(cs) > 1}
 
 
 def scan_drops(n_max):
@@ -189,11 +191,12 @@ def scan_drops(n_max):
 
 
 def scan_grid(n_max, c_max):
-    """rt(n, c) for c = 0 .. min(c_max, n-2), as lists indexed by n."""
+    """``(n, values)`` for n = 2 .. n_max, values holding rt(n, c) for
+    c = 0 .. min(c_max, n-2) as Python ints."""
     grid = [[] for _ in range(n_max + 1)]
     for c, column in columns(n_max):
         if c > c_max:
             break
         for row, value in zip(grid[c + 2:], column.tolist()):
             row.append(value)
-    return grid
+    return list(enumerate(grid))[2:]

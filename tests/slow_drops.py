@@ -13,7 +13,12 @@ pins the four drops beyond the published eight that it finds.
 ``test_scan_optimal_c_to_2097151`` runs ``scan optimal-c --nmax 2097151``
 as a CLI process, plain and ``--json``, each within 300 MB, and pins its
 row count and last row: the rows stream out instead of being gathered
-first.  ``test_drops_to_2097151`` checks the two endpoints of each of the
+first.  ``test_scan_optimal_c_full_to_2097151`` runs the same scan with ``--full``,
+within 320 MB: only the few tied n keep a list of maximizers.
+``test_tables_grid_3000`` runs ``tables grid --nmax 3000 --cmax 3000`` as a
+CLI process, within 100 MB, and counts its 4 498 500 cells: the grid
+streams one n at a time.
+``test_drops_to_2097151`` checks the two endpoints of each of the
 four drops after those with ``optimal_c``, one exact row each, which does
 not show that no other drop lies between them.  It also runs
 ``scan drops --nmax 2097151`` as a CLI process, within 30 s and 200 MB,
@@ -30,7 +35,8 @@ not collect it; run it by name, from the repository root:
 
 On a 2-vCPU VM the solve takes about 1 s, at about 65 MB, the drop table to
 120000 about 2 minutes, nearly all of it in the oracle, the scan of
-optimal c about 30 s, at about 240 MB per CLI process, the drop table to
+optimal c about 30 s, at about 240 MB per CLI process, with ``--full``
+about 12 s and 250 MB, the grid about 7 s and 32 MB, the drop table to
 2^21 - 1 about 12 s, and the family's best threshold about 8 s.
 """
 
@@ -125,6 +131,26 @@ def test_scan_optimal_c_to_2097151():
         assert maxrss < 300 * 1024, (flag, maxrss)
         assert count == rows + (not flag), flag  # the TSV header is one more line
         assert tail.endswith(last), (flag, tail)
+
+
+def test_scan_optimal_c_full_to_2097151():
+    with tempfile.TemporaryFile() as out:
+        code, _, maxrss = spawn_cli(out, "scan", "optimal-c", "--nmax", "2097151", "--full")
+        count, tail = count_and_tail(out, b"\n")
+    assert code == 0
+    assert maxrss < 320 * 1024, maxrss
+    assert count == 1 + (2097151 - 1)  # the header, then n = 2 .. 2097151
+    assert tail.endswith(b"\n2097151\t23299139627484\t948711\n"), tail
+
+
+def test_tables_grid_3000():
+    with tempfile.TemporaryFile() as out:
+        code, _, maxrss = spawn_cli(out, "tables", "grid", "--nmax", "3000", "--cmax", "3000")
+        count, tail = count_and_tail(out, b"\n")
+    assert code == 0
+    assert maxrss < 100 * 1024, maxrss
+    assert count == 1 + 2999 * 3000 // 2  # the header, then c = 0 .. n-2 for n = 2 .. 3000
+    assert tail.endswith(b"\n3000\t2998\t2999\t\n"), tail
 
 
 def test_drops_to_2097151():

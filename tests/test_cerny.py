@@ -25,13 +25,14 @@ from carefulsync import (
 from carefulsync.cerny import STAR_SYMBOLS, _envelope, _template_columns, scan_grid, scan_maximizers
 from carefulsync.pawnrace import SequenceCache, f_closed
 from carefulsync.tables import CONCLUSION, GRID, P_N_2
+from carefulsync.verify import check
 
 
 def rt_table(n_max):
     """Dense (n, c) threshold table from ``scan_grid``, -1 in the invalid corner."""
     grid = scan_grid(n_max, max(n_max - 2, 0))
     table = np.full((n_max + 1, n_max - 1), -1, dtype=np.int64)
-    for n, row in enumerate(grid):
+    for n, row in grid:
         table[n, : len(row)] = row
     return table
 
@@ -215,6 +216,22 @@ def test_optimal_c_memory_is_linear():
     assert peak < 10 * 2**20, peak
 
 
+def test_grid_rows_stream():
+    # 499 500 rows; built whole, as dicts, they peaked at 118 MiB
+    tracemalloc.start()
+    try:
+        columns, rows, mismatches = check("grid", nmax=1000, cmax=1000)
+        count = 0
+        for count, row in enumerate(rows, 1):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+    assert (columns, mismatches, count) == (("n", "c", "value", "max"), [], 999 * 1000 // 2)
+    assert row == (1000, 998, rt_formula(1000, 998), "")
+
+
 def test_local_maxima_stay_below_half():
     table = rt_table(2000)
     for n in range(6, 2001):
@@ -239,8 +256,8 @@ def test_double_double_at_3512():
     assert rt_formula(3512, 1502) == 37180596
     assert rt_formula(3512, 1503) == 37180596
     assert optimal_c(3512) == (37180596, {1502, 1503})
-    best, argmax = scan_maximizers(3512)
-    assert (best[3512], argmax[3512]) == (37180596, [1502, 1503])
+    best, best_c, smaller = scan_maximizers(3512)
+    assert (best[3512], best_c[3512], smaller[3512]) == (37180596, 1503, [1502])
     assert local_optima(3512) == [
         (1438, 37170635), (1439, 37170635), (1502, 37180596), (1503, 37180596),
     ]
@@ -256,9 +273,11 @@ def test_scan_against_formula():
 
 
 def test_maximizers_to_7200_match_the_dense_oracle():
-    best, argmax = scan_maximizers(7200)
-    assert (best, argmax) == oracle.scan_maximizers(7200)
-    tied = {n: cs for n, cs in enumerate(argmax) if len(cs) > 1}
+    best, best_c, smaller = scan_maximizers(7200)
+    want_best, want_c, want_smaller = oracle.scan_maximizers(7200)
+    assert best.tolist() == want_best.tolist() and best_c.tolist() == want_c.tolist()
+    assert smaller == want_smaller
+    tied = {n: [*cs, int(best_c[n])] for n, cs in smaller.items()}
     assert len(tied) == 326 and tied[99] == [33, 35]  # the double drop at 99
     assert all(len(cs) == 2 and cs[1] == cs[0] + 1 for n, cs in tied.items() if n != 99)
 

@@ -108,6 +108,29 @@ def test_race_count_refuses_n_above_its_limit(capsys, monkeypatch):
     assert capsys.readouterr() == ("", f"resources: race count takes --n up to 20000, not {n}\n")
 
 
+def test_race_kinds_refuse_pawns_above_their_limit(capsys, monkeypatch):
+    from carefulsync import pawnrace
+
+    monkeypatch.setattr(pawnrace, "count_races", lambda n, c: n)
+    # word --c 1 races on --n minus 2 pawns
+    for kind, pawns, n in (("enumerate", 20000, 20000), ("render", 5000, 5000), ("word", 5000, 5002)):
+        # at the limit the command goes on, and finds more plans than --cap-plans
+        assert dispatch(["race", kind, "--n", str(n), "--c", "1"]) == 3
+        assert capsys.readouterr() == ("", f"resources: {pawns} optimal plans exceed cap 1000\n")
+        assert dispatch(["race", kind, "--n", str(n + 1), "--c", "1"]) == 3
+        assert capsys.readouterr() == ("", f"resources: race {kind} takes --n up to {n}, not {n + 1}\n")
+    assert dispatch(["race", "word", "--n", "5012", "--c", "10"]) == 3
+    assert capsys.readouterr().err == "resources: race word takes --n up to 5011, not 5012\n"
+
+
+def test_race_on_a_greedy_plan_deeper_than_the_recursion_limit(capsys):
+    code, out = run(capsys, "race", "word", "--n", "1501", "--c", "0", "--json")
+    assert code == 0 and json.loads(out)["length"] == 1500**2
+    code, out = run(capsys, "race", "render", "--n", "1500", "--c", "0")
+    assert code == 0 and out.count("\n") == 2 + 1499
+    assert out.endswith("merge@1500\n")
+
+
 def test_gen_json_round_trip(capsys):
     code, out = run(capsys, "gen", "cerny", "--n", "8", "--c", "2")
     assert code == 0

@@ -382,6 +382,54 @@ def test_greedy_plan_cost_under_free_staying():
         assert trace.cost == n - 1 == f_closed(n, 0)
 
 
+def pawn_windows_reference(plan):
+    """The windows of ``pawnrace._pawn_windows``, by a recursive walk."""
+    stay_until, move_until = {}, {}
+
+    def walk(node, ancestors):
+        if node.split is not None:
+            walk(node.left, ancestors + [node])
+            walk(node.right, ancestors + [node])
+            return
+        k = lo = node.lo
+        parent = None
+        for anc in reversed(ancestors):
+            if anc.hi != k:
+                parent = anc
+                break
+            lo = anc.lo
+        stay_until[k] = k - lo
+        move_until[k] = (node.hi if parent is None else parent.hi) - lo
+
+    walk(plan, [])
+    return stay_until, move_until
+
+
+def every_tree(lo, hi):
+    """Every well-formed split tree over the pawns lo..hi."""
+    if lo == hi:
+        return [leaf(lo)]
+    return [RacePlan(lo, hi, split, left, right)
+            for split in range(lo, hi)
+            for left in every_tree(lo, split)
+            for right in every_tree(split + 1, hi)]
+
+
+def test_pawn_windows_match_the_recursive_walk():
+    plans = [tree for n in range(1, 9) for tree in every_tree(1, n)]
+    plans += [greedy_plan(n) for n in range(1, 60)]
+    plans += [plan for c in (1, 2, 3) for n in range(9, 21) for plan in enumerate_plans(n, c, cap=10**4)]
+    for plan in plans:
+        assert pawnrace._pawn_windows(plan) == pawn_windows_reference(plan), plan_text(plan)
+
+
+def test_greedy_race_deeper_than_the_recursion_limit():
+    # the greedy plan is a left spine 1 500 nodes deep
+    trace = simulate_race(greedy_plan(1500), 0)
+    assert (trace.cost, trace.move_steps, trace.stay_steps) == (1499, 1499, 1499 * 1500 // 2)
+    assert trace.merges[-1] == (1500,)
+
+
 def test_plan_validation():
     with pytest.raises(ValueError):
         RacePlan(2, 1)
@@ -694,8 +742,10 @@ def count_races_reference(n, c):
 
 def scans(scanner, n_max):
     best, best_c = scanner.scan_optimal(n_max)
+    top, top_c, smaller = scanner.scan_maximizers(n_max)
     return (best.tolist(), best_c.tolist(), scanner.scan_drops(n_max),
-            scanner.scan_maximizers(n_max), scanner.scan_grid(n_max, min(n_max, 60)))
+            top.tolist(), top_c.tolist(), smaller,
+            list(scanner.scan_grid(n_max, min(n_max, 60))))
 
 
 @pytest.mark.parametrize("n_max", [2, 3, 4, 5, 13, 48, 301, 2000])
