@@ -19,10 +19,14 @@ OK, MISMATCH, USAGE, RESOURCES = 0, 1, 2, 3
 # about n^2.7 big-integer products, and c = 1 costs the most: 22 s at
 # n = 20 000, against 7.6 s for c = 2 and 2 s for c = 3 (2-vCPU VM).
 RACE_COUNT_MAX_N = 20_000
-# `render` and `word` also hold a trace of pawns^2 entries, and `word` a
-# word of about pawns^2 letters: at 5 000 pawns and c = 0 `race word` peaks
-# at about 630 MB in 21 s, and `race render` at 320 MB in 13 s (2-vCPU VM).
+# `render` and `word` also hold a trace of one pawns-long row per iteration:
+# at 5 000 pawns and c = 0 `race render` peaks at about 130 MB in 7 s.
 RACE_TRACE_MAX_N = 5_000
+# `word` holds its word, which grows with c as well as with the pawns: 2
+# pawns at c = 10^7 make 3·10^7 letters.  The cap is the length of the
+# longest word c = 0 allows, `race word --n 5001 --c 0`, which peaks at
+# about 450 MB in 11 s (2-vCPU VM).
+RACE_WORD_MAX_LETTERS = 25_000_000
 
 
 def _flag(name, **spec):
@@ -189,11 +193,18 @@ def _cmd_race(args, out):
         plan = _plan(n, c, args.cap_plans, args.plan_index)
         print(pawnrace.render_race(pawnrace.simulate_race(plan, c)), end="", file=out)
         return OK
-    # word: n and c name the family member; the race runs on n-c-1 pawns
-    member = cerny.build_cerny(n, c)
+    # word: n and c name the family member; the race runs on n-c-1 pawns,
+    # and an optimal race makes a word of exactly rt_formula letters.  A
+    # member with more plans than --cap-plans is refused for that first.
+    letters = cerny.rt_formula(n, c)
     plan = _plan(pawns, c, args.cap_plans, args.plan_index)
+    if letters > RACE_WORD_MAX_LETTERS:
+        print(f"resources: race word makes at most {RACE_WORD_MAX_LETTERS} letters, "
+              f"not {letters}", file=sys.stderr)
+        return RESOURCES
     word = pawnrace.build_sync_word(n, c, plan)
-    text = format_word(member, word, pretty=args.pretty)
+    # every member has the same two letters: label them from the smallest
+    text = format_word(cerny.build_cerny(2, 0), word, pretty=args.pretty)
     if args.json:
         print(json.dumps({"n": n, "c": c, "length": len(word), "word": text}), file=out)
     else:

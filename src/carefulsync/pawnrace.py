@@ -538,9 +538,8 @@ def greedy_plan(n: int) -> RacePlan:
 class RaceTrace:
     """Outcome of running a plan's canonical schedule.
 
-    ``actions[t][k-1]`` is the pawn k action in iteration t+1: 'C' move,
-    'R' stay, '.' already merged away.  ``positions[t][k-1]`` is where pawn k
-    stands at the start of that iteration (None once merged), and
+    ``rows[t][p-1]`` is the action in iteration t+1 of the pawn that stands
+    on position p at its start: 'C' move, 'R' stay, '.' no pawn there.
     ``merges[t]`` lists the positions where pawns fused at its end.
     """
 
@@ -549,8 +548,7 @@ class RaceTrace:
     cost: int
     move_steps: int
     stay_steps: int
-    actions: tuple[str, ...]
-    positions: tuple[tuple[int | None, ...], ...]
+    rows: tuple[str, ...]
     merges: tuple[tuple[int, ...], ...]
 
 
@@ -607,20 +605,18 @@ def simulate_race(plan: RacePlan, c: int) -> RaceTrace:
 
     position = {k: k for k in range(1, n + 1)}
     alive = set(position)
-    actions = []
-    starts = []
+    rows = []
     merges = []
     move_steps = stay_steps = 0
     for t in range(1, n):
         row = ["."] * n
-        starts.append(tuple(position[k] if k in alive else None for k in range(1, n + 1)))
         for k in sorted(alive):
             if t <= stay_until[k]:
-                row[k - 1] = "R"
+                row[position[k] - 1] = "R"
                 stay_steps += 1
             else:
                 assert t <= move_until[k], f"pawn {k} outlived its schedule"
-                row[k - 1] = "C"
+                row[position[k] - 1] = "C"
                 move_steps += 1
                 position[k] += 1
         occupied = {}
@@ -634,7 +630,7 @@ def simulate_race(plan: RacePlan, c: int) -> RaceTrace:
                 for k in ks:
                     if k != keep:
                         alive.discard(k)
-        actions.append("".join(row))
+        rows.append("".join(row))
         merges.append(tuple(sorted(fused)))
     assert len(alive) == 1 and position[next(iter(alive))] == n
     cost = (c + 1) * move_steps + c * stay_steps
@@ -644,27 +640,18 @@ def simulate_race(plan: RacePlan, c: int) -> RaceTrace:
         cost=cost,
         move_steps=move_steps,
         stay_steps=stay_steps,
-        actions=tuple(actions),
-        positions=tuple(starts),
+        rows=tuple(rows),
         merges=tuple(merges),
     )
 
 
 def render_race(trace: RaceTrace) -> str:
     """ASCII picture of a race: one row per iteration, C moves, R stays."""
-    n = trace.n
-    header = " it | " + "".join(str(p % 10) for p in range(1, n + 1))
+    header = " it | " + "".join(str(p % 10) for p in range(1, trace.n + 1))
     lines = [header, "-" * len(header)]
-    for t in range(n - 1):
-        cells = ["."] * n
-        for k in range(1, n + 1):
-            pos = trace.positions[t][k - 1]
-            if pos is not None:
-                cells[pos - 1] = trace.actions[t][k - 1]
-        note = ""
-        if trace.merges[t]:
-            note = "  merge@" + ",".join(str(p) for p in trace.merges[t])
-        lines.append(f"{t + 1:>3} | {''.join(cells)}{note}")
+    for t, (row, merged) in enumerate(zip(trace.rows, trace.merges), 1):
+        note = "  merge@" + ",".join(map(str, merged)) if merged else ""
+        lines.append(f"{t:>3} | {row}{note}")
     return "\n".join(lines) + "\n"
 
 
@@ -688,19 +675,12 @@ def build_sync_word(n: int, c: int, plan: RacePlan) -> Word:
     npr = n - c - 1
     if plan.lo != 1 or plan.hi != npr:
         raise ValueError(f"plan covers pawns {plan.lo}..{plan.hi}, expected 1..{npr}")
-    trace = simulate_race(plan, c)
-
+    run = {"C": c + 1, "R": c, ".": 0}
     letters = [B] * (c + 1)
-    for t in range(npr - 1):
-        runs = {}
-        for k in range(1, npr + 1):
-            pos = trace.positions[t][k - 1]
-            if pos is None:
-                continue
-            runs[pos] = c + 1 if trace.actions[t][k - 1] == "C" else c
-        for pos in range(npr, 0, -1):
+    for row in simulate_race(plan, c).rows:
+        for action in reversed(row):
             letters.append(A)
-            letters.extend([B] * runs.get(pos, 0))
+            letters.extend([B] * run[action])
         letters.append(A)  # the final slot stays empty: the leader never wraps
     if npr > 1:
         tail = npr - 1

@@ -1,12 +1,17 @@
 """Slow checks, outside the tier-1 suite: the widest subset search pinned
-here, the drop table to n = 2^21 - 1, and the family's best threshold
-against (n-1)^2 over the same range.
+here, the race commands at their pawn cap, the drop table to n = 2^21 - 1,
+and the family's best threshold against (n-1)^2 over the same range.
 
 ``test_solve_cerny_24_4`` runs ``solve cerny --n 24 --c 4 --count`` as a
 CLI process, within 80 MB, and compares its stdout (threshold 712, count 6,
 the lexicographically least word) with ``tests/golden/cli``.  It comes
 first, so that no earlier test of the same process raises the peak that
 the child's ``ru_maxrss`` counts (see ``spawn_cli``).
+``test_race_render_5000`` runs ``race render --n 5000 --c 0`` as a CLI
+process, within 200 MB, and ``test_race_word_5001`` runs ``race word --n
+5001 --c 0``, within 560 MB, and checks that its word is 25 000 000
+letters long, the most that ``race word`` makes: the race trace holds one
+row per iteration, by position.
 ``test_drops_to_120000_match_the_dense_oracle`` compares the envelope scan
 ``scan_drops(120000)`` with the dense per-c scan of ``oracle.scan_drops`` and
 pins the four drops beyond the published eight that it finds.
@@ -33,7 +38,8 @@ not collect it; run it by name, from the repository root:
 
     PYTHONPATH=src python -m pytest -q tests/slow_drops.py
 
-On a 2-vCPU VM the solve takes about 1 s, at about 65 MB, the drop table to
+On a 2-vCPU VM the solve takes about 1 s, at about 65 MB, the race picture
+about 6 s at about 130 MB, the race word about 12 s at about 450 MB, the drop table to
 120000 about 2 minutes, nearly all of it in the oracle, the scan of
 optimal c about 30 s, at about 240 MB per CLI process, with ``--full``
 about 12 s and 250 MB, the grid about 7 s and 32 MB, the drop table to
@@ -83,6 +89,26 @@ def test_solve_cerny_24_4():
     fields = dict(line.split("\t") for line in text.splitlines())
     assert (fields["threshold"], fields["count"]) == ("712", "6")
     assert text == golden
+
+
+def test_race_render_5000():
+    with tempfile.TemporaryFile() as out:
+        code, _, maxrss = spawn_cli(out, "race", "render", "--n", "5000", "--c", "0")
+        count, tail = count_and_tail(out, b"\n")
+    assert code == 0
+    assert maxrss < 200 * 1024, maxrss
+    assert count == 2 + 4999  # the header and its rule, then one line per iteration
+    assert tail.endswith(b"CR  merge@5000\n"), tail
+
+
+def test_race_word_5001():
+    with tempfile.TemporaryFile() as out:
+        code, _, maxrss = spawn_cli(out, "race", "word", "--n", "5001", "--c", "0")
+        count, _ = count_and_tail(out, b"\n")
+        size = out.seek(0, os.SEEK_END)
+    assert code == 0
+    assert maxrss < 560 * 1024, maxrss
+    assert (count, size) == (1, 25_000_000 + 1)  # one line: the word
 
 
 def test_drops_to_120000_match_the_dense_oracle():

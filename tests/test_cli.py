@@ -27,7 +27,8 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 # tests/golden/cli: the tables and the --full tie pass before they moved
 # behind `verify` and `cerny`, the prime solves (55 507 and 86 257 levels,
 # almost all of one subset) before the search took the chain step, the wide
-# search of C(22, 4) before it kept its subsets in the dense map
+# search of C(22, 4) before it kept its subsets in the dense map, the race
+# pictures and words before the trace kept one row per iteration by position
 GOLDEN_RUNS = {
     "tables_pn2": "tables pn2",
     "tables_grid": "tables grid",
@@ -39,6 +40,10 @@ GOLDEN_RUNS = {
     "solve_prime_5_13_pretty": "solve prime --primes 5,7,9,11,13 --pretty",
     "solve_prime_3_13_json_count": "solve prime --primes 3,4,5,7,11,13 --json --count",
     "solve_cerny_22_4_count_json": "solve cerny --n 22 --c 4 --count --json",
+    "race_render_20_2_plan_1": "race render --n 20 --c 2 --plan-index 1",
+    "race_render_40_0": "race render --n 40 --c 0",
+    "race_word_203_78_pretty": "race word --n 203 --c 78 --pretty",
+    "race_word_205_73_plan_2_json": "race word --n 205 --c 73 --plan-index 2 --json",
 }
 
 
@@ -121,6 +126,32 @@ def test_race_kinds_refuse_pawns_above_their_limit(capsys, monkeypatch):
         assert capsys.readouterr() == ("", f"resources: race {kind} takes --n up to {n}, not {n + 1}\n")
     assert dispatch(["race", "word", "--n", "5012", "--c", "10"]) == 3
     assert capsys.readouterr().err == "resources: race word takes --n up to 5011, not 5012\n"
+
+
+def test_race_word_refuses_words_above_its_letter_cap(capsys, monkeypatch):
+    from carefulsync import cli
+
+    # 2 pawns, within the pawn cap, but a word of 30 000 004 letters
+    assert dispatch(["race", "word", "--n", "10000003", "--c", "10000000"]) == 3
+    assert capsys.readouterr() == (
+        "", "resources: race word makes at most 25000000 letters, not 30000004\n")
+    monkeypatch.setattr(cli, "RACE_WORD_MAX_LETTERS", 73)  # rt(9, 1)
+    code, out = run(capsys, "race", "word", "--n", "9", "--c", "1")
+    assert code == 0 and len(out.strip()) == 73
+    monkeypatch.setattr(cli, "RACE_WORD_MAX_LETTERS", 72)
+    assert dispatch(["race", "word", "--n", "9", "--c", "1"]) == 3
+    assert capsys.readouterr() == ("", "resources: race word makes at most 72 letters, not 73\n")
+
+
+def test_race_word_does_not_build_the_member(capsys, monkeypatch):
+    from carefulsync import cerny
+
+    built = []
+    build = cerny.build_cerny
+    monkeypatch.setattr(cerny, "build_cerny", lambda n, c: built.append(n) or build(n, c))
+    code, out = run(capsys, "race", "word", "--n", "40", "--c", "3", "--pretty")
+    assert code == 0 and out.startswith("b^4 a b^3 a")
+    assert max(built, default=0) < 40
 
 
 def test_race_on_a_greedy_plan_deeper_than_the_recursion_limit(capsys):

@@ -362,7 +362,7 @@ def test_two_pawn_race():
     for c in range(0, 5):
         trace = simulate_race(enumerate_plans(2, max(c, 1))[0], c)
         assert trace.cost == 2 * c + 1
-        assert len(trace.actions) == 1
+        assert len(trace.rows) == 1
 
 
 def test_subtree_completion_times():
@@ -421,6 +421,19 @@ def test_pawn_windows_match_the_recursive_walk():
     plans += [plan for c in (1, 2, 3) for n in range(9, 21) for plan in enumerate_plans(n, c, cap=10**4)]
     for plan in plans:
         assert pawnrace._pawn_windows(plan) == pawn_windows_reference(plan), plan_text(plan)
+
+
+def test_race_trace_is_one_row_per_iteration():
+    # two pawn-indexed tables of n entries per iteration peaked at 1.54 MiB
+    plan = greedy_plan(400)
+    tracemalloc.start()
+    try:
+        trace = simulate_race(plan, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * 2**20, peak
+    assert trace.rows[0] == "C" + "R" * 399 and trace.rows[-1] == "." * 398 + "CR"
 
 
 def test_greedy_race_deeper_than_the_recursion_limit():
