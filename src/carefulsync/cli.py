@@ -15,9 +15,11 @@ from .solver import SolveLimits, LimitExceeded, NotSynchronizing, solve
 OK, MISMATCH, USAGE, RESOURCES = 0, 1, 2, 3
 
 # Every race kind but `f` refuses more pawns, as it runs count_races (for
-# `render` and `word` through enumerate_plans when c > 0).  count_races does
-# about n^2.7 big-integer products, and c = 1 costs the most: 22 s at
-# n = 20 000, against 7.6 s for c = 2 and 2 s for c = 3 (2-vCPU VM).
+# `render` and `word` through enumerate_plans when c > 0).  At n = 20 000
+# count_races reaches 11 049 pawn counts and does 7 522 413 big-integer
+# products for c = 1, 5 331 598 for c = 2 and 2 398 426 for c = 3; c = 1
+# costs the most, about 34 s, against 10 s for c = 2 and 2.4 s for c = 3
+# (2-vCPU VM).
 RACE_COUNT_MAX_N = 20_000
 # `render` and `word` also hold a trace of one pawns-long row per iteration:
 # at 5 000 pawns and c = 0 `race render` peaks at about 130 MB in 7 s.

@@ -18,6 +18,7 @@ import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import isqrt
+from operator import mul
 
 import numpy as np
 
@@ -374,48 +375,59 @@ def split_interval(n: int, c: int) -> list[int]:
     """
     if n < 3:
         raise ValueError("meaningful only for n >= 3")
-    return _split_interval(_runs_for(c, n), n, c)
+    lo, hi = _split_interval(_runs_for(c, n), n, c)
+    return list(range(lo, hi + 1))
 
 
 def _split_interval(runs, n, c):
+    """The least and greatest optimal split of ``split_interval``."""
     # every value read is at most p(m-1) <= n
     k = runs.twinverse(n) - c - 1
     pk_prev, pk, pk_next = runs.p(k - 1), runs.p(k), runs.p(k + 1)
     lo = max(pk, n - pk)
     hi = min(pk_next, n - pk_prev)
-    result = list(range(lo, hi + 1))
-    assert result, f"empty split interval for n={n}, c={c}"
-    return result
+    assert lo <= hi, f"empty split interval for n={n}, c={c}"
+    return lo, hi
 
 
 # One memo of optimal-race counts per c.  Unlike the tables above it needs
 # no lock: ``setdefault`` hands every thread the same memo, and each entry
 # is written by a single dict assignment of a value that depends only on
 # (n, c).  Threads that race on a missing entry compute it twice and store
-# equal values; no thread can read a partial one.
+# equal values; no thread can read a partial one, and none iterates a memo.
 _o_tables: dict[int, dict[int, int]] = {}
 
 
 def count_races(n: int, c: int) -> int:
-    """Number of distinct optimal races (arbitrary precision)."""
+    """Number of distinct optimal races (arbitrary precision): o(1) = o(2) = 1
+    and o(m) sums o(m-i)·o(i) over the split interval of m.  A pass down
+    from n marks the counts that o(n) reaches and the memo lacks; a pass up
+    computes each of them once."""
     if n < 1:
         raise ValueError("need at least one pawn")
     if c < 1:
         raise ValueError("optimal-race counting needs cost parameter >= 1")
     memo = _o_tables.setdefault(c, {1: 1, 2: 1})
-    return memo.get(n) or _count_races(n, c, memo, _runs_for(c, n))
-
-
-def _count_races(n, c, memo, runs):
-    """Counts for every n' <= n not in the memo, all read from ``runs``."""
     known = memo.get(n)
     if known is not None:
         return known
-    total = 0
-    for i in _split_interval(runs, n, c):
-        total += _count_races(n - i, c, memo, runs) * _count_races(i, c, memo, runs)
-    memo[n] = total
-    return total
+    runs = _runs_for(c, n)
+    o = [0] * (n + 1)
+    o[1] = o[2] = 1
+    reached = bytearray(n + 1)
+    reached[n] = 1
+    windows = {}  # the split window of each count to compute, by falling m
+    for m in range(n, 2, -1):
+        if reached[m]:
+            count = memo.get(m)
+            if count is not None:
+                o[m] = count
+                continue
+            windows[m] = lo, hi = _split_interval(runs, m, c)
+            reached[lo:hi + 1] = reached[m - hi:m - lo + 1] = b"\1" * (hi - lo + 1)
+    for m, (lo, hi) in reversed(windows.items()):
+        o[m] = memo[m] = sum(map(mul, o[m - hi:m - lo + 1], reversed(o[lo:hi + 1])))
+    return o[n]
 
 
 # ---------------------------------------------------------------------------
@@ -490,22 +502,25 @@ def enumerate_plans(n: int, c: int, cap: int = 1000) -> list[RacePlan]:
     total = 1 if n <= 2 else count_races(n, c)
     if total > cap:
         raise TooManyPlans(total, cap)
-    return _plans(1, n, c, _runs_for(c, n) if n > 2 else None)
+    return _plans(1, n, c, _runs_for(c, n) if n > 2 else None, {})
 
 
-def _plans(lo, hi, c, runs):
-    n = hi - lo + 1
-    if n == 1:
-        return [leaf(lo)]
-    if n == 2:
-        return [RacePlan(lo, hi, lo, leaf(lo), leaf(hi))]
-    out = []
-    for i in _split_interval(runs, n, c):
-        split = lo + i - 1
-        for left in _plans(lo, split, c, runs):
-            for right in _plans(split + 1, hi, c, runs):
-                out.append(RacePlan(lo, hi, split, left, right))
-    return out
+def _plans(lo, hi, c, runs, built):
+    """The plans of [lo..hi]; ``built`` keeps each interval's list, so that it
+    is built once and shared as a subtree wherever it recurs."""
+    plans = built.get((lo, hi))
+    if plans is None:
+        n = hi - lo + 1
+        if n <= 2:
+            plans = [leaf(lo)] if n == 1 else [RacePlan(lo, hi, lo, leaf(lo), leaf(hi))]
+        else:
+            low, high = _split_interval(runs, n, c)
+            plans = [RacePlan(lo, hi, split, left, right)
+                     for split in range(lo + low - 1, lo + high)
+                     for left in _plans(lo, split, c, runs, built)
+                     for right in _plans(split + 1, hi, c, runs, built)]
+        built[lo, hi] = plans
+    return plans
 
 
 def plan_text(plan: RacePlan) -> str:

@@ -7,11 +7,14 @@ every term of the split sequence p_c in a list, where the package keeps runs
 of equal values, and ``exact_row`` evaluates the closed form from it with
 arbitrary-precision integers, one c at a time, so neither shares code with
 the run tables behind ``rt_formula``, ``f_closed`` and the family-wide
-queries.  ``columns`` is the int64 column loop that the family scans ran
-before the shared run template: one ``SequenceCache(c)``, a run table of
-that c alone, per c (itself checked against ``TermSequence``), its runs
-scattered into a count array and summed by two cumsums, with no term shared
-between two values of c.  ``scan_optimal``, ``scan_maximizers``,
+queries.  ``split_interval`` reads the optimal splits from the same term
+list; ``race_counts`` counts the optimal races of every pawn count bottom-up,
+and ``plans`` builds the optimal plans with no memo, for ``count_races`` and
+``enumerate_plans`` to be checked against.  ``columns`` is the int64 column
+loop that the family scans ran before the shared run template: one
+``SequenceCache(c)``, a run table of that c alone, per c (itself checked
+against ``TermSequence``), its runs scattered into a count array and summed
+by two cumsums, with no term shared between two values of c.  ``scan_optimal``, ``scan_maximizers``,
 ``scan_drops`` and ``scan_grid`` are the dense scans over every column, one
 c at a time, that the package's upper-envelope scans replaced.
 """
@@ -23,7 +26,7 @@ from itertools import product
 import numpy as np
 
 from carefulsync.cerny import DropEvent
-from carefulsync.pawnrace import SequenceCache
+from carefulsync.pawnrace import RacePlan, SequenceCache, leaf
 
 
 def simulate(pfa, states, letters):
@@ -106,6 +109,43 @@ def exact_f(n, c):
     terms = term_sequence(c)
     m = terms.twinverse(n)
     return n * m - terms.q(m)
+
+
+def split_interval(n, c):
+    """The optimal sizes of the trailing group of n >= 3 pawns, from the
+    term list: every i with p(k-1) <= n-i <= p(k) <= i <= p(k+1), where
+    k = twinverse(n) - c - 1."""
+    terms = term_sequence(c)
+    k = terms.twinverse(n) - c - 1
+    return range(max(terms.p(k), n - terms.p(k)), min(terms.p(k + 1), n - terms.p(k - 1)) + 1)
+
+
+def race_counts(n_max, c):
+    """The optimal-race counts o(0..n_max), o(0) = 0, every m bottom-up."""
+    counts = [0, 1, 1]
+    for m in range(3, n_max + 1):
+        counts.append(sum(counts[m - i] * counts[i] for i in split_interval(m, c)))
+    return counts[:n_max + 1]
+
+
+def plans(lo, hi, c):
+    """Every optimal plan of the pawns lo..hi, in the package's order, with
+    no memo: each sub-interval's plans are rebuilt wherever it is met.  Only
+    the leading side's list is built once per split, not once per peloton
+    plan; the plain loop nest takes about 12 s for n <= 40 at c = 1."""
+    n = hi - lo + 1
+    if n == 1:
+        return [leaf(lo)]
+    if n == 2:
+        return [RacePlan(lo, hi, lo, leaf(lo), leaf(hi))]
+    out = []
+    for i in split_interval(n, c):
+        split = lo + i - 1
+        rights = plans(split + 1, hi, c)
+        for left in plans(lo, split, c):
+            for right in rights:
+                out.append(RacePlan(lo, hi, split, left, right))
+    return out
 
 
 @lru_cache(maxsize=None)

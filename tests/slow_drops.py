@@ -12,6 +12,9 @@ process, within 200 MB, and ``test_race_word_5001`` runs ``race word --n
 5001 --c 0``, within 560 MB, and checks that its word is 25 000 000
 letters long, the most that ``race word`` makes: the race trace holds one
 row per iteration, by position.
+``test_race_count_20000`` runs ``race count --n 20000 --c 1``, the most
+costly count under the cap of ``--n`` (``cli.RACE_COUNT_MAX_N``), as a CLI
+process, and pins the 2 436 digits it prints by their SHA-256.
 ``test_drops_to_120000_match_the_dense_oracle`` compares the envelope scan
 ``scan_drops(120000)`` with the dense per-c scan of ``oracle.scan_drops`` and
 pins the four drops beyond the published eight that it finds.
@@ -39,13 +42,15 @@ not collect it; run it by name, from the repository root:
     PYTHONPATH=src python -m pytest -q tests/slow_drops.py
 
 On a 2-vCPU VM the solve takes about 1 s, at about 65 MB, the race picture
-about 6 s at about 130 MB, the race word about 12 s at about 450 MB, the drop table to
-120000 about 2 minutes, nearly all of it in the oracle, the scan of
-optimal c about 30 s, at about 240 MB per CLI process, with ``--full``
-about 12 s and 250 MB, the grid about 7 s and 32 MB, the drop table to
-2^21 - 1 about 12 s, and the family's best threshold about 8 s.
+about 6 s at about 130 MB, the race word about 12 s at about 450 MB, the
+race count about 35 s, the drop table to 120000 about 2 minutes, nearly all
+of it in the oracle, the scan of optimal c about 30 s, at about 240 MB per
+CLI process, with ``--full`` about 12 s and 250 MB, the grid about 7 s and
+32 MB, the drop table to 2^21 - 1 about 12 s, and the family's best
+threshold about 8 s.
 """
 
+import hashlib
 import os
 import sys
 import tempfile
@@ -109,6 +114,17 @@ def test_race_word_5001():
     assert code == 0
     assert maxrss < 560 * 1024, maxrss
     assert (count, size) == (1, 25_000_000 + 1)  # one line: the word
+
+
+def test_race_count_20000():
+    with tempfile.TemporaryFile() as out:
+        code, _, _ = spawn_cli(out, "race", "count", "--n", "20000", "--c", "1")
+        out.seek(0)
+        text = out.read()
+    assert code == 0
+    digits = text.removesuffix(b"\n")
+    assert digits.isdigit() and len(digits) == 2436
+    assert hashlib.sha256(digits).hexdigest().startswith("3858ebf0c4b1b371")
 
 
 def test_drops_to_120000_match_the_dense_oracle():

@@ -1,3 +1,5 @@
+import hashlib
+import random
 import tracemalloc
 from math import ceil, isqrt, log2
 
@@ -308,6 +310,28 @@ def test_count_one_iff_sequence_term():
             assert (count_races(n, c) == 1) == (n in terms), (n, c)
 
 
+@pytest.mark.parametrize("c", [1, 2, 3, 4, 7, 40, 41, 73, 78])
+def test_count_races_matches_the_bottom_up_counts(monkeypatch, c):
+    # c >= 40 reads the run template at n <= 500, the smaller c a table each;
+    # a query from an empty memo, and each later one from the part of the
+    # memo the queries before it filled
+    want = oracle.race_counts(500, c)
+    ascending = list(range(1, 501))
+    shuffled = ascending[:]
+    random.Random(c).shuffle(shuffled)
+    for order in (ascending, ascending[::-1], shuffled):
+        monkeypatch.setattr(pawnrace, "_o_tables", {})
+        assert [count_races(n, c) for n in order] == [want[n] for n in order]
+        assert pawnrace._o_tables[c] == {n: want[n] for n in pawnrace._o_tables[c]}
+
+
+def test_count_races_10000_3(monkeypatch):
+    monkeypatch.setattr(pawnrace, "_o_tables", {})
+    digits = str(count_races(10000, 3))
+    assert len(digits) == 409
+    assert hashlib.sha256(digits.encode()).hexdigest().startswith("71548704014144ad")
+
+
 def test_count_races_requires_positive_cost():
     with pytest.raises(ValueError):
         count_races(5, 0)
@@ -321,6 +345,29 @@ def test_enumerate_matches_count():
             plans = enumerate_plans(n, c, cap=10**9)
             assert len(plans) == (count_races(n, c) if n > 2 else 1)
             assert len(set(map(plan_text, plans))) == len(plans)
+
+
+@pytest.mark.parametrize("n, c", [*((n, c) for c in range(1, 5) for n in range(1, 41)),
+                                  (131, 73), (124, 78), (64, 35)])
+def test_enumerate_matches_the_memo_free_plans(n, c):
+    plans = enumerate_plans(n, c, cap=10**6)
+    want = oracle.plans(1, n, c)
+    assert plans == want
+    assert list(map(plan_text, plans)) == list(map(plan_text, want))
+
+
+def test_enumerate_builds_each_interval_once(monkeypatch):
+    built = []
+    check = RacePlan.__post_init__
+
+    def counting(plan):
+        built.append(plan)
+        check(plan)
+
+    monkeypatch.setattr(RacePlan, "__post_init__", counting)
+    assert len(enumerate_plans(131, 73)) == 21
+    # rebuilding each sub-interval's plans wherever it recurs made 5 481
+    assert len(built) < 1000, len(built)
 
 
 def test_enumerate_cap():
@@ -733,24 +780,10 @@ def test_point_queries_read_the_template():
     c_min = run_template().c_min(n)
     for c in [*range(1, c_min + 41), *LARGE_C]:
         assert f_closed(n, c) == exact_f(n, c), c
-        assert split_interval(n, c) == split_interval_reference(n, c), c
+        assert split_interval(n, c) == list(oracle.split_interval(n, c)), c
     assert [count_races(300, c) for c in (40, 41)] == [
-        count_races_reference(300, 40), count_races_reference(300, 41),
+        oracle.race_counts(300, 40)[300], oracle.race_counts(300, 41)[300],
     ]
-
-
-def split_interval_reference(n, c):
-    terms = TermSequence(c)
-    k = terms.twinverse(n) - c - 1
-    return list(range(max(terms.p(k), n - terms.p(k)),
-                      min(terms.p(k + 1), n - terms.p(k - 1)) + 1))
-
-
-def count_races_reference(n, c):
-    counts = [0, 1, 1]
-    for m in range(3, n + 1):
-        counts.append(sum(counts[m - i] * counts[i] for i in split_interval_reference(m, c)))
-    return counts[n]
 
 
 def scans(scanner, n_max):
