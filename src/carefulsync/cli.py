@@ -184,12 +184,12 @@ def _cmd_race(args, out):
         print(json.dumps({"count": value}) if args.json else value, file=out)
         return OK
     if args.kind == "enumerate":
-        plans = pawnrace.enumerate_plans(n, c, args.cap_plans)
+        texts = pawnrace.plan_texts(pawnrace.enumerate_plans(n, c, args.cap_plans))
         if args.json:
-            print(json.dumps([pawnrace.plan_text(p) for p in plans]), file=out)
+            print(json.dumps(list(texts)), file=out)
         else:
-            for i, plan in enumerate(plans):
-                print(f"{i}\t{pawnrace.plan_text(plan)}", file=out)
+            for i, text in enumerate(texts):
+                print(f"{i}\t{text}", file=out)
         return OK
     if args.kind == "render":
         plan = _plan(n, c, args.cap_plans, args.plan_index)

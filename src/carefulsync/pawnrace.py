@@ -533,6 +533,30 @@ def plan_text(plan: RacePlan) -> str:
     )
 
 
+def plan_texts(plans: list[RacePlan]):
+    """Yield the :func:`plan_text` of each of ``plans``, rendering each
+    subtree once however many of the plans share it, as those of
+    :func:`enumerate_plans` share theirs."""
+    # by node identity: each subtree with its text, holding the node so
+    # that its id stays unique; the plans' own texts are not kept
+    texts = {}
+
+    def text(plan, keep=True):
+        done = texts.get(id(plan))
+        if done is not None:
+            return done[1]
+        if plan.split is None:
+            done = str(plan.lo)
+        else:
+            done = f"({plan.lo}-{plan.hi}@{plan.split} {text(plan.left)} {text(plan.right)})"
+        if keep:
+            texts[id(plan)] = plan, done
+        return done
+
+    for plan in plans:
+        yield text(plan, keep=False)
+
+
 def greedy_plan(n: int) -> RacePlan:
     """The left-spine plan: one pawn chases, everyone else sits still.
 

@@ -16,13 +16,18 @@ word is read back.
 The search is level-synchronous, and each level takes one of three steps:
 
 * The vectorized step (:class:`_WideKernel`) expands the whole level with
-  numpy: images by byte-chunk table gathers over a ``uint64`` frontier,
+  numpy: images by byte-chunk table gathers over a ``uint64`` frontier, where
+  an undefined image reads as the full set, which is always seen;
   deduplication by sorting, exact sums of the path counts, and new subsets
   ordered by first occurrence in (parent, symbol) order, so it discovers the
-  same subsets in the same order as the Python step.  A search over at most
-  64 states takes it for every level from its first of at least ``WIDE``
-  subsets on.  Its counts are int64 while ``symbols * width * largest count
-  < 2^63``, so that no sum overflows, and Python ints past that.
+  same subsets in the same order as the Python step.  With the dense map
+  below, the images the map holds are dropped first and the rest sorted by
+  value, each as one ``uint64`` of image and candidate number; with the hash
+  table, every image is argsorted by its home slot, the order in which the
+  table is probed.  A search over at most 64 states takes it for every level
+  from its first of at least ``WIDE`` subsets on.  Its counts are int64 while
+  ``symbols * width * largest count < 2^63``, so that no sum overflows, and
+  Python ints past that.
 * The Python step walks each subset's set bits with
   :func:`carefulsync.pfa.image`, the step of :func:`carefulsync.pfa.apply_word`,
   with arbitrary-precision counts.  It takes every level before the first
@@ -48,12 +53,13 @@ each level is a dict from subset to count.  That level hands them over once
 and for good: the level to a ``uint64`` array of subsets beside an array of
 counts, and the set to a :class:`_DenseSet`, a map of one byte per subset of
 the states indexed by the subset itself, when the automaton has at most
-``DENSE`` states, or else to a :class:`_SubsetTable`, a hash table of
-``uint64`` subsets.  The map needs no hashing and no probing, and its 2^n
-bytes are at most 16 MiB, a quarter of the hash table of the 3.1 million
-subsets of C(24, 4); past 24 states it would double with each state, where
-a search's subsets need not.  The bit walk serves the narrow levels before
-it because numpy's fixed cost per level, about 0.1 ms, outweighs its
+``DENSE`` states and an image and a candidate number fit in one ``uint64``
+(fewer than 2^16 symbols at 24 states), or else to a :class:`_SubsetTable`, a
+hash table of ``uint64`` subsets.  The map needs no hashing and no probing,
+and its 2^n bytes are at most 16 MiB, a quarter of the hash table of the 3.1
+million subsets of C(24, 4); past 24 states it would double with each state,
+where a search's subsets need not.  The bit walk serves the narrow levels
+before it because numpy's fixed cost per level, about 0.1 ms, outweighs its
 per-subset gain below ``WIDE`` subsets.  After it, a level of one subset
 costs one vectorized step, about 0.14 ms, against about 2 us a level for a
 chain step: going wide pays only while no search has a long tail of
@@ -82,9 +88,9 @@ WIDE = 128
 CHAIN = 8
 # A search over at most this many states keeps its subsets seen, from the
 # first wide level on, in a map of 2^n bytes (16 MiB at 24) instead of the
-# hash table.  In a fresh process on a 2-vCPU VM, the map took solve on
-# C(22, 4) from 0.42 to 0.22 s and 56 to 41 MB peak RSS, and on C(24, 4) from
-# 1.06 to 0.50 s and 105 to 66 MB.
+# hash table.  In fresh processes on a 2-vCPU VM (medians of 5), the map took
+# solve on C(22, 4) from 0.34 to 0.071 s and 56 to 39 MB peak RSS, and on
+# C(24, 4) from 1.21 to 0.26 s and 103 to 66 MB.
 DENSE = 24
 # Levels the chain step reads in its first batch, doubled after every batch
 # that commits them all, up to the cap.  On the prime solves of 55 507 and
@@ -101,17 +107,17 @@ class SolveLimits:
     Memory grows with the subsets discovered.  Every subset costs 8 bytes of
     parent link.  While the seen subsets are a Python set, each costs about
     90 bytes more (97 bytes in all, measured on C(20, 4) with the Python
-    step alone).  Once a search over at most ``DENSE`` (24) states has gone
-    wide, they are a map of one byte per subset of the states, 2^n bytes
-    whatever the search holds, and only the pages the search touches count
-    in RSS: at most 16 MiB, which a sparse search pays too (C(24, 10) rose
-    from 35 to 41 MB of peak RSS with it).  Past 24 states, the hash table
-    costs 8 bytes per slot and is kept at most 3/4 full, so 11-22 bytes per
-    subset, and 32 while it doubles.  At the default ``max_subsets`` of
-    2^24, a search of 25 to 64 states that goes wide early holds at most
-    about 0.5 GB: a table of 2^25 slots (256 MiB), or 384 MiB while it
-    doubles, and 128 MiB of parent links; one that stays in Python needs
-    about 1.6 GB.
+    step alone).  Once a search over at most ``DENSE`` (24) states, with
+    fewer than 2^(64 - 2n) symbols, has gone wide, they are a map of one
+    byte per subset of the states, 2^n bytes whatever the search holds, and
+    only the pages the search touches count in RSS: at most 16 MiB, which a
+    sparse search pays too (C(24, 10) rose from 35 to 41 MB of peak RSS with
+    it).  Past 24 states, the hash table costs 8 bytes per slot and is kept
+    at most 3/4 full, so 11-22 bytes per subset, and 32 while it doubles.
+    At the default ``max_subsets`` of 2^24, a search of 25 to 64 states that
+    goes wide early holds at most about 0.5 GB: a table of 2^25 slots (256
+    MiB), or 384 MiB while it doubles, and 128 MiB of parent links; one that
+    stays in Python needs about 1.6 GB.
     """
 
     max_subsets: int = 1 << 24
@@ -215,7 +221,7 @@ def _search(pfa: Pfa, limits: SolveLimits):
             # the one handoff: this level and every later one go wide
             wide = wide or _WideKernel(pfa)
             keys = np.fromiter(seen, np.uint64, len(seen))
-            seen = _DenseSet(pfa.n, keys) if pfa.n <= DENSE else _SubsetTable(keys)
+            seen = _seen_set(pfa.n, nsym, keys)
             front = np.fromiter(counts, np.uint64, width)
             weight = np.fromiter(counts.values(), object, width)
             counts = None
@@ -255,6 +261,24 @@ def _search(pfa: Pfa, limits: SolveLimits):
             return level, _backtrack(origin, nsym, hit, runs), hit + 1, level, total
 
 
+def _seen_set(n, nsym, keys):
+    """The set that the subsets seen, ``keys``, are handed over to at the
+    first wide level: the dense map for at most ``DENSE`` states, where a
+    candidate's image and number, below ``2^n * nsym``, fit in 64 bits
+    together; the hash table otherwise."""
+    if n <= DENSE and 2 * n + nsym.bit_length() <= 64:
+        return _DenseSet(n, keys)
+    return _SubsetTable(keys)
+
+
+def _group_starts(keys):
+    """Where each run of equal values in the sorted ``keys`` starts."""
+    edge = np.empty(keys.size, bool)
+    edge[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:])
+    return edge.nonzero()[0]
+
+
 # Fibonacci hashing: a subset's home slot is the top bits of the subset times
 # this odd constant (2^64 over the golden ratio), modulo 2^64.
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -276,8 +300,9 @@ class _SubsetTable:
 
     :meth:`insert` adds a batch of distinct keys in vectorized probe rounds;
     it is the only way in, since every level from the first wide one on
-    takes the vectorized step.  The table doubles before more than 3/4
-    of its slots would be taken, rehashing ``_CHUNK`` slots at a time."""
+    takes the vectorized step, through :meth:`claim`.  The table doubles
+    before more than 3/4 of its slots would be taken, rehashing ``_CHUNK``
+    slots at a time."""
 
     def __init__(self, keys):
         self.slots = np.zeros(2, np.uint64)
@@ -327,28 +352,72 @@ class _SubsetTable:
             todo, keys, at = todo.take(left), keys.take(left), (at.take(left) + 1) & mask
         return fresh
 
+    def claim(self, found, weight, nsym):
+        """Add the unseen subsets among a level's candidate images ``found``,
+        in (parent, symbol) order, the parents' counts being ``weight``.
+        Returns the new subsets in discovery order, that is by earliest
+        candidate: those candidates' numbers, the subsets, and the sums of
+        their candidates' counts."""
+        # sorted by home slot, so that equal images are adjacent and the
+        # table is probed in address order
+        order = np.argsort(_scramble(found))
+        byhome = found.take(order)
+        starts = _group_starts(byhome)
+        first = np.minimum.reduceat(order, starts)
+        sums = np.add.reduceat(weight.take(order // nsym), starts)
+        new = np.flatnonzero(self.insert(byhome.take(starts)))
+        # the new subsets in discovery order: their earliest candidates, sorted
+        rank = np.zeros(found.size, np.int64)
+        rank[first.take(new)] = new + 1
+        new = rank[rank != 0] - 1
+        return first.take(new), byhome.take(starts.take(new)), sums.take(new)
+
 
 class _DenseSet:
     """A set of subsets of at most ``DENSE`` states: one byte per subset,
-    indexed by the subset itself.  It has the :meth:`_SubsetTable.insert`
-    and ``len`` of the hash table, without hashing or probing."""
+    indexed by the subset itself.
+
+    :meth:`claim` orders a level's candidates by value sorts of ``uint64``
+    keys, each a subset in ``n`` bits beside a number below ``2^(64 - n)``:
+    a candidate's number, or a new subset's rank.  Candidate numbers are
+    below ``2^n * nsym``, so the keys fit where ``2n + bit_length(nsym) <=
+    64``, which :func:`_seen_set` checks."""
 
     def __init__(self, n, keys):
         self.bits = np.zeros(1 << n, bool)
-        self.size = 0
-        self.insert(keys)
+        self.bits[keys.view(np.int64)] = True
+        self.size = keys.size
+        self.n = np.uint64(n)
+        self.shift = np.uint64(64 - n)
+        # the low n bits, and the low 64 - n
+        self.subset = np.uint64((1 << n) - 1)
+        self.number = np.uint64((1 << 64 - n) - 1)
 
     def __len__(self):
         return self.size
 
-    def insert(self, keys):
-        """Add the distinct ``keys`` (a ``uint64`` array); returns the mask
-        of those that were not in the set."""
-        at = keys.view(np.int64)
-        fresh = ~self.bits.take(at)
-        self.bits[at] = True
-        self.size += int(np.count_nonzero(fresh))
-        return fresh
+    def claim(self, found, weight, nsym):
+        """:meth:`_SubsetTable.claim`, without hashing or probing, and
+        without an argsort: the candidates already in the map are dropped
+        first, and the rest sorted once by subset above candidate number,
+        so that each run of one subset starts with its earliest candidate."""
+        keep = (~self.bits.take(found.view(np.int64))).nonzero()[0]
+        keys = found.take(keep) << self.shift | keep.view(np.uint64)
+        keys.sort()
+        del keep
+        subsets = keys >> self.shift
+        starts = _group_starts(subsets)
+        new = subsets.take(starts)
+        del subsets
+        number = (keys & self.number).view(np.int64)
+        sums = np.add.reduceat(weight.take(number // nsym), starts)
+        self.bits[new.view(np.int64)] = True
+        self.size += new.size
+        # the runs in discovery order: by earliest candidate above run number
+        keys = number.take(starts).view(np.uint64) << self.n | np.arange(new.size, dtype=np.uint64)
+        keys.sort()
+        run = (keys & self.subset).view(np.int64)
+        return (keys >> self.n).view(np.int64), new.take(run), sums.take(run)
 
 
 class _WideKernel:
@@ -357,28 +426,32 @@ class _WideKernel:
 
     ``tables[k][byte][s]`` is the OR of the one-bit targets, under symbol
     ``s``, of the states set in ``byte``, bit ``j`` standing for state
-    ``8k + j + 1``; ``outside[s]`` is the set of states where ``s`` is
-    undefined."""
+    ``8k + j + 1``, or the full set where ``s`` is undefined on one of those
+    states; ``outside[s]`` is the set of states where ``s`` is undefined."""
 
     def __init__(self, pfa: Pfa):
         masks, cols = pfa.kernel
         chunks = (pfa.n + 7) // 8
         onebit = np.zeros((8 * chunks, len(masks)), np.uint64)
         onebit[: pfa.n] = np.array(cols, np.uint64).T
-        byte = np.arange(256)
+        byte = np.arange(256, dtype=np.uint64)
         self.tables = np.zeros((chunks, 256, len(masks)), np.uint64)
         for j in range(8):
             self.tables[:, byte >> j & 1 == 1] |= onebit[j::8, None]
         full = (1 << pfa.n) - 1
         self.outside = np.array([full & ~m for m in masks], np.uint64)
+        for k in range(chunks):
+            off = self.outside >> np.uint64(8 * k) & np.uint64(255)
+            self.tables[k][byte[:, None] & off != 0] = full
 
     def images(self, front):
         """The images of the ``uint64`` subsets ``front`` under every symbol,
-        one row per subset, correct where the symbol is defined on it."""
+        one row per subset, and the full set where the symbol is undefined:
+        the search starts from it, so it is always seen."""
         octets = front.view(np.uint8).reshape(front.size, 8)
-        images = np.take(self.tables[0], octets[:, 0], axis=0)
+        images = self.tables[0].take(octets[:, 0], axis=0)
         for k in range(1, len(self.tables)):
-            images |= np.take(self.tables[k], octets[:, k], axis=0)
+            images |= self.tables[k].take(octets[:, k], axis=0)
         return images
 
     def step(self, front, weight, base, seen, origin, limits, level):
@@ -387,36 +460,16 @@ class _WideKernel:
         and ``base`` it takes.  Returns the next level's subsets and counts
         in discovery order, and the discovery number of its first
         singleton, or None."""
-        width = front.size
-        nsym = self.outside.size
-        images = self.images(front)
-        # candidates in (parent, symbol) order, the Python step's order
-        where = np.flatnonzero((front[:, None] & self.outside) == 0)
-        found = images.ravel()[where]
-        # sorted by home slot, so that equal images are adjacent and the
-        # table is probed in address order
-        order = np.argsort(_scramble(found))
-        byhome = found[order]
-        edge = np.empty(byhome.size, bool)
-        edge[:1] = True
-        np.not_equal(byhome[1:], byhome[:-1], out=edge[1:])
-        starts = np.flatnonzero(edge)
-        # each distinct image, its earliest candidate and its summed count
-        first = np.minimum.reduceat(order, starts)
-        sums = np.add.reduceat(weight[where // nsym][order], starts)
+        # the candidates in (parent, symbol) order, the Python step's order
+        found = self.images(front).ravel()
         before = len(seen)
-        new = np.flatnonzero(seen.insert(byhome[starts]))
+        first, found, sums = seen.claim(found, weight, self.outside.size)
         if len(seen) > limits.max_subsets:
             raise LimitExceeded("max_subsets", limits.max_subsets + 1, level + 1)
-        # the new subsets in discovery order: their earliest candidates, sorted
-        rank = np.zeros(found.size, np.int64)
-        rank[first[new]] = new + 1
-        new = rank[rank != 0] - 1
-        origin.frombytes((where[first[new]] + base).astype(np.int64, copy=False).tobytes())
-        found = found[first[new]]
-        singles = np.flatnonzero(np.bitwise_count(found) == 1)
+        origin.frombytes((first + base).view(np.uint8))
+        singles = (np.bitwise_count(found) == 1).nonzero()[0]
         hit = before + int(singles[0]) if singles.size else None
-        return found, sums[new], hit
+        return found, sums, hit
 
 
 class _Chain:
@@ -433,7 +486,6 @@ class _Chain:
     def __init__(self, pfa: Pfa, wide: _WideKernel):
         self.wide = wide
         n = pfa.n
-        self.full = np.uint64((1 << n) - 1)
         # state index -> one-bit set, with index n standing for undefined
         self.bit = np.append(np.uint64(1) << np.arange(n, dtype=np.uint64), np.uint64(0))
         self.succ = [
@@ -471,11 +523,10 @@ class _Chain:
             )
             orbit = np.bitwise_or.reduce(self._orbit_table(s, size)[members, :k], axis=0)
             front = np.concatenate((np.array([bits], np.uint64), orbit[:-1]))
-            defined = (front[:, None] & wide.outside) == 0
-            stop = np.flatnonzero(~defined[:, s] | (np.bitwise_count(orbit) == 1))
+            undefined = (front & wide.outside[s]) != 0
+            stop = np.flatnonzero(undefined | (np.bitwise_count(orbit) == 1))
             stop = int(stop[0]) if stop.size else k
-            # an undefined image counts as the full set, which is always seen
-            checks = np.where(defined, wide.images(front), self.full)[:stop, others]
+            checks = wide.images(front)[:stop, others]
             if len(others) == 1:
                 rows, known = checks[:, 0].tolist(), has
             else:

@@ -203,28 +203,62 @@ def test_subset_table_matches_set(start, batches):
 @st.composite
 def dense_batches(draw):
     """A number of states n, up to ``DENSE``, the keys the map starts with,
-    and batches of distinct keys as in :func:`key_batches`, from a pool that
-    holds the least and the greatest index of the map, 1 and 2^n - 1."""
+    and batches of candidate images as a level's step hands them to
+    ``claim``, from a pool that holds the least and the greatest index of
+    the map, 1 and 2^n - 1: keys repeat within batches and across them, and
+    last comes the whole pool one key a batch."""
     n = draw(st.one_of(st.integers(1, 16), st.just(solver.DENSE)))
     top = (1 << n) - 1
     pool = draw(st.lists(st.integers(1, top), max_size=64, unique=True))
     pool = list(dict.fromkeys([1, top, *pool]))
     start = draw(st.lists(st.sampled_from(pool), max_size=3, unique=True))
-    batch = st.lists(st.sampled_from(pool[: max(2, len(pool) // 4)]), min_size=1, unique=True)
+    batch = st.lists(st.sampled_from(pool[: max(2, len(pool) // 4)]), min_size=1)
     return n, start, draw(st.lists(batch, max_size=8)) + [[key] for key in pool]
 
 
+def claimed(model, batch, weight, nsym):
+    """What a claim of the candidates ``batch``, under the parents' counts
+    ``weight``, returns when the subsets seen are ``model``, which it
+    updates: the new subsets' earliest candidates, the subsets, and their
+    summed counts, by earliest candidate."""
+    first, sums = {}, {}
+    for number, key in enumerate(batch):
+        if key not in model:
+            first.setdefault(key, number)
+            sums[key] = sums.get(key, 0) + weight[number // nsym]
+    model.update(first)
+    return [list(first.values()), list(first), list(sums.values())]
+
+
+def check_claims(seen, start, batches, nsym, big):
+    """Claims of ``batches`` by ``seen``, which starts from the keys
+    ``start``, against :func:`claimed`, with counts past 2^63 when ``big``;
+    returns the keys seen at the end."""
+    model = set(start)
+    assert len(seen) == len(model)
+    for batch in batches:
+        weight = [number + 1 + (big << 64) for number in range(-(-len(batch) // nsym))]
+        got = seen.claim(np.array(batch, np.uint64),
+                         np.array(weight, object if big else np.int64), nsym)
+        assert [part.tolist() for part in got] == claimed(model, batch, weight, nsym)
+        assert len(seen) == len(model)
+    return model
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(dense_batches())
-def test_dense_set_matches_set(case):
+@given(dense_batches(), st.integers(1, 3), st.booleans())
+def test_dense_set_matches_set(case, nsym, big):
     n, start, batches = case
     dense = solver._DenseSet(n, np.array(start, np.uint64))
-    model = set(start)
-    assert len(dense) == len(model)
-    for batch in batches:
-        fresh = dense.insert(np.array(batch, np.uint64))
-        assert fresh.tolist() == [key not in model for key in batch]
-        model.update(batch)
-        assert len(dense) == len(model)
+    model = check_claims(dense, start, batches, nsym, big)
     assert dense.bits.size == 1 << n
     assert np.flatnonzero(dense.bits).tolist() == sorted(model)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dense_batches(), st.integers(1, 3), st.booleans())
+def test_subset_table_claims_like_the_dense_set(case, nsym, big):
+    _, start, batches = case
+    table = solver._SubsetTable(np.array(start, np.uint64))
+    model = check_claims(table, start, batches, nsym, big)
+    assert sorted(table.slots[table.slots != 0].tolist()) == sorted(model)

@@ -28,7 +28,7 @@ from carefulsync import (
     twinverse,
 )
 from carefulsync import cerny, pawnrace
-from carefulsync.pawnrace import SequenceCache, leaf, plan_text, run_template
+from carefulsync.pawnrace import SequenceCache, leaf, plan_text, plan_texts, run_template
 
 
 def f_reference(n, c):
@@ -368,6 +368,16 @@ def test_enumerate_builds_each_interval_once(monkeypatch):
     assert len(enumerate_plans(131, 73)) == 21
     # rebuilding each sub-interval's plans wherever it recurs made 5 481
     assert len(built) < 1000, len(built)
+
+
+@pytest.mark.parametrize("n, c", [(1, 1), (2, 3), (12, 1), (25, 1), (40, 2), (40, 3),
+                                  (131, 73), (124, 78)])
+def test_shared_rendering_matches_plan_text(n, c):
+    plans = enumerate_plans(n, c, cap=10**6)
+    # and plans that share no node with them, or every node, or some
+    plans += [greedy_plan(n), plans[-1], *enumerate_plans(n, c, cap=10**6)[::2]]
+    plans += [plan.left for plan in plans if plan.split is not None]
+    assert list(plan_texts(plans)) == list(map(plan_text, plans))
 
 
 def test_enumerate_cap():

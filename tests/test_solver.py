@@ -2,6 +2,7 @@ import tracemalloc
 from itertools import groupby
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 
 from carefulsync import (
@@ -30,11 +31,12 @@ ALL_CHAINS = 1
 NO_CHAINS = 1 << 62
 
 
-def funnel(n):
-    """n states under three interchangeable symbols, each moving state q to
-    q - 1: every one of the 3^(n-1) words of length n - 1 synchronizes."""
-    row = lambda q: (max(q - 1, 1),) * 3
-    return Pfa(n=n, symbols=("a", "b", "c"), delta=tuple(row(q) for q in range(1, n + 1)))
+def funnel(n, symbols="abc"):
+    """n states under k interchangeable symbols, three by default, each
+    moving state q to q - 1: every one of the k^(n-1) words of length n - 1
+    synchronizes."""
+    row = lambda q: (max(q - 1, 1),) * len(symbols)
+    return Pfa(n=n, symbols=tuple(symbols), delta=tuple(row(q) for q in range(1, n + 1)))
 
 
 def outcome(pfa, wide, limits=SolveLimits(), chain=NO_CHAINS, dense=solver.DENSE):
@@ -232,6 +234,44 @@ def test_brute_force_word_enumeration_oracle():
         assert result.count == len(hits)
         assert count_shortest(pfa) == (len(hits[0]), len(hits))
     assert checked > 30  # the sample really exercised the comparison
+
+
+def test_dense_counts_hand_over_before_int64_overflows(monkeypatch):
+    # 20 states and 16 symbols: the counts 16^k pass 2^63 from level 15 on,
+    # so the dense map's last levels sum Python ints
+    pfa = funnel(20, "abcdefghijklmnop")
+    assert 16**19 > 2**63
+    kinds = set()
+    step = solver._WideKernel.step
+
+    def spy(self, front, weight, base, seen, origin, limits, level):
+        kinds.add((type(seen), weight.dtype.kind))
+        return step(self, front, weight, base, seen, origin, limits, level)
+
+    monkeypatch.setattr(solver._WideKernel, "step", spy)
+    expected = outcome(pfa, PYTHON_ONLY)
+    assert (expected.threshold, expected.count) == (19, 16**19)
+    assert outcome(pfa, ALL_WIDE) == expected
+    assert kinds == {(solver._DenseSet, "i"), (solver._DenseSet, "O")}
+    kinds.clear()
+    assert outcome(pfa, ALL_WIDE, dense=0) == expected
+    assert kinds == {(solver._SubsetTable, "i"), (solver._SubsetTable, "O")}
+
+
+def test_dense_map_only_where_a_packed_key_fits():
+    # the dense map sorts each candidate as one uint64: its image in n bits
+    # above its number, below 2^n * nsym, in the 64 - n bits left
+    keys = np.array([1], np.uint64)
+    picked = {}
+    for n in (1, 2, 8, 16, 20, 23, 24, 25):
+        for nsym in (1, 2, 3, 255, 256, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 1 << 20):
+            dense = type(solver._seen_set(n, nsym, keys)) is solver._DenseSet
+            if dense:
+                assert (1 << n) * nsym <= 1 << (64 - n), (n, nsym)
+            picked[n, nsym] = dense
+    assert picked[24, (1 << 16) - 1] and picked[20, 1 << 20] and picked[16, 1 << 20]
+    assert not picked[24, (1 << 16) + 1] and not picked[23, 1 << 20]
+    assert not any(dense for (n, _), dense in picked.items() if n > solver.DENSE)
 
 
 def test_wide_step_matches_python_step():
