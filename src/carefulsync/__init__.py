@@ -40,6 +40,7 @@ from .pawnrace import (
     f_recursive,
     generic_twinverse,
     greedy_plan,
+    plan_at,
     render_race,
     sequences,
     simulate_race,
@@ -78,7 +79,7 @@ __all__ = [
     "count_shortest", "solve",
     "RacePlan", "RaceTrace", "SequenceCache", "TooManyPlans",
     "build_sync_word", "cache_info", "count_races", "enumerate_plans", "f_closed",
-    "f_recursive", "generic_twinverse", "greedy_plan", "render_race",
+    "f_recursive", "generic_twinverse", "greedy_plan", "plan_at", "render_race",
     "sequences", "simulate_race", "split_interval", "twinverse",
     "DropEvent", "build_cerny", "build_cerny_star", "expand_star_word",
     "greedy_factorization", "local_optima", "optimal_c", "rt_formula",

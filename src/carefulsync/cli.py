@@ -15,7 +15,7 @@ from .solver import SolveLimits, LimitExceeded, NotSynchronizing, solve
 OK, MISMATCH, USAGE, RESOURCES = 0, 1, 2, 3
 
 # Every race kind but `f` refuses more pawns, as it runs count_races (for
-# `render` and `word` through enumerate_plans when c > 0).  At n = 20 000
+# `render` and `word` through plan_at when c > 0).  At n = 20 000
 # count_races reaches 11 049 pawn counts and does 7 522 413 big-integer
 # products for c = 1, 5 331 598 for c = 2 and 2 398 426 for c = 3; c = 1
 # costs the most, about 34 s, against 10 s for c = 2 and 2.4 s for c = 3
@@ -40,6 +40,8 @@ N = _flag("--n", type=int, required=True, help="automaton size")
 PAWNS = _flag("--n", type=int, required=True,
               help=f"pawn count, at most {RACE_COUNT_MAX_N} for `count` and `enumerate`, "
                    f"{RACE_TRACE_MAX_N} for `render`")
+MEMBER = _flag("--n", type=int, required=True,
+               help=f"automaton size: the race has n - c - 1 pawns, at most {RACE_TRACE_MAX_N}")
 C = _flag("--c", type=int, required=True)
 NMAX = _flag("--nmax", type=int, required=True)
 JSON = _flag("--json", action="store_true")
@@ -71,8 +73,8 @@ _COMMANDS = {
         "f": (PAWNS, C, JSON, OUT),
         "count": (PAWNS, C, JSON, OUT),
         "enumerate": (PAWNS, C, CAP_PLANS, JSON, OUT),
-        "render": (PAWNS, C, CAP_PLANS, PLAN_INDEX, OUT),
-        "word": (N, C, CAP_PLANS, PLAN_INDEX, PRETTY, JSON, OUT),
+        "render": (PAWNS, C, PLAN_INDEX, OUT),
+        "word": (MEMBER, C, PLAN_INDEX, PRETTY, JSON, OUT),
     }),
     # verify.check refuses the options a table does not read
     "tables": ("reproduce a published table and diff it",
@@ -126,16 +128,6 @@ def _build(args):
         return primes.build_prime_pfa(plist, args.padding, args.transitive)
     with open(args.path, encoding="utf-8") as handle:
         return from_json(handle.read())
-
-
-def _plan(n, c, cap, index):
-    if c == 0:
-        plans = [pawnrace.greedy_plan(n)]
-    else:
-        plans = pawnrace.enumerate_plans(n, c, cap)
-    if not 0 <= index < len(plans):
-        raise ValueError(f"plan index {index} out of range (have {len(plans)})")
-    return plans[index]
 
 
 def _cmd_gen(args, out):
@@ -192,14 +184,13 @@ def _cmd_race(args, out):
                 print(f"{i}\t{text}", file=out)
         return OK
     if args.kind == "render":
-        plan = _plan(n, c, args.cap_plans, args.plan_index)
+        plan = pawnrace.plan_at(n, c, args.plan_index)
         print(pawnrace.render_race(pawnrace.simulate_race(plan, c)), end="", file=out)
         return OK
     # word: n and c name the family member; the race runs on n-c-1 pawns,
-    # and an optimal race makes a word of exactly rt_formula letters.  A
-    # member with more plans than --cap-plans is refused for that first.
+    # and an optimal race makes a word of exactly rt_formula letters.
     letters = cerny.rt_formula(n, c)
-    plan = _plan(pawns, c, args.cap_plans, args.plan_index)
+    plan = pawnrace.plan_at(pawns, c, args.plan_index)
     if letters > RACE_WORD_MAX_LETTERS:
         print(f"resources: race word makes at most {RACE_WORD_MAX_LETTERS} letters, "
               f"not {letters}", file=sys.stderr)

@@ -523,6 +523,45 @@ def _plans(lo, hi, c, runs, built):
     return plans
 
 
+def plan_at(n: int, c: int, index: int) -> RacePlan:
+    """Plan ``index`` of ``enumerate_plans(n, c)``, built alone: at c = 0 the
+    one plan is :func:`greedy_plan`.
+
+    The plans of a node of m pawns run by split s ascending, then by left
+    plan, then by right plan, o(s)·o(m-s) of them per split, where o counts
+    the races; so a walk down the splits of each node, read from the memo
+    that ``count_races(n, c)`` fills, unranks the index (mixed radix).
+    """
+    if n < 1:
+        raise ValueError("need at least one pawn")
+    count = 1 if c == 0 or n <= 2 else count_races(n, c)
+    if not 0 <= index < count:
+        raise ValueError(f"plan index {index} out of range (have {count})")
+    if c == 0:
+        return greedy_plan(n)
+    o, runs = _o_tables.get(c, {1: 1, 2: 1}), _runs_for(c, n) if n > 2 else None
+    nodes, pending = [], [(1, n, index)]  # preorder, by an explicit stack
+    while pending:
+        lo, hi, k = pending.pop()
+        m = hi - lo + 1
+        if m == 1:
+            nodes.append((lo, hi, None))
+            continue
+        low, high = (1, 1) if m == 2 else _split_interval(runs, m, c)
+        for s in range(low, high + 1):
+            if k < o[s] * o[m - s]:
+                break
+            k -= o[s] * o[m - s]
+        left, right = divmod(k, o[m - s])
+        nodes.append((lo, hi, lo + s - 1))
+        pending += [(lo + s, hi, right), (lo, lo + s - 1, left)]
+    built = []  # preorder from the back: a node finds its left child on top
+    for lo, hi, split in reversed(nodes):
+        built.append(leaf(lo) if split is None
+                     else RacePlan(lo, hi, split, built.pop(), built.pop()))
+    return built[0]
+
+
 def plan_text(plan: RacePlan) -> str:
     """Compact one-line tree form, e.g. ``(1-7@5 (1-5@3 ...) (6-7@6 6 7))``."""
     if plan.split is None:

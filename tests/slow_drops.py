@@ -7,8 +7,9 @@ CLI process, within 80 MB, and compares its stdout (threshold 712, count 6,
 the lexicographically least word) with ``tests/golden/cli``.  It comes
 first, so that no earlier test of the same process raises the peak that
 the child's ``ru_maxrss`` counts (see ``spawn_cli``).
-``test_race_render_5000`` runs ``race render --n 5000 --c 0`` as a CLI
-process, within 200 MB, and ``test_race_word_5001`` runs ``race word --n
+``test_race_render_5000`` runs ``race render --n 5000 --c 0``, and the last
+optimal plan of ``race render --n 5000 --c 1``, each as a CLI process within
+200 MB, and ``test_race_word_5001`` runs ``race word --n
 5001 --c 0``, within 560 MB, and checks that its word is 25 000 000
 letters long, the most that ``race word`` makes: the race trace holds one
 row per iteration, by position.
@@ -42,12 +43,12 @@ not collect it; run it by name, from the repository root:
     PYTHONPATH=src python -m pytest -q tests/slow_drops.py
 
 On a 2-vCPU VM the solve takes about 1 s, at about 65 MB, the race picture
-about 6 s at about 130 MB, the race word about 12 s at about 450 MB, the
-race count about 35 s, the drop table to 120000 about 2 minutes, nearly all
-of it in the oracle, the scan of optimal c about 30 s, at about 240 MB per
-CLI process, with ``--full`` about 12 s and 250 MB, the grid about 7 s and
-32 MB, the drop table to 2^21 - 1 about 12 s, and the family's best
-threshold about 8 s.
+about 6 s and the last plan at c = 1 about 1 s, each at about 130 MB, the
+race word about 12 s at about 450 MB, the race count about 35 s, the drop
+table to 120000 about 2 minutes, nearly all of it in the oracle, the scan
+of optimal c about 30 s, at about 240 MB per CLI process, with ``--full``
+about 12 s and 250 MB, the grid about 7 s and 32 MB, the drop table to
+2^21 - 1 about 12 s, and the family's best threshold about 8 s.
 """
 
 import hashlib
@@ -60,7 +61,7 @@ from pathlib import Path
 import numpy as np
 import oracle
 
-from carefulsync import optimal_c, scan_drops, scan_optimal
+from carefulsync import count_races, f_closed, optimal_c, scan_drops, scan_optimal
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 HEADER = "n_before\tn_after\tc_before\tc_after\tr_before\tr_after\tgap"
@@ -104,6 +105,19 @@ def test_race_render_5000():
     assert maxrss < 200 * 1024, maxrss
     assert count == 2 + 4999  # the header and its rule, then one line per iteration
     assert tail.endswith(b"CR  merge@5000\n"), tail
+    # the last of the optimal plans at c = 1, built alone by its index
+    last = str(count_races(5000, 1) - 1)
+    with tempfile.TemporaryFile() as out:
+        code, _, maxrss = spawn_cli(out, "race", "render", "--n", "5000", "--c", "1",
+                                    "--plan-index", last)
+        count, tail = count_and_tail(out, b"\n")
+        moves, _ = count_and_tail(out, b"C")
+        stays, _ = count_and_tail(out, b"R")
+    assert code == 0
+    assert maxrss < 200 * 1024, maxrss
+    assert count == 2 + 4999
+    assert tail.endswith(b"CR  merge@5000\n"), tail
+    assert 2 * moves + stays == f_closed(5000, 1)  # each move costs c + 1, each stay c
 
 
 def test_race_word_5001():

@@ -10,7 +10,8 @@ from textwrap import dedent
 import pytest
 from oracle import exact_row, row_optimum
 
-from carefulsync import build_cerny, from_json, is_sync_word, parse_word, to_json
+from carefulsync import (build_cerny, enumerate_plans, from_json, is_sync_word, parse_word,
+                         render_race, rt_formula, simulate_race, to_json)
 from carefulsync.cli import dispatch
 
 
@@ -28,7 +29,10 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 # behind `verify` and `cerny`, the prime solves (55 507 and 86 257 levels,
 # almost all of one subset) before the search took the chain step, the wide
 # search of C(22, 4) before it kept its subsets in the dense map, the race
-# pictures and words before the trace kept one row per iteration by position
+# pictures and words before the trace kept one row per iteration by position;
+# and the last plans of two members with more than 1 000 plans, which the
+# commands refused while they enumerated every plan (checked below by other
+# means than the plan they print)
 GOLDEN_RUNS = {
     "tables_pn2": "tables pn2",
     "tables_grid": "tables grid",
@@ -44,6 +48,9 @@ GOLDEN_RUNS = {
     "race_render_40_0": "race render --n 40 --c 0",
     "race_word_203_78_pretty": "race word --n 203 --c 78 --pretty",
     "race_word_205_73_plan_2_json": "race word --n 205 --c 73 --plan-index 2 --json",
+    "race_word_300_115_pretty_last_plan":
+        "race word --n 300 --c 115 --pretty --plan-index 23535819",
+    "race_render_40_1_last_plan": "race render --n 40 --c 1 --plan-index 54263",
 }
 
 
@@ -52,6 +59,24 @@ def test_cli_output_is_golden(capsys, name):
     expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     assert dispatch(GOLDEN_RUNS[name].split()) == 0
     assert capsys.readouterr() == (expected, "")
+
+
+def test_last_plan_word_golden_is_an_optimal_sync_word(capsys):
+    pretty = (GOLDEN / "race_word_300_115_pretty_last_plan.txt").read_text(encoding="utf-8")
+    plain = "".join(token.split("^")[0] * int(token.partition("^")[2] or 1)
+                    for token in pretty.split())
+    assert len(plain) == rt_formula(300, 115) == 195_422
+    pfa = build_cerny(300, 115)
+    assert is_sync_word(pfa, parse_word(pfa, plain))
+    assert run(capsys, *"race word --n 300 --c 115 --plan-index 23535819".split()) == (
+        0, plain + "\n")
+
+
+def test_last_plan_render_golden_is_the_last_enumerated_plan():
+    plans = enumerate_plans(40, 1, cap=60000)
+    assert len(plans) == 54264
+    expected = (GOLDEN / "race_render_40_1_last_plan.txt").read_text(encoding="utf-8")
+    assert render_race(simulate_race(plans[-1], 1)) == expected
 
 
 def _with_row(rows, index, **changes):
@@ -116,16 +141,54 @@ def test_race_count_refuses_n_above_its_limit(capsys, monkeypatch):
 def test_race_kinds_refuse_pawns_above_their_limit(capsys, monkeypatch):
     from carefulsync import pawnrace
 
+    class PastThePawnCheck(Exception):
+        pass
+
+    def past(n, c, index):
+        raise PastThePawnCheck(n)
+
     monkeypatch.setattr(pawnrace, "count_races", lambda n, c: n)
+    monkeypatch.setattr(pawnrace, "plan_at", past)
     # word --c 1 races on --n minus 2 pawns
     for kind, pawns, n in (("enumerate", 20000, 20000), ("render", 5000, 5000), ("word", 5000, 5002)):
-        # at the limit the command goes on, and finds more plans than --cap-plans
-        assert dispatch(["race", kind, "--n", str(n), "--c", "1"]) == 3
-        assert capsys.readouterr() == ("", f"resources: {pawns} optimal plans exceed cap 1000\n")
+        # at the limit the command goes on: enumerate finds more plans than
+        # --cap-plans, and render and word go on to build their one plan
+        if kind == "enumerate":
+            assert dispatch(["race", kind, "--n", str(n), "--c", "1"]) == 3
+            assert capsys.readouterr() == ("", f"resources: {pawns} optimal plans exceed cap 1000\n")
+        else:
+            with pytest.raises(PastThePawnCheck, match=f"^{pawns}$"):
+                dispatch(["race", kind, "--n", str(n), "--c", "1"])
         assert dispatch(["race", kind, "--n", str(n + 1), "--c", "1"]) == 3
         assert capsys.readouterr() == ("", f"resources: race {kind} takes --n up to {n}, not {n + 1}\n")
     assert dispatch(["race", "word", "--n", "5012", "--c", "10"]) == 3
     assert capsys.readouterr().err == "resources: race word takes --n up to 5011, not 5012\n"
+
+
+@pytest.mark.parametrize("argv, count", [
+    ("race render --n 40 --c 1", 54264),
+    ("race render --n 40 --c 0", 1),
+    ("race word --n 300 --c 115", 23535820),
+    ("race word --n 9 --c 1", 3),
+])
+def test_plan_index_out_of_range_is_a_usage_error(capsys, argv, count):
+    for index in (count, -1):
+        assert dispatch([*argv.split(), "--plan-index", str(index)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: plan index {index} out of range (have {count})\n")
+
+
+def test_render_and_word_build_their_plan_without_enumerating(capsys, monkeypatch):
+    from carefulsync import pawnrace
+
+    def refuse(*args):
+        raise AssertionError("enumerate_plans called")
+
+    monkeypatch.setattr(pawnrace, "enumerate_plans", refuse)
+    for argv in ("race render --n 40 --c 1 --plan-index 54263", "race render --n 20 --c 2",
+                 "race word --n 300 --c 115 --plan-index 9", "race word --n 205 --c 73"):
+        assert dispatch(argv.split()) == 0, argv
+    capsys.readouterr()
 
 
 def test_race_word_refuses_words_above_its_letter_cap(capsys, monkeypatch):
@@ -427,7 +490,8 @@ IGNORED_FLAGS = [
     *[("race f --n 7 --c 1", flag) for flag in ("--cap-plans 5", "--plan-index 4", "--pretty")],
     *[("race count --n 7 --c 1", flag) for flag in ("--cap-plans 5", "--plan-index 4", "--pretty")],
     *[("race enumerate --n 7 --c 1", flag) for flag in ("--plan-index 4", "--pretty")],
-    *[("race render --n 7 --c 1", flag) for flag in ("--pretty", "--json")],
+    *[("race render --n 7 --c 1", flag) for flag in ("--cap-plans 5", "--pretty", "--json")],
+    ("race word --n 9 --c 1", "--cap-plans 5"),
     ("scan drops --nmax 60", "--full"),
 ]
 

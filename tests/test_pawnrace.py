@@ -20,6 +20,7 @@ from carefulsync import (
     generic_twinverse,
     greedy_plan,
     is_sync_word,
+    plan_at,
     render_race,
     rt_formula,
     sequences,
@@ -378,6 +379,33 @@ def test_shared_rendering_matches_plan_text(n, c):
     plans += [greedy_plan(n), plans[-1], *enumerate_plans(n, c, cap=10**6)[::2]]
     plans += [plan.left for plan in plans if plan.split is not None]
     assert list(plan_texts(plans)) == list(map(plan_text, plans))
+
+
+@pytest.mark.parametrize("n, c", [*((n, c) for c in range(1, 6) for n in range(1, 31)),
+                                  (131, 73), (124, 78)])
+def test_plan_at_matches_enumerate_at_every_index(n, c):
+    plans = enumerate_plans(n, c, cap=10**6)
+    assert [plan_text(plan_at(n, c, i)) for i in range(len(plans))] == list(plan_texts(plans))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 40, 200])
+def test_plan_at_is_greedy_at_zero_cost(n):
+    assert plan_at(n, 0, 0) == greedy_plan(n)
+
+
+@pytest.mark.parametrize("n, c, count", [(1, 1, 1), (2, 4, 1), (7, 1, 3), (40, 0, 1),
+                                         (184, 115, 23535820)])
+def test_plan_at_refuses_an_index_out_of_range(n, c, count):
+    for index in (count, -1):
+        with pytest.raises(ValueError, match=rf"^plan index {index} out of range \(have {count}\)$"):
+            plan_at(n, c, index)
+
+
+def test_plan_at_builds_the_last_plan_of_a_large_race():
+    # far past what enumeration reaches, and still an optimal race
+    last = plan_at(4999, 1, count_races(4999, 1) - 1)
+    assert (last.lo, last.hi) == (1, 4999)
+    assert simulate_race(last, 1).cost == f_closed(4999, 1)
 
 
 def test_enumerate_cap():
