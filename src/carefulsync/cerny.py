@@ -135,18 +135,12 @@ def expand_star_word(word: Word, c: int) -> tuple[Word, int]:
     """
     if c < 0:
         raise ValueError("cost parameter must be >= 0")
-    out = []
-    for letter in word:
-        if letter == 0:
-            out.append(0)
-        elif letter == 1:
-            out.extend([1] * c)
-            out.append(0)
-        elif letter == 2:
-            out.extend([1] * (c + 1))
-        else:
-            raise ValueError(f"symbol index {letter} outside the 3-letter alphabet")
-    return Word(tuple(out)), len(out)
+    bad = word.letters.translate(None, b"\0\1\2")  # the letters out of range
+    if bad:
+        raise ValueError(f"symbol index {bad[0]} outside the 3-letter alphabet")
+    expansion = {0: "\0", 1: "\1" * c + "\0", 2: "\1" * (c + 1)}
+    out = word.letters.decode("latin-1").translate(expansion).encode("latin-1")
+    return Word(out), len(out)
 
 
 def rt_formula(n: int, c: int) -> int:

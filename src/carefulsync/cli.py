@@ -22,12 +22,12 @@ OK, MISMATCH, USAGE, RESOURCES = 0, 1, 2, 3
 # (2-vCPU VM).
 RACE_COUNT_MAX_N = 20_000
 # `render` and `word` also hold a trace of one pawns-long row per iteration:
-# at 5 000 pawns and c = 0 `race render` peaks at about 130 MB in 7 s.
+# at 5 000 pawns and c = 0 `race render` peaks at about 130 MB in 0.6 s.
 RACE_TRACE_MAX_N = 5_000
-# `word` holds its word, which grows with c as well as with the pawns: 2
-# pawns at c = 10^7 make 3·10^7 letters.  The cap is the length of the
-# longest word c = 0 allows, `race word --n 5001 --c 0`, which peaks at
-# about 450 MB in 11 s (2-vCPU VM).
+# `word` holds its word, one byte per letter, which grows with c as well as
+# with the pawns: 2 pawns at c = 10^7 make 3·10^7 letters.  The cap is the
+# length of the longest word c = 0 allows, `race word --n 5001 --c 0`, which
+# peaks at about 110 MB in 1.1 s (2-vCPU VM).
 RACE_WORD_MAX_LETTERS = 25_000_000
 
 

@@ -4,8 +4,8 @@
 moves one step right (cost ``c+1``) or stays (cost ``c``); pawns landing on
 the same spot merge.  ``f_recursive`` minimizes the total cost by brute
 recursion, ``f_closed`` evaluates the closed form built on the generalized
-Fibonacci sequences below, and the plan machinery enumerates and simulates
-the optimal races themselves.
+Fibonacci sequences below, and the plan machinery enumerates the optimal
+races, lays out their schedules and writes their words.
 
 The split sequences p_c are held as runs of equal values in one kind of
 table, ``SequenceCache``, whose run lengths are affine in c.  A table for
@@ -17,6 +17,7 @@ it is exact for its c and a table of that c alone below that.
 import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from math import isqrt
 from operator import mul
 
@@ -433,12 +434,13 @@ def count_races(n: int, c: int) -> int:
 # ---------------------------------------------------------------------------
 # race plans
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RacePlan:
     """Binary split tree over a pawn interval [lo..hi].
 
     An inner node splits [lo..hi] at ``split`` into the peloton [lo..split]
-    and the leading group [split+1..hi]; leaves are single pawns.
+    and the leading group [split+1..hi]; leaves are single pawns.  Plans
+    compare and hash by their nodes in preorder: a greedy plan is n deep.
     """
 
     lo: int
@@ -463,16 +465,28 @@ class RacePlan:
             if (self.right.lo, self.right.hi) != (self.split + 1, self.hi):
                 raise ValueError("right child does not cover the leading side")
 
+    def __eq__(self, other):
+        return isinstance(other, RacePlan) and tuple(self._nodes()) == tuple(other._nodes())
+
+    def __hash__(self):
+        return hash(tuple(self._nodes()))
+
     @property
     def pawns(self) -> int:
         return self.hi - self.lo + 1
 
+    def _nodes(self):
+        """Yield (lo, hi, split) of every node, preorder, by an explicit stack."""
+        pending = [self]
+        while pending:
+            node = pending.pop()
+            yield node.lo, node.hi, node.split
+            if node.split is not None:
+                pending += [node.right, node.left]
+
     def splits(self):
         """Yield (lo, hi, split) of every inner node, preorder."""
-        if self.split is not None:
-            yield (self.lo, self.hi, self.split)
-            yield from self.left.splits()
-            yield from self.right.splits()
+        return (node for node in self._nodes() if node[2] is not None)
 
 
 class TooManyPlans(Exception):
@@ -564,12 +578,7 @@ def plan_at(n: int, c: int, index: int) -> RacePlan:
 
 def plan_text(plan: RacePlan) -> str:
     """Compact one-line tree form, e.g. ``(1-7@5 (1-5@3 ...) (6-7@6 6 7))``."""
-    if plan.split is None:
-        return str(plan.lo)
-    return (
-        f"({plan.lo}-{plan.hi}@{plan.split} "
-        f"{plan_text(plan.left)} {plan_text(plan.right)})"
-    )
+    return next(plan_texts([plan]))
 
 
 def plan_texts(plans: list[RacePlan]):
@@ -579,21 +588,20 @@ def plan_texts(plans: list[RacePlan]):
     # by node identity: each subtree with its text, holding the node so
     # that its id stays unique; the plans' own texts are not kept
     texts = {}
-
-    def text(plan, keep=True):
-        done = texts.get(id(plan))
-        if done is not None:
-            return done[1]
-        if plan.split is None:
-            done = str(plan.lo)
-        else:
-            done = f"({plan.lo}-{plan.hi}@{plan.split} {text(plan.left)} {text(plan.right)})"
-        if keep:
-            texts[id(plan)] = plan, done
-        return done
-
     for plan in plans:
-        yield text(plan, keep=False)
+        pending = [plan]  # a node stays until both its children have texts
+        while pending:
+            node = pending[-1]
+            if id(node) in texts:
+                pending.pop()
+            elif node.split is None:
+                texts[id(node)] = node, str(node.lo)
+            elif id(node.left) in texts and id(node.right) in texts:
+                left, right = texts[id(node.left)][1], texts[id(node.right)][1]
+                texts[id(node)] = node, f"({node.lo}-{node.hi}@{node.split} {left} {right})"
+            else:
+                pending += [node.right, node.left]
+        yield texts.pop(id(plan))[1]
 
 
 def greedy_plan(n: int) -> RacePlan:
@@ -668,9 +676,13 @@ def _pawn_windows(plan: RacePlan):
 
 
 def simulate_race(plan: RacePlan, c: int) -> RaceTrace:
-    """Run the canonical schedule of a plan and account every step.
+    """Lay out the canonical schedule of a plan and account every step.
 
-    Any well-formed tree may be simulated, optimal or not; the cost equals
+    Pawn k stays on position k, then moves one position per iteration, per
+    :func:`_pawn_windows`, and merges where its moves end: its trail is a
+    column and then a diagonal of the grid of iterations by positions.
+
+    Any well-formed tree may be laid out, optimal or not; the cost equals
     the plan's recursion value, and for plans whose splits all lie in the
     optimal intervals it equals f_c(n).
     """
@@ -680,37 +692,17 @@ def simulate_race(plan: RacePlan, c: int) -> RaceTrace:
         raise ValueError("plans must cover pawns 1..n")
     n = plan.hi
     stay_until, move_until = _pawn_windows(plan)
-
-    position = {k: k for k in range(1, n + 1)}
-    alive = set(position)
-    rows = []
-    merges = []
-    move_steps = stay_steps = 0
-    for t in range(1, n):
-        row = ["."] * n
-        for k in sorted(alive):
-            if t <= stay_until[k]:
-                row[position[k] - 1] = "R"
-                stay_steps += 1
-            else:
-                assert t <= move_until[k], f"pawn {k} outlived its schedule"
-                row[position[k] - 1] = "C"
-                move_steps += 1
-                position[k] += 1
-        occupied = {}
-        for k in alive:
-            occupied.setdefault(position[k], []).append(k)
-        fused = []
-        for pos, ks in occupied.items():
-            if len(ks) > 1:
-                keep = max(ks)
-                fused.append(pos)
-                for k in ks:
-                    if k != keep:
-                        alive.discard(k)
-        rows.append("".join(row))
-        merges.append(tuple(sorted(fused)))
-    assert len(alive) == 1 and position[next(iter(alive))] == n
+    grid = bytearray(b".") * ((n - 1) * n)  # iteration t, position p at (t-1)·n + p-1
+    merges = [[] for _ in range(n - 1)]
+    for k, stay in stay_until.items():
+        moves = move_until[k] - stay
+        grid[k - 1:stay * n:n] = b"R" * stay
+        start = stay * n + k - 1
+        grid[start:start + moves * (n + 1):n + 1] = b"C" * moves
+        if moves:  # all but the last survivor
+            merges[move_until[k] - 1].append(k + moves)
+    stay_steps = sum(stay_until.values())
+    move_steps = sum(move_until.values()) - stay_steps
     cost = (c + 1) * move_steps + c * stay_steps
     return RaceTrace(
         n=n,
@@ -718,8 +710,8 @@ def simulate_race(plan: RacePlan, c: int) -> RaceTrace:
         cost=cost,
         move_steps=move_steps,
         stay_steps=stay_steps,
-        rows=tuple(rows),
-        merges=tuple(merges),
+        rows=tuple(grid[i:i + n].decode() for i in range(0, len(grid), n)),
+        merges=tuple(tuple(sorted(fused)) for fused in merges),
     )
 
 
@@ -736,32 +728,28 @@ def render_race(trace: RaceTrace) -> str:
 # ---------------------------------------------------------------------------
 # from races to synchronizing words
 
-A, B = 0, 1  # symbol indices of the binary family alphabet
+A, B = "\0", "\1"  # symbol indices of the binary family alphabet, as code points
 
 
 def build_sync_word(n: int, c: int, plan: RacePlan) -> Word:
     """Turn a race plan into a synchronizing word for the n-state family member.
 
-    Emits the b^(c+1) prefix, then one iteration block per race iteration:
-    a, then for each line position from n' down to 1 the pawn's b-run
-    (b^c stay, b^(c+1) move, nothing when vacant) followed by a; the final
-    trailing run of n'-1 letters a is cut so every pawn lands on state 1.
-    For an optimal plan the word length is exactly the reset threshold.
+    Emits the b^(c+1) prefix, then one iteration block per race iteration,
+    one ``str.translate`` of its row read from position n' down to 1: a and
+    the pawn's b-run (b^c stay, b^(c+1) move, nothing when vacant) per
+    position, then a; the final trailing run of n'-1 letters a is cut so
+    every pawn lands on state 1.  For an optimal plan the word length is
+    exactly the reset threshold.
     """
     if c < 0 or n < c + 2:
         raise ValueError(f"need n >= c + 2, got n={n}, c={c}")
     npr = n - c - 1
     if plan.lo != 1 or plan.hi != npr:
         raise ValueError(f"plan covers pawns {plan.lo}..{plan.hi}, expected 1..{npr}")
-    run = {"C": c + 1, "R": c, ".": 0}
-    letters = [B] * (c + 1)
-    for row in simulate_race(plan, c).rows:
-        for action in reversed(row):
-            letters.append(A)
-            letters.extend([B] * run[action])
-        letters.append(A)  # the final slot stays empty: the leader never wraps
-    if npr > 1:
-        tail = npr - 1
-        assert all(x == A for x in letters[-tail:])
-        del letters[-tail:]
-    return Word(tuple(letters))
+    blocks = str.maketrans({"C": A + B * (c + 1), "R": A + B * c, ".": A})
+    # the final slot of a block stays empty: the leader never wraps
+    texts = (row[::-1].translate(blocks) + A for row in simulate_race(plan, c).rows)
+    letters = "".join(chain([B * (c + 1)], texts)).encode("latin-1")
+    tail = npr - 1
+    assert letters.endswith(bytes(tail))
+    return Word(letters[:len(letters) - tail])

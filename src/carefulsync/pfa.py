@@ -12,7 +12,7 @@ step per run rather than one per letter.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 
@@ -38,6 +38,8 @@ class Pfa:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"need at least one state, got n={self.n}")
+        if len(self.symbols) > 256:  # a word holds one symbol index per byte
+            raise ValueError(f"at most 256 symbols, got {len(self.symbols)}")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("symbols must be distinct")
         if "" in self.symbols:
@@ -164,9 +166,19 @@ class StateSet:
 
 @dataclass(frozen=True)
 class Word:
-    """A sequence of symbol indices into some automaton's symbol list."""
+    """A sequence of symbol indices into some automaton's symbol list, one
+    byte each; other iterables of indices 0..255 are converted to bytes."""
 
-    letters: tuple[int, ...] = field(default=())
+    letters: bytes = b""
+
+    def __post_init__(self):
+        letters = self.letters
+        if not isinstance(letters, (bytes, bytearray)):
+            letters = tuple(letters)
+            bad = next((s for s in letters if not 0 <= s < 256), None)
+            if bad is not None:
+                raise ValueError(f"symbol index {bad} out of range")
+        object.__setattr__(self, "letters", bytes(letters))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -192,7 +204,7 @@ def parse_word(pfa: Pfa, text: str) -> Word:
     else:
         if all(len(label) == 1 for label in index):
             try:
-                return Word(tuple(map(index.__getitem__, text)))
+                return Word(bytes(map(index.__getitem__, text)))
             except KeyError:
                 pass
         tokens = []
@@ -207,7 +219,7 @@ def parse_word(pfa: Pfa, text: str) -> Word:
             else:
                 raise ValueError(f"cannot match a symbol at position {pos} of {text!r}")
     try:
-        return Word(tuple(index[t] for t in tokens))
+        return Word(bytes(map(index.__getitem__, tokens)))
     except KeyError as exc:
         raise ValueError(f"unknown symbol {exc.args[0]!r}") from None
 
@@ -215,13 +227,12 @@ def parse_word(pfa: Pfa, text: str) -> Word:
 def format_word(pfa: Pfa, word: Word, pretty: bool = False) -> str:
     """Render a word as a plain string, or run-length compressed (``b^3 a^2``)."""
     letters = word.letters
-    nsym = len(pfa.symbols)
-    if letters and not (0 <= min(letters) and max(letters) < nsym):
-        bad = next(s for s in letters if not 0 <= s < nsym)
-        raise ValueError(f"symbol index {bad} out of range")
-    label = pfa.symbols.__getitem__
+    bad = letters.translate(None, bytes(range(len(pfa.symbols))))  # the letters out of range
+    if bad:
+        raise ValueError(f"symbol index {bad[0]} out of range")
     if not pretty:
-        return "".join(map(label, letters))
+        return letters.decode("latin-1").translate(dict(enumerate(pfa.symbols)))
+    label = pfa.symbols.__getitem__
     parts = []
     for s, run in groupby(letters):
         k = len(list(run))
@@ -338,6 +349,8 @@ def from_json(text: str) -> Pfa:
         raise FormatError("symbols: duplicate entries")
     if "" in symbols:
         raise FormatError("symbols: empty label")
+    if len(symbols) > 256:
+        raise FormatError(f"symbols: at most 256 entries, got {len(symbols)}")
     delta = doc.get("delta")
     if not isinstance(delta, list) or len(delta) != n:
         raise FormatError(f"delta: expected {n} rows")

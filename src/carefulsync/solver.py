@@ -168,7 +168,7 @@ class LimitExceeded(Exception):
 
 def _search(pfa: Pfa, limits: SolveLimits):
     if pfa.n == 1:
-        return 0, [], 1, 0, 1
+        return 0, b"", 1, 0, 1
 
     masks, cols = pfa.kernel
     nsym = len(masks)
@@ -551,13 +551,13 @@ def _backtrack(origin, nsym, d, runs):
     """The letters from the full set to discovery ``d``, jumping in one go
     over each of the chain step's ``runs`` that the path enters; consumes
     ``runs``."""
-    letters = []
+    letters = bytearray()
     while origin[d] >= 0:
         while runs and runs[-1][0] > d:
             runs.pop()
         if runs and d < runs[-1][1]:
             first, _, s = runs.pop()
-            letters += [s] * (d + 1 - first)
+            letters += bytes((s,)) * (d + 1 - first)
             d = first - 1
         else:
             d, s = divmod(origin[d], nsym)
@@ -574,8 +574,8 @@ def solve(pfa: Pfa, limits: SolveLimits = SolveLimits()) -> SolveResult:
     :class:`LimitExceeded` when a cap is hit.
     """
     threshold, letters, explored, levels, count = _search(pfa, limits)
-    # the word is copied once the search's subsets are freed
-    return SolveResult(threshold, Word(tuple(letters)), explored, levels, count)
+    # the word is copied to bytes once the search's subsets are freed
+    return SolveResult(threshold, Word(letters), explored, levels, count)
 
 
 def count_shortest(pfa: Pfa, limits: SolveLimits = SolveLimits()) -> tuple[int, int]:

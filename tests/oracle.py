@@ -10,7 +10,11 @@ the run tables behind ``rt_formula``, ``f_closed`` and the family-wide
 queries.  ``split_interval`` reads the optimal splits from the same term
 list; ``race_counts`` counts the optimal races of every pawn count bottom-up,
 and ``plans`` builds the optimal plans with no memo, for ``count_races`` and
-``enumerate_plans`` to be checked against.  ``columns`` is the int64 column
+``enumerate_plans`` to be checked against.  ``simulate_race`` walks a
+plan's pawns iteration by iteration, with a position, a live set and the
+pawns on each position, from the windows of ``pawn_windows_reference``, a
+recursive walk of the plan, where the package fills its race grid from
+``_pawn_windows``.  ``columns`` is the int64 column
 loop that the family scans ran before the shared run template: one
 ``SequenceCache(c)``, a run table of that c alone, per c (itself checked
 against ``TermSequence``), its runs scattered into a count array and summed
@@ -26,7 +30,7 @@ from itertools import product
 import numpy as np
 
 from carefulsync.cerny import DropEvent
-from carefulsync.pawnrace import RacePlan, SequenceCache, leaf
+from carefulsync.pawnrace import RacePlan, RaceTrace, SequenceCache, leaf
 
 
 def simulate(pfa, states, letters):
@@ -146,6 +150,70 @@ def plans(lo, hi, c):
             for right in rights:
                 out.append(RacePlan(lo, hi, split, left, right))
     return out
+
+
+def pawn_windows_reference(plan):
+    """The windows of ``pawnrace._pawn_windows``, by a recursive walk."""
+    stay_until, move_until = {}, {}
+
+    def walk(node, ancestors):
+        if node.split is not None:
+            walk(node.left, ancestors + [node])
+            walk(node.right, ancestors + [node])
+            return
+        k = lo = node.lo
+        parent = None
+        for anc in reversed(ancestors):
+            if anc.hi != k:
+                parent = anc
+                break
+            lo = anc.lo
+        stay_until[k] = k - lo
+        move_until[k] = (node.hi if parent is None else parent.hi) - lo
+
+    walk(plan, [])
+    return stay_until, move_until
+
+
+def simulate_race(plan, c):
+    """The ``RaceTrace`` of a plan's canonical schedule, by walking the pawns
+    iteration by iteration: each live pawn stays or moves by its windows,
+    and pawns that meet on a position fuse into the one of largest index."""
+    n = plan.hi
+    stay_until, move_until = pawn_windows_reference(plan)
+    position = {k: k for k in range(1, n + 1)}
+    alive = set(position)
+    rows = []
+    merges = []
+    move_steps = stay_steps = 0
+    for t in range(1, n):
+        row = ["."] * n
+        for k in sorted(alive):
+            if t <= stay_until[k]:
+                row[position[k] - 1] = "R"
+                stay_steps += 1
+            else:
+                assert t <= move_until[k], f"pawn {k} outlived its schedule"
+                row[position[k] - 1] = "C"
+                move_steps += 1
+                position[k] += 1
+        occupied = {}
+        for k in alive:
+            occupied.setdefault(position[k], []).append(k)
+        fused = []
+        for pos, ks in occupied.items():
+            if len(ks) > 1:
+                keep = max(ks)
+                fused.append(pos)
+                for k in ks:
+                    if k != keep:
+                        alive.discard(k)
+        rows.append("".join(row))
+        merges.append(tuple(sorted(fused)))
+    assert len(alive) == 1 and position[next(iter(alive))] == n
+    cost = (c + 1) * move_steps + c * stay_steps
+    return RaceTrace(n=n, c=c, cost=cost, move_steps=move_steps, stay_steps=stay_steps,
+                     rows=tuple(rows), merges=tuple(merges))
 
 
 @lru_cache(maxsize=None)

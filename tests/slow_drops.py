@@ -10,9 +10,9 @@ the child's ``ru_maxrss`` counts (see ``spawn_cli``).
 ``test_race_render_5000`` runs ``race render --n 5000 --c 0``, and the last
 optimal plan of ``race render --n 5000 --c 1``, each as a CLI process within
 200 MB, and ``test_race_word_5001`` runs ``race word --n
-5001 --c 0``, within 560 MB, and checks that its word is 25 000 000
+5001 --c 0``, within 150 MB, and checks that its word is 25 000 000
 letters long, the most that ``race word`` makes: the race trace holds one
-row per iteration, by position.
+row per iteration, by position, and the word one byte per letter.
 ``test_race_count_20000`` runs ``race count --n 20000 --c 1``, the most
 costly count under the cap of ``--n`` (``cli.RACE_COUNT_MAX_N``), as a CLI
 process, and pins the 2 436 digits it prints by their SHA-256.
@@ -43,8 +43,8 @@ not collect it; run it by name, from the repository root:
     PYTHONPATH=src python -m pytest -q tests/slow_drops.py
 
 On a 2-vCPU VM the solve takes about 1 s, at about 65 MB, the race picture
-about 6 s and the last plan at c = 1 about 1 s, each at about 130 MB, the
-race word about 12 s at about 450 MB, the race count about 35 s, the drop
+about 0.6 s and the last plan at c = 1 about 1 s, each at about 130 MB, the
+race word about 1.1 s at about 110 MB, the race count about 35 s, the drop
 table to 120000 about 2 minutes, nearly all of it in the oracle, the scan
 of optimal c about 30 s, at about 240 MB per CLI process, with ``--full``
 about 12 s and 250 MB, the grid about 7 s and 32 MB, the drop table to
@@ -126,7 +126,7 @@ def test_race_word_5001():
         count, _ = count_and_tail(out, b"\n")
         size = out.seek(0, os.SEEK_END)
     assert code == 0
-    assert maxrss < 560 * 1024, maxrss
+    assert maxrss < 150 * 1024, maxrss
     assert (count, size) == (1, 25_000_000 + 1)  # one line: the word
 
 

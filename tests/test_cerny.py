@@ -75,11 +75,11 @@ def test_star_structure():
 def test_expansion_examples():
     a, a_tilde, b_tilde = 0, 1, 2
     word, weight = expand_star_word(Word((a_tilde,)), 2)
-    assert word.letters == (1, 1, 0) and weight == 3  # b b a
+    assert word == Word((1, 1, 0)) and weight == 3  # b b a
     word, weight = expand_star_word(Word((a_tilde, b_tilde)), 0)
-    assert word.letters == (0, 1) and weight == 2
+    assert word == Word((0, 1)) and weight == 2
     word, weight = expand_star_word(Word((a, b_tilde)), 1)
-    assert word.letters == (0, 1, 1) and weight == 3
+    assert word == Word((0, 1, 1)) and weight == 3
 
 
 def test_expansion_semantics_random():

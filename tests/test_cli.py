@@ -301,6 +301,15 @@ def test_solve_path_and_out_file(tmp_path, capsys):
     assert json.loads(out)["threshold"] == 26
 
 
+def test_solve_path_refuses_more_than_256_symbols(tmp_path, capsys):
+    target = tmp_path / "pfa.json"
+    symbols = [f"s{i}" for i in range(257)]
+    target.write_text(json.dumps({"n": 1, "symbols": symbols, "delta": [[1] * 257]}))
+    assert dispatch(["solve", "path", "--path", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "at most 256 entries" in err
+
+
 def test_unwritable_out_file_is_usage_error(tmp_path, capsys):
     target = tmp_path / "missing" / "out.tsv"
     assert dispatch(["tables", "pn2", "--out", str(target)]) == 2

@@ -96,7 +96,7 @@ def check_against_oracle(pfa):
         assert hits == []
         return
     assert result.threshold == len(hits[0])
-    assert result.word.letters == hits[0]  # lexicographically least
+    assert tuple(result.word) == hits[0]  # lexicographically least
     assert result.count == len(hits)
     assert count_shortest(pfa) == (result.threshold, len(hits))
     assert result.levels == result.threshold

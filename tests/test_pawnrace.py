@@ -467,29 +467,6 @@ def test_greedy_plan_cost_under_free_staying():
         assert trace.cost == n - 1 == f_closed(n, 0)
 
 
-def pawn_windows_reference(plan):
-    """The windows of ``pawnrace._pawn_windows``, by a recursive walk."""
-    stay_until, move_until = {}, {}
-
-    def walk(node, ancestors):
-        if node.split is not None:
-            walk(node.left, ancestors + [node])
-            walk(node.right, ancestors + [node])
-            return
-        k = lo = node.lo
-        parent = None
-        for anc in reversed(ancestors):
-            if anc.hi != k:
-                parent = anc
-                break
-            lo = anc.lo
-        stay_until[k] = k - lo
-        move_until[k] = (node.hi if parent is None else parent.hi) - lo
-
-    walk(plan, [])
-    return stay_until, move_until
-
-
 def every_tree(lo, hi):
     """Every well-formed split tree over the pawns lo..hi."""
     if lo == hi:
@@ -505,7 +482,17 @@ def test_pawn_windows_match_the_recursive_walk():
     plans += [greedy_plan(n) for n in range(1, 60)]
     plans += [plan for c in (1, 2, 3) for n in range(9, 21) for plan in enumerate_plans(n, c, cap=10**4)]
     for plan in plans:
-        assert pawnrace._pawn_windows(plan) == pawn_windows_reference(plan), plan_text(plan)
+        assert pawnrace._pawn_windows(plan) == oracle.pawn_windows_reference(plan), plan_text(plan)
+
+
+def test_filled_race_matches_the_pawn_walk():
+    plans = [tree for n in range(1, 9) for tree in every_tree(1, n)]
+    plans += [greedy_plan(n) for n in range(1, 80)]
+    plans += [plan for c in (1, 2, 3) for n in range(9, 24) for plan in enumerate_plans(n, c, cap=10**4)]
+    assert len(plans) == 1218
+    for plan in plans:
+        for c in (0, 1, 3):
+            assert simulate_race(plan, c) == oracle.simulate_race(plan, c), (plan_text(plan), c)
 
 
 def test_race_trace_is_one_row_per_iteration():
@@ -526,6 +513,27 @@ def test_greedy_race_deeper_than_the_recursion_limit():
     trace = simulate_race(greedy_plan(1500), 0)
     assert (trace.cost, trace.move_steps, trace.stay_steps) == (1499, 1499, 1499 * 1500 // 2)
     assert trace.merges[-1] == (1500,)
+
+
+def test_plans_deeper_than_the_recursion_limit():
+    # the greedy plan is a left spine 1 500 nodes deep
+    plan = greedy_plan(1500)
+    assert plan == greedy_plan(1500) and plan != greedy_plan(1499)
+    assert hash(plan) == hash(greedy_plan(1500))
+    assert len(list(plan.splits())) == 1499
+    text = "1"
+    for hi in range(2, 1501):
+        text = f"(1-{hi}@{hi - 1} {text} {hi})"
+    assert plan_text(plan) == text
+    assert list(plan_texts([plan, greedy_plan(1500), plan])) == [text] * 3
+
+
+def test_plans_compare_by_their_splits():
+    plans = enumerate_plans(20, 1, cap=10**4)
+    assert len(set(plans)) == len(plans) == count_races(20, 1)
+    assert plans == [plan_at(20, 1, i) for i in range(len(plans))]
+    assert leaf(3) == RacePlan(3, 3) != leaf(4)
+    assert leaf(3) != (3, 3, None)
 
 
 def test_plan_validation():
@@ -601,6 +609,19 @@ def test_word_beyond_the_small_grid():
             assert len(word) == expected
             assert is_sync_word(member, word)
     assert solve(build_cerny(16, 3)).threshold == rt_formula(16, 3)
+
+
+def test_race_word_takes_few_bytes_per_letter():
+    # a Python int per letter in a list, then a tuple, took 16.5 bytes per letter
+    plan = greedy_plan(1000)
+    tracemalloc.start()
+    try:
+        word = build_sync_word(1001, 0, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(word) == rt_formula(1001, 0) == 10**6
+    assert peak < 5 * len(word), peak / len(word)
 
 
 def test_word_needs_matching_plan():

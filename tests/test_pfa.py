@@ -13,6 +13,7 @@ from carefulsync import (
     Word,
     apply_word,
     build_cerny,
+    build_cerny_star,
     build_prime_pfa,
     build_sync_word,
     enumerate_plans,
@@ -313,6 +314,37 @@ def test_parse_word_errors_name_the_position():
         assert str(info.value) == message
     assert parse_word(mixed, "abbcbba") == Word((0, 1, 2, 1, 0))
     assert parse_word(one_char, "") == Word()
+
+
+def test_word_holds_one_byte_per_letter():
+    word = Word((0, 1))
+    assert word.letters == b"\0\1"
+    assert word == Word(b"\0\1") == Word(bytearray(b"\0\1")) == Word(iter([0, 1]))
+    assert hash(word) == hash(Word(b"\0\1"))
+    assert word + Word((255,)) == Word(b"\0\1\xff") and list(word) == [0, 1]
+    for bad in (256, -1):
+        with pytest.raises(ValueError, match=f"symbol index {bad} out of range"):
+            Word((0, bad))
+
+
+def test_every_label_formats_by_one_translate():
+    star = build_cerny_star(4)
+    word = Word((0, 1, 2, 2, 0))
+    assert format_word(star, word) == "aãb̃b̃a"
+    assert format_word(star, word, pretty=True) == "a ã b̃^2 a"
+    assert parse_word(star, "aãb̃b̃a") == word
+
+
+def test_alphabet_of_more_than_256_symbols_is_refused():
+    # a word holds one symbol index per byte
+    symbols = tuple(f"s{i}" for i in range(257))
+    with pytest.raises(ValueError, match="at most 256 symbols"):
+        Pfa(n=1, symbols=symbols, delta=((1,) * 257,))
+    widest = Pfa(n=1, symbols=symbols[:256], delta=((1,) * 256,))
+    assert format_word(widest, Word((255, 0))) == "s255s0"
+    doc = {"n": 1, "symbols": list(symbols), "delta": [[1] * 257]}
+    with pytest.raises(FormatError, match="symbols"):
+        from_json(json.dumps(doc))
 
 
 def test_strongly_connected():

@@ -230,7 +230,7 @@ def test_brute_force_word_enumeration_oracle():
             continue
         checked += 1
         assert result.threshold == len(hits[0])
-        assert result.word.letters == hits[0]  # lexicographically least
+        assert tuple(result.word) == hits[0]  # lexicographically least
         assert result.count == len(hits)
         assert count_shortest(pfa) == (len(hits[0]), len(hits))
     assert checked > 30  # the sample really exercised the comparison
