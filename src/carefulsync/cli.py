@@ -22,7 +22,7 @@ OK, MISMATCH, USAGE, RESOURCES = 0, 1, 2, 3
 # (2-vCPU VM).
 RACE_COUNT_MAX_N = 20_000
 # `render` and `word` also hold a trace of one pawns-long row per iteration:
-# at 5 000 pawns and c = 0 `race render` peaks at about 130 MB in 0.6 s.
+# at 5 000 pawns and c = 0 `race render` peaks at about 80 MB in 0.55 s.
 RACE_TRACE_MAX_N = 5_000
 # `word` holds its word, one byte per letter, which grows with c as well as
 # with the pawns: 2 pawns at c = 10^7 make 3·10^7 letters.  The cap is the
@@ -185,7 +185,7 @@ def _cmd_race(args, out):
         return OK
     if args.kind == "render":
         plan = pawnrace.plan_at(n, c, args.plan_index)
-        print(pawnrace.render_race(pawnrace.simulate_race(plan, c)), end="", file=out)
+        out.writelines(pawnrace.render_lines(pawnrace.simulate_race(plan, c)))
         return OK
     # word: n and c name the family member; the race runs on n-c-1 pawns,
     # and an optimal race makes a word of exactly rt_formula letters.
@@ -199,7 +199,11 @@ def _cmd_race(args, out):
     # every member has the same two letters: label them from the smallest
     text = format_word(cerny.build_cerny(2, 0), word, pretty=args.pretty)
     if args.json:
-        print(json.dumps({"n": n, "c": c, "length": len(word), "word": text}), file=out)
+        # the labels a, b, digits, ^ and spaces need no JSON escape, so the
+        # text is written as it is, between the fields and its closing quote
+        out.write(f'{{"n": {n}, "c": {c}, "length": {len(word)}, "word": "')
+        out.write(text)
+        out.write('"}\n')
     else:
         print(text, file=out)
     return OK

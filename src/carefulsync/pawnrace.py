@@ -5,7 +5,8 @@ moves one step right (cost ``c+1``) or stays (cost ``c``); pawns landing on
 the same spot merge.  ``f_recursive`` minimizes the total cost by brute
 recursion, ``f_closed`` evaluates the closed form built on the generalized
 Fibonacci sequences below, and the plan machinery enumerates the optimal
-races, lays out their schedules and writes their words.
+races, lays out each race's schedule from its split nodes and writes the
+races' words.
 
 The split sequences p_c are held as runs of equal values in one kind of
 table, ``SequenceCache``, whose run lengths are affine in c.  A table for
@@ -440,7 +441,8 @@ class RacePlan:
 
     An inner node splits [lo..hi] at ``split`` into the peloton [lo..split]
     and the leading group [split+1..hi]; leaves are single pawns.  Plans
-    compare and hash by their nodes in preorder: a greedy plan is n deep.
+    compare, hash, print and pickle by their nodes in preorder, with no
+    recursion: a greedy plan is n deep.
     """
 
     lo: int
@@ -470,6 +472,12 @@ class RacePlan:
 
     def __hash__(self):
         return hash(tuple(self._nodes()))
+
+    def __repr__(self):
+        return f"RacePlan({plan_text(self)})"
+
+    def __reduce__(self):
+        return _from_nodes, (tuple(self._nodes()),)
 
     @property
     def pawns(self) -> int:
@@ -569,6 +577,12 @@ def plan_at(n: int, c: int, index: int) -> RacePlan:
         left, right = divmod(k, o[m - s])
         nodes.append((lo, hi, lo + s - 1))
         pending += [(lo + s, hi, right), (lo, lo + s - 1, left)]
+    return _from_nodes(nodes)
+
+
+def _from_nodes(nodes) -> RacePlan:
+    """The plan of its (lo, hi, split) nodes in preorder, as ``_nodes``
+    yields them."""
     built = []  # preorder from the back: a node finds its left child on top
     for lo, hi, split in reversed(nodes):
         built.append(leaf(lo) if split is None
@@ -626,7 +640,8 @@ class RaceTrace:
 
     ``rows[t][p-1]`` is the action in iteration t+1 of the pawn that stands
     on position p at its start: 'C' move, 'R' stay, '.' no pawn there.
-    ``merges[t]`` lists the positions where pawns fused at its end.
+    ``merges[t]`` lists the positions where pawns fused at its end: a node
+    [lo..hi] merges on position hi at the end of iteration hi - lo.
     """
 
     n: int
@@ -638,49 +653,16 @@ class RaceTrace:
     merges: tuple[tuple[int, ...], ...]
 
 
-def _pawn_windows(plan: RacePlan):
-    """Per pawn: iterations spent staying, then moving, per the canonical schedule.
-
-    Within a node split at i, both children run their own schedules from
-    iteration 1; the peloton's survivor starts chasing right after its
-    subtree finishes and moves every iteration until it hits the stationary
-    survivor of the leading group.  Pawn k stays for (k - lo of the largest
-    subtree it ends) iterations and then moves up to the enclosing node's
-    right end.
-    """
-    stay_until = {}
-    move_until = {}
-    ancestors = []  # the inner nodes above the node taken from ``pending``
-    pending = [(plan, 0)]  # (node, depth), preorder: a greedy plan is n deep
-    while pending:
-        node, depth = pending.pop()
-        del ancestors[depth:]
-        if node.split is None:
-            k = node.lo
-            lo = node.lo
-            parent = None
-            for anc in reversed(ancestors):
-                if anc.hi == k:
-                    lo = anc.lo
-                else:
-                    parent = anc
-                    break
-            stay_until[k] = k - lo
-            # the overall survivor never moves; everyone else chases to the
-            # right end of the first enclosing node they are not rightmost in
-            move_until[k] = (node.hi if parent is None else parent.hi) - lo
-        else:
-            ancestors.append(node)
-            pending += [(node.right, depth + 1), (node.left, depth + 1)]
-    return stay_until, move_until
-
-
 def simulate_race(plan: RacePlan, c: int) -> RaceTrace:
     """Lay out the canonical schedule of a plan and account every step.
 
-    Pawn k stays on position k, then moves one position per iteration, per
-    :func:`_pawn_windows`, and merges where its moves end: its trail is a
-    column and then a diagonal of the grid of iterations by positions.
+    Both children of a node run their own schedules from iteration 1.  In a
+    node [lo..hi] split at s, pawn s, the survivor of the peloton, stays
+    s - lo iterations, until its subtree is done, then moves hi - s
+    positions and merges with the leading group's survivor on position hi
+    at the end of iteration hi - lo.  Every pawn but n is the split of one
+    node, so its trail in the grid of iterations by positions is a column
+    and then a diagonal; pawn n stays all n - 1 iterations.
 
     Any well-formed tree may be laid out, optimal or not; the cost equals
     the plan's recursion value, and for plans whose splits all lie in the
@@ -691,18 +673,18 @@ def simulate_race(plan: RacePlan, c: int) -> RaceTrace:
     if plan.lo != 1:
         raise ValueError("plans must cover pawns 1..n")
     n = plan.hi
-    stay_until, move_until = _pawn_windows(plan)
     grid = bytearray(b".") * ((n - 1) * n)  # iteration t, position p at (t-1)·n + p-1
+    grid[n - 1::n] = b"R" * (n - 1)  # the last survivor never moves
     merges = [[] for _ in range(n - 1)]
-    for k, stay in stay_until.items():
-        moves = move_until[k] - stay
-        grid[k - 1:stay * n:n] = b"R" * stay
-        start = stay * n + k - 1
+    stay_steps, move_steps = n - 1, 0
+    for lo, hi, s in plan.splits():
+        stay, moves = s - lo, hi - s
+        grid[s - 1:stay * n:n] = b"R" * stay
+        start = stay * n + s - 1
         grid[start:start + moves * (n + 1):n + 1] = b"C" * moves
-        if moves:  # all but the last survivor
-            merges[move_until[k] - 1].append(k + moves)
-    stay_steps = sum(stay_until.values())
-    move_steps = sum(move_until.values()) - stay_steps
+        merges[hi - lo - 1].append(hi)
+        stay_steps += stay
+        move_steps += moves
     cost = (c + 1) * move_steps + c * stay_steps
     return RaceTrace(
         n=n,
@@ -715,14 +697,21 @@ def simulate_race(plan: RacePlan, c: int) -> RaceTrace:
     )
 
 
-def render_race(trace: RaceTrace) -> str:
-    """ASCII picture of a race: one row per iteration, C moves, R stays."""
+def render_lines(trace: RaceTrace):
+    """Yield the lines of the ASCII picture of a race, each with its
+    newline: a header, its rule, then one row per iteration, C moves, R
+    stays."""
     header = " it | " + "".join(str(p % 10) for p in range(1, trace.n + 1))
-    lines = [header, "-" * len(header)]
+    yield header + "\n"
+    yield "-" * len(header) + "\n"
     for t, (row, merged) in enumerate(zip(trace.rows, trace.merges), 1):
         note = "  merge@" + ",".join(map(str, merged)) if merged else ""
-        lines.append(f"{t:>3} | {row}{note}")
-    return "\n".join(lines) + "\n"
+        yield f"{t:>3} | {row}{note}\n"
+
+
+def render_race(trace: RaceTrace) -> str:
+    """The picture of :func:`render_lines` as one string."""
+    return "".join(render_lines(trace))
 
 
 # ---------------------------------------------------------------------------

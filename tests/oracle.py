@@ -13,8 +13,8 @@ and ``plans`` builds the optimal plans with no memo, for ``count_races`` and
 ``enumerate_plans`` to be checked against.  ``simulate_race`` walks a
 plan's pawns iteration by iteration, with a position, a live set and the
 pawns on each position, from the windows of ``pawn_windows_reference``, a
-recursive walk of the plan, where the package fills its race grid from
-``_pawn_windows``.  ``columns`` is the int64 column
+recursive walk of each pawn's ancestors, where the package fills its race
+grid from the split nodes alone.  ``columns`` is the int64 column
 loop that the family scans ran before the shared run template: one
 ``SequenceCache(c)``, a run table of that c alone, per c (itself checked
 against ``TermSequence``), its runs scattered into a count array and summed
@@ -153,7 +153,10 @@ def plans(lo, hi, c):
 
 
 def pawn_windows_reference(plan):
-    """The windows of ``pawnrace._pawn_windows``, by a recursive walk."""
+    """Per pawn k, by a recursive walk of its ancestors: the iterations it
+    stays, k - lo for the largest subtree [lo..k] that it ends, and the
+    iteration its moves end, the right end of the node above that subtree
+    less lo (for the last survivor, which never moves, its stay)."""
     stay_until, move_until = {}, {}
 
     def walk(node, ancestors):

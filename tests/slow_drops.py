@@ -9,10 +9,13 @@ first, so that no earlier test of the same process raises the peak that
 the child's ``ru_maxrss`` counts (see ``spawn_cli``).
 ``test_race_render_5000`` runs ``race render --n 5000 --c 0``, and the last
 optimal plan of ``race render --n 5000 --c 1``, each as a CLI process within
-200 MB, and ``test_race_word_5001`` runs ``race word --n
-5001 --c 0``, within 150 MB, and checks that its word is 25 000 000
-letters long, the most that ``race word`` makes: the race trace holds one
-row per iteration, by position, and the word one byte per letter.
+100 MB: the race trace holds one row per iteration, by position, and the
+picture is written a line at a time.  ``test_race_word_5001`` runs ``race
+word --n 5001 --c 0``, within 150 MB, and checks that its word is
+25 000 000 letters long, the most that ``race word`` makes, held one byte
+per letter; ``test_race_word_5001_json`` runs the same word with
+``--json``, within 130 MB, as the record is written around one copy of the
+word's text, and parses it.
 ``test_race_count_20000`` runs ``race count --n 20000 --c 1``, the most
 costly count under the cap of ``--n`` (``cli.RACE_COUNT_MAX_N``), as a CLI
 process, and pins the 2 436 digits it prints by their SHA-256.
@@ -43,8 +46,9 @@ not collect it; run it by name, from the repository root:
     PYTHONPATH=src python -m pytest -q tests/slow_drops.py
 
 On a 2-vCPU VM the solve takes about 1 s, at about 65 MB, the race picture
-about 0.6 s and the last plan at c = 1 about 1 s, each at about 130 MB, the
-race word about 1.1 s at about 110 MB, the race count about 35 s, the drop
+about 0.55 s and the last plan at c = 1 about 0.8 s, each at about 80 MB,
+the race word about 1.1 s at about 110 MB, plain or ``--json``, the race
+count about 35 s, the drop
 table to 120000 about 2 minutes, nearly all of it in the oracle, the scan
 of optimal c about 30 s, at about 240 MB per CLI process, with ``--full``
 about 12 s and 250 MB, the grid about 7 s and 32 MB, the drop table to
@@ -52,6 +56,7 @@ about 12 s and 250 MB, the grid about 7 s and 32 MB, the drop table to
 """
 
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -102,7 +107,7 @@ def test_race_render_5000():
         code, _, maxrss = spawn_cli(out, "race", "render", "--n", "5000", "--c", "0")
         count, tail = count_and_tail(out, b"\n")
     assert code == 0
-    assert maxrss < 200 * 1024, maxrss
+    assert maxrss < 100 * 1024, maxrss
     assert count == 2 + 4999  # the header and its rule, then one line per iteration
     assert tail.endswith(b"CR  merge@5000\n"), tail
     # the last of the optimal plans at c = 1, built alone by its index
@@ -114,7 +119,7 @@ def test_race_render_5000():
         moves, _ = count_and_tail(out, b"C")
         stays, _ = count_and_tail(out, b"R")
     assert code == 0
-    assert maxrss < 200 * 1024, maxrss
+    assert maxrss < 100 * 1024, maxrss
     assert count == 2 + 4999
     assert tail.endswith(b"CR  merge@5000\n"), tail
     assert 2 * moves + stays == f_closed(5000, 1)  # each move costs c + 1, each stay c
@@ -128,6 +133,25 @@ def test_race_word_5001():
     assert code == 0
     assert maxrss < 150 * 1024, maxrss
     assert (count, size) == (1, 25_000_000 + 1)  # one line: the word
+
+
+def test_race_word_5001_json():
+    with tempfile.TemporaryFile() as out:
+        code, _, maxrss = spawn_cli(out, "race", "word", "--n", "5001", "--c", "0", "--json")
+        a, tail = count_and_tail(out, b"a")
+        b, _ = count_and_tail(out, b"b")
+        size = out.seek(0, os.SEEK_END)
+        out.seek(0)
+        head = out.read(100)
+    assert code == 0
+    assert maxrss < 130 * 1024, maxrss
+    # parsed without its word, whose letters a and b need no escape: held
+    # whole, the text would raise this process's peak, which later children
+    # count (see ``spawn_cli``)
+    prefix = head[:head.index(b'"word": "') + len(b'"word": "')]
+    assert json.loads(prefix + b'"}') == {"n": 5001, "c": 0, "length": 25_000_000, "word": ""}
+    assert a + b == 25_000_000 and size == len(prefix) + 25_000_000 + len(b'"}\n')
+    assert tail.endswith(b'"}\n'), tail
 
 
 def test_race_count_20000():

@@ -217,6 +217,15 @@ def test_race_word_does_not_build_the_member(capsys, monkeypatch):
     assert max(built, default=0) < 40
 
 
+def test_race_word_json_equals_the_encoded_record(capsys):
+    # the record is written around the word's text, which needs no escape
+    code, pretty = run(capsys, "race", "word", "--n", "40", "--c", "3", "--pretty")
+    code_json, out = run(capsys, "race", "word", "--n", "40", "--c", "3", "--json", "--pretty")
+    assert code == code_json == 0
+    record = {"n": 40, "c": 3, "length": rt_formula(40, 3), "word": pretty.removesuffix("\n")}
+    assert out == json.dumps(record) + "\n"
+
+
 def test_race_on_a_greedy_plan_deeper_than_the_recursion_limit(capsys):
     code, out = run(capsys, "race", "word", "--n", "1501", "--c", "0", "--json")
     assert code == 0 and json.loads(out)["length"] == 1500**2

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 import tracemalloc
 from math import ceil, isqrt, log2
@@ -477,12 +479,20 @@ def every_tree(lo, hi):
             for right in every_tree(split + 1, hi)]
 
 
-def test_pawn_windows_match_the_recursive_walk():
-    plans = [tree for n in range(1, 9) for tree in every_tree(1, n)]
-    plans += [greedy_plan(n) for n in range(1, 60)]
-    plans += [plan for c in (1, 2, 3) for n in range(9, 21) for plan in enumerate_plans(n, c, cap=10**4)]
-    for plan in plans:
-        assert pawnrace._pawn_windows(plan) == oracle.pawn_windows_reference(plan), plan_text(plan)
+def random_tree(lo, hi, rng):
+    """A well-formed split tree over the pawns lo..hi, each split uniform."""
+    if lo == hi:
+        return leaf(lo)
+    split = rng.randrange(lo, hi)
+    return RacePlan(lo, hi, split, random_tree(lo, split, rng), random_tree(split + 1, hi, rng))
+
+
+def right_spine(n):
+    """The tree over 1..n whose every peloton is one pawn."""
+    plan = leaf(n)
+    for lo in range(n - 1, 0, -1):
+        plan = RacePlan(lo, n, lo, leaf(lo), plan)
+    return plan
 
 
 def test_filled_race_matches_the_pawn_walk():
@@ -490,6 +500,9 @@ def test_filled_race_matches_the_pawn_walk():
     plans += [greedy_plan(n) for n in range(1, 80)]
     plans += [plan for c in (1, 2, 3) for n in range(9, 24) for plan in enumerate_plans(n, c, cap=10**4)]
     assert len(plans) == 1218
+    rng = random.Random(20240)
+    plans += [random_tree(1, rng.randint(30, 300), rng) for _ in range(20)]
+    plans += [right_spine(n) for n in (2, 3, 30, 151)]
     for plan in plans:
         for c in (0, 1, 3):
             assert simulate_race(plan, c) == oracle.simulate_race(plan, c), (plan_text(plan), c)
@@ -526,6 +539,8 @@ def test_plans_deeper_than_the_recursion_limit():
         text = f"(1-{hi}@{hi - 1} {text} {hi})"
     assert plan_text(plan) == text
     assert list(plan_texts([plan, greedy_plan(1500), plan])) == [text] * 3
+    assert repr(plan) == str(plan) == f"RacePlan({text})"
+    assert pickle.loads(pickle.dumps(plan)) == plan == copy.deepcopy(plan)
 
 
 def test_plans_compare_by_their_splits():
