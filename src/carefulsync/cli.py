@@ -7,6 +7,7 @@ import json
 import sys
 from contextlib import nullcontext
 from itertools import islice
+from math import isqrt
 
 from . import cerny, estimates, pawnrace, primes, verify
 from .pfa import from_json, to_dot, to_json, format_word
@@ -14,21 +15,20 @@ from .solver import SolveLimits, LimitExceeded, NotSynchronizing, solve
 
 OK, MISMATCH, USAGE, RESOURCES = 0, 1, 2, 3
 
-# Every race kind but `f` refuses more pawns, as it runs count_races (for
-# `render` and `word` through plan_at when c > 0).  At n = 20 000
+# `count` and `enumerate` refuse more pawns, as they run count_races (as do
+# `render` and `word`, through plan_at, when c > 0).  At n = 20 000
 # count_races reaches 11 049 pawn counts and does 7 522 413 big-integer
 # products for c = 1, 5 331 598 for c = 2 and 2 398 426 for c = 3; c = 1
 # costs the most, about 34 s, against 10 s for c = 2 and 2.4 s for c = 3
 # (2-vCPU VM).
 RACE_COUNT_MAX_N = 20_000
-# `render` and `word` also hold a trace of one pawns-long row per iteration:
-# at 5 000 pawns and c = 0 `race render` peaks at about 80 MB in 0.55 s.
-RACE_TRACE_MAX_N = 5_000
-# `word` holds its word, one byte per letter, which grows with c as well as
-# with the pawns: 2 pawns at c = 10^7 make 3·10^7 letters.  The cap is the
-# length of the longest word c = 0 allows, `race word --n 5001 --c 0`, which
-# peaks at about 110 MB in 1.1 s (2-vCPU VM).
-RACE_WORD_MAX_LETTERS = 25_000_000
+# One budget for what `render` and `word` hold, checked before any plan is
+# built: `render` holds a trace of n(n-1) bytes, `word` its word at one byte
+# per letter (at least n'^2 for n' pawns, and more with c: 2 pawns at c = 10^7
+# make 3·10^7 letters).  It is the length of `race word --n 5001 --c 0`, about
+# 110 MB in 1.1 s; `race render --n 5000 --c 0`, the most pawns it allows,
+# takes 80 MB in 0.55 s (2-vCPU VM).
+RACE_MAX_BYTES = 25_000_000
 
 
 def _flag(name, **spec):
@@ -38,10 +38,10 @@ def _flag(name, **spec):
 
 N = _flag("--n", type=int, required=True, help="automaton size")
 PAWNS = _flag("--n", type=int, required=True,
-              help=f"pawn count, at most {RACE_COUNT_MAX_N} for `count` and `enumerate`, "
-                   f"{RACE_TRACE_MAX_N} for `render`")
+              help=f"pawn count, at most {RACE_COUNT_MAX_N} for `count` and `enumerate`; "
+                   f"`render` holds n(n-1) bytes, at most {RACE_MAX_BYTES}")
 MEMBER = _flag("--n", type=int, required=True,
-               help=f"automaton size: the race has n - c - 1 pawns, at most {RACE_TRACE_MAX_N}")
+               help=f"automaton size: n - c - 1 pawns, a word of at most {RACE_MAX_BYTES} letters")
 C = _flag("--c", type=int, required=True)
 NMAX = _flag("--nmax", type=int, required=True)
 JSON = _flag("--json", action="store_true")
@@ -165,12 +165,20 @@ def _cmd_race(args, out):
         value = pawnrace.f_closed(n, c)
         print(json.dumps({"f": value}) if args.json else value, file=out)
         return OK
-    pawns = n - c - 1 if args.kind == "word" else n
-    cap = RACE_TRACE_MAX_N if args.kind in ("render", "word") else RACE_COUNT_MAX_N
-    if pawns > cap:
-        print(f"resources: race {args.kind} takes --n up to {cap + n - pawns}, not {n}",
-              file=sys.stderr)
-        return RESOURCES
+    if args.kind == "word":
+        # n and c name the family member; the race runs on n-c-1 pawns, and
+        # an optimal race makes a word of exactly rt_formula letters
+        letters = cerny.rt_formula(n, c)
+        if letters > RACE_MAX_BYTES:
+            print(f"resources: race word makes at most {RACE_MAX_BYTES} letters, not {letters}",
+                  file=sys.stderr)
+            return RESOURCES
+    else:
+        # render takes the most pawns whose trace, n(n-1) bytes, fits the budget
+        cap = (1 + isqrt(1 + 4 * RACE_MAX_BYTES)) // 2 if args.kind == "render" else RACE_COUNT_MAX_N
+        if n > cap:
+            print(f"resources: race {args.kind} takes --n up to {cap}, not {n}", file=sys.stderr)
+            return RESOURCES
     if args.kind == "count":
         value = pawnrace.count_races(n, c)
         print(json.dumps({"count": value}) if args.json else value, file=out)
@@ -187,14 +195,7 @@ def _cmd_race(args, out):
         plan = pawnrace.plan_at(n, c, args.plan_index)
         out.writelines(pawnrace.render_lines(pawnrace.simulate_race(plan, c)))
         return OK
-    # word: n and c name the family member; the race runs on n-c-1 pawns,
-    # and an optimal race makes a word of exactly rt_formula letters.
-    letters = cerny.rt_formula(n, c)
-    plan = pawnrace.plan_at(pawns, c, args.plan_index)
-    if letters > RACE_WORD_MAX_LETTERS:
-        print(f"resources: race word makes at most {RACE_WORD_MAX_LETTERS} letters, "
-              f"not {letters}", file=sys.stderr)
-        return RESOURCES
+    plan = pawnrace.plan_at(n - c - 1, c, args.plan_index)
     word = pawnrace.build_sync_word(n, c, plan)
     # every member has the same two letters: label them from the smallest
     text = format_word(cerny.build_cerny(2, 0), word, pretty=args.pretty)

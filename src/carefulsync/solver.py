@@ -75,10 +75,12 @@ import numpy as np
 from .pfa import Pfa, Word, image
 
 # The first level of at least this many subsets, and every level after it,
-# take the vectorized step.  Timed level by level on C(14, 2), C(16, 3) and
-# C(20, 4) (2 symbols, 2-vCPU VM), the two steps broke even between 64 and
-# 128 subsets; from 128 up the vectorized step was the faster on every input,
-# 1.5-1.7x at 256-511 subsets.
+# take the vectorized step.  The value is from a level-by-level timing made
+# before the dense map of seen subsets, where the two steps broke even between
+# 64 and 128 subsets.  Since the dense map, 32 has been faster on every member
+# timed from C(14, 2) to C(22, 4), with the same results; retuning, with that
+# timing redone for both seen kinds, is left to a change that measures
+# performance.
 WIDE = 128
 
 # A level of one subset takes the chain step once at least this many (and at
@@ -92,12 +94,10 @@ CHAIN = 8
 # solve on C(22, 4) from 0.34 to 0.071 s and 56 to 39 MB peak RSS, and on
 # C(24, 4) from 1.21 to 0.26 s and 103 to 66 MB.
 DENSE = 24
-# Levels the chain step reads in its first batch, doubled after every batch
-# that commits them all, up to the cap.  On the prime solves of 55 507 and
-# 86 257 levels, caps of 256 to 4096 all ran in the same time, and each
-# doubling of the cap from 256 on added about 0.5 MB of peak RSS.
-_BATCH = 64
-_BATCH_CAP = 256
+# Levels the chain step reads in one batch.  On the prime solves of 55 507 and
+# 86 257 levels, batches of 256 to 4096 all ran in the same time, and each
+# doubling from 256 on added about 0.5 MB of peak RSS.
+_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -479,7 +479,7 @@ class _Chain:
 
     ``orbits[s][q, j]`` is the one-bit set of s^(j+1) of state ``q + 1``, or
     0 from the first undefined step on, built by index doubling once per
-    symbol and batch size.  The OR of a subset's rows is its orbit, exact up
+    symbol, ``_BATCH`` steps wide.  The OR of a subset's rows is its orbit, exact up
     to the first T_i that meets ``outside[s]``, beyond which no level
     commits."""
 
@@ -494,11 +494,11 @@ class _Chain:
         ]
         self.orbits = {}
 
-    def _orbit_table(self, s, size):
+    def _orbit_table(self, s):
         table = self.orbits.get(s)
-        if table is None or table.shape[1] < size:
+        if table is None:
             at = self.succ[s][:, None]
-            while at.shape[1] < size:
+            while at.shape[1] < _BATCH:
                 # s^(m+j) = s^j after s^m, for j = 1..m
                 at = np.hstack([at, at[at[:, -1]]])
             table = self.orbits[s] = self.bit[at[:-1]]
@@ -515,13 +515,12 @@ class _Chain:
         others = [r for r in range(wide.outside.size) if r != s]
         has, add = seen.__contains__, seen.add
         done = 0
-        size = _BATCH
         while room > 0:
-            k = min(size, room)
+            k = min(_BATCH, room)
             members = np.flatnonzero(
                 np.unpackbits(np.array([bits], "<u8").view(np.uint8), bitorder="little")
             )
-            orbit = np.bitwise_or.reduce(self._orbit_table(s, size)[members, :k], axis=0)
+            orbit = np.bitwise_or.reduce(self._orbit_table(s)[members, :k], axis=0)
             front = np.concatenate((np.array([bits], np.uint64), orbit[:-1]))
             undefined = (front & wide.outside[s]) != 0
             stop = np.flatnonzero(undefined | (np.bitwise_count(orbit) == 1))
@@ -541,9 +540,8 @@ class _Chain:
                 bits = orbit[committed - 1].item()
             done += committed
             room -= committed
-            if committed < size:
+            if committed < _BATCH:
                 break
-            size = min(2 * size, _BATCH_CAP)
         return bits, done
 
 

@@ -1,5 +1,5 @@
 """Slow checks, outside the tier-1 suite: the widest subset search pinned
-here, the race commands at their pawn cap, the drop table to n = 2^21 - 1,
+here, the race commands at their limits, the drop table to n = 2^21 - 1,
 and the family's best threshold against (n-1)^2 over the same range.
 
 ``test_solve_cerny_24_4`` runs ``solve cerny --n 24 --c 4 --count`` as a

@@ -149,20 +149,45 @@ def test_race_kinds_refuse_pawns_above_their_limit(capsys, monkeypatch):
 
     monkeypatch.setattr(pawnrace, "count_races", lambda n, c: n)
     monkeypatch.setattr(pawnrace, "plan_at", past)
-    # word --c 1 races on --n minus 2 pawns
-    for kind, pawns, n in (("enumerate", 20000, 20000), ("render", 5000, 5000), ("word", 5000, 5002)):
+    # enumerate takes up to RACE_COUNT_MAX_N pawns, and render the most whose
+    # trace of n(n-1) bytes fits the budget
+    for kind, n in (("enumerate", 20000), ("render", 5000)):
         # at the limit the command goes on: enumerate finds more plans than
-        # --cap-plans, and render and word go on to build their one plan
+        # --cap-plans, and render goes on to build its one plan
         if kind == "enumerate":
             assert dispatch(["race", kind, "--n", str(n), "--c", "1"]) == 3
-            assert capsys.readouterr() == ("", f"resources: {pawns} optimal plans exceed cap 1000\n")
+            assert capsys.readouterr() == ("", f"resources: {n} optimal plans exceed cap 1000\n")
         else:
-            with pytest.raises(PastThePawnCheck, match=f"^{pawns}$"):
+            with pytest.raises(PastThePawnCheck, match=f"^{n}$"):
                 dispatch(["race", kind, "--n", str(n), "--c", "1"])
         assert dispatch(["race", kind, "--n", str(n + 1), "--c", "1"]) == 3
         assert capsys.readouterr() == ("", f"resources: race {kind} takes --n up to {n}, not {n + 1}\n")
-    assert dispatch(["race", "word", "--n", "5012", "--c", "10"]) == 3
-    assert capsys.readouterr().err == "resources: race word takes --n up to 5011, not 5012\n"
+    # word --c 0 races on --n minus 1 pawns: 5000 of them make a word of
+    # exactly the budget, 5001 of them one past it
+    with pytest.raises(PastThePawnCheck, match="^5000$"):
+        dispatch(["race", "word", "--n", "5001", "--c", "0"])
+    for n, c in ((5002, 0), (5002, 1), (5012, 10)):
+        assert dispatch(["race", "word", "--n", str(n), "--c", str(c)]) == 3
+        assert capsys.readouterr().err == (
+            f"resources: race word makes at most 25000000 letters, not {rt_formula(n, c)}\n")
+
+
+def test_race_render_budget_counts_trace_bytes(capsys, monkeypatch):
+    from carefulsync import cli
+
+    assert 5000 * 4999 <= cli.RACE_MAX_BYTES < 5001 * 5000
+    # n(n-1) is positive for a negative n, which is still a usage error
+    assert dispatch(["race", "render", "--n", "-6000", "--c", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: need at least one pawn\n")
+    # the pawn limit is the most pawns whose trace fits, for every budget
+    for budget in range(100):
+        monkeypatch.setattr(cli, "RACE_MAX_BYTES", budget)
+        assert dispatch(["race", "render", "--n", "100", "--c", "0"]) == 3
+        cap = int(capsys.readouterr().err.split()[7].rstrip(","))
+        assert cap * (cap - 1) <= budget < (cap + 1) * cap
+    monkeypatch.setattr(cli, "RACE_MAX_BYTES", 42)
+    code, out = run(capsys, "race", "render", "--n", "7", "--c", "1")
+    assert code == 0 and out.count("\n") == 2 + 6
 
 
 @pytest.mark.parametrize("argv, count", [
@@ -192,16 +217,27 @@ def test_render_and_word_build_their_plan_without_enumerating(capsys, monkeypatc
 
 
 def test_race_word_refuses_words_above_its_letter_cap(capsys, monkeypatch):
-    from carefulsync import cli
+    from carefulsync import cli, pawnrace
 
-    # 2 pawns, within the pawn cap, but a word of 30 000 004 letters
-    assert dispatch(["race", "word", "--n", "10000003", "--c", "10000000"]) == 3
-    assert capsys.readouterr() == (
-        "", "resources: race word makes at most 25000000 letters, not 30000004\n")
-    monkeypatch.setattr(cli, "RACE_WORD_MAX_LETTERS", 73)  # rt(9, 1)
+    def refuse(*args):
+        raise AssertionError("a race was counted or planned")
+
+    # refused before any race is counted or planned, whatever the plan index;
+    # the last member has 2 pawns but a word of 30 000 004 letters
+    with monkeypatch.context() as patched:
+        patched.setattr(pawnrace, "count_races", refuse)
+        patched.setattr(pawnrace, "plan_at", refuse)
+        for argv in ("race word --n 5002 --c 1", "race word --n 5002 --c 1 --plan-index -1",
+                     "race word --n 5012 --c 10", "race word --n 10000003 --c 10000000"):
+            n, c = int(argv.split()[3]), int(argv.split()[5])
+            assert dispatch(argv.split()) == 3, argv
+            assert capsys.readouterr() == (
+                "", f"resources: race word makes at most 25000000 letters, not {rt_formula(n, c)}\n")
+    assert rt_formula(10000003, 10000000) == 30000004
+    monkeypatch.setattr(cli, "RACE_MAX_BYTES", 73)  # rt(9, 1)
     code, out = run(capsys, "race", "word", "--n", "9", "--c", "1")
     assert code == 0 and len(out.strip()) == 73
-    monkeypatch.setattr(cli, "RACE_WORD_MAX_LETTERS", 72)
+    monkeypatch.setattr(cli, "RACE_MAX_BYTES", 72)
     assert dispatch(["race", "word", "--n", "9", "--c", "1"]) == 3
     assert capsys.readouterr() == ("", "resources: race word makes at most 72 letters, not 73\n")
 

@@ -425,7 +425,7 @@ def test_chain_step_matches_python_step_on_prime_builds(chains):
             levels = chained(pfa, chain=chain).levels
             # most levels of these searches are chain levels
             assert 2 * sum(done for _, done, _ in chains) > levels
-    assert max(done for _, done, _ in chains) > solver._BATCH_CAP
+    assert max(done for _, done, _ in chains) > solver._BATCH
 
 
 def test_chain_changes_symbol_and_ends_in_a_singleton(chains):
@@ -461,17 +461,16 @@ def test_chain_ending_where_its_letter_is_undefined(chains):
 
 
 def test_chain_longer_than_its_batches(chains, monkeypatch):
-    monkeypatch.setattr(solver, "_BATCH", 2)
-    monkeypatch.setattr(solver, "_BATCH_CAP", 8)
-    sizes = set()
+    monkeypatch.setattr(solver, "_BATCH", 8)
+    widths = set()
     table = solver._Chain._orbit_table
     monkeypatch.setattr(solver._Chain, "_orbit_table",
-                        lambda self, s, size: sizes.add(size) or table(self, s, size))
+                        lambda self, s: widths.add(table(self, s).shape[1]) or table(self, s))
     for p, r in ((30, 30), (12, 40), (3, 50)):
         chained(relay(p, r))
         chained(relay(p, r), chain=2)
     assert max(done for _, done, _ in chains) == 47
-    assert sizes == {2, 4, 8}
+    assert widths == {8}
 
 
 def test_chain_after_a_wide_level(chains, wide_levels):
