@@ -404,11 +404,15 @@ def count_races(n: int, c: int) -> int:
     """Number of distinct optimal races (arbitrary precision): o(1) = o(2) = 1
     and o(m) sums o(m-i)·o(i) over the split interval of m.  A pass down
     from n marks the counts that o(n) reaches and the memo lacks; a pass up
-    computes each of them once."""
+    computes each of them once.  At c = 0 the one optimal race is
+    :func:`greedy_plan`'s, the only tree whose every node moves one pawn
+    one position."""
     if n < 1:
         raise ValueError("need at least one pawn")
-    if c < 1:
-        raise ValueError("optimal-race counting needs cost parameter >= 1")
+    if c < 0:
+        raise ValueError("cost parameter must be >= 0")
+    if c == 0:
+        return 1
     memo = _o_tables.setdefault(c, {1: 1, 2: 1})
     known = memo.get(n)
     if known is not None:
@@ -511,11 +515,11 @@ def leaf(k: int) -> RacePlan:
 
 
 def enumerate_plans(n: int, c: int, cap: int = 1000) -> list[RacePlan]:
-    """All optimal race plans for ``n`` pawns, as split trees.
+    """All optimal race plans for ``n`` pawns, as split trees: at c = 0 the
+    one plan is :func:`greedy_plan`.
 
-    Requires c >= 1 (split optimality is only characterized there).  When the
-    number of plans exceeds ``cap``, raises :class:`TooManyPlans` with the
-    exact count attached instead of building them.
+    When the number of plans exceeds ``cap``, raises :class:`TooManyPlans`
+    with the exact count attached instead of building them.
     """
     if n < 1:
         raise ValueError("need at least one pawn")
@@ -524,6 +528,8 @@ def enumerate_plans(n: int, c: int, cap: int = 1000) -> list[RacePlan]:
     total = 1 if n <= 2 else count_races(n, c)
     if total > cap:
         raise TooManyPlans(total, cap)
+    if c == 0:
+        return [greedy_plan(n)]
     return _plans(1, n, c, _runs_for(c, n) if n > 2 else None, {})
 
 
@@ -556,7 +562,7 @@ def plan_at(n: int, c: int, index: int) -> RacePlan:
     """
     if n < 1:
         raise ValueError("need at least one pawn")
-    count = 1 if c == 0 or n <= 2 else count_races(n, c)
+    count = 1 if n <= 2 else count_races(n, c)
     if not 0 <= index < count:
         raise ValueError(f"plan index {index} out of range (have {count})")
     if c == 0:

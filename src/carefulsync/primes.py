@@ -123,12 +123,17 @@ def prime_rt_formula(values) -> int:
     for i = 1 .. r-1; exact arbitrary-precision arithmetic throughout.
     """
     plist = _as_prime_list(values)
-    r = len(plist)
-    if r < 2:
+    if len(plist) < 2:
         raise ValueError("need at least two groups")
-    total = 5 * r - 2
-    suffix = plist.values[-1]
-    for v in reversed(plist.values[:-1]):
+    return _rt_value(plist.values)
+
+
+def _rt_value(values) -> int:
+    """:func:`prime_rt_formula` of a list of at least two values, unchecked:
+    the caller guarantees that they are pairwise coprime and >= 2."""
+    total = 5 * len(values) - 2
+    suffix = values[-1]
+    for v in reversed(values[:-1]):
         suffix *= v
         total += suffix
     return total
@@ -173,7 +178,8 @@ def best_prime_list(n: int) -> tuple[tuple[int, ...], int, int]:
     def extend(chosen: list[int], budget: int):
         nonlocal best
         if len(chosen) >= 2:
-            value = prime_rt_formula(chosen)
+            # coprime by construction, so the formula's own check is skipped
+            value = _rt_value(chosen)
             key = (value, tuple(chosen))
             if best is None or value > best[0] or (value == best[0] and key[1] < best[1]):
                 best = (value, tuple(chosen))

@@ -11,7 +11,8 @@ words: it counts shortest paths as it goes and finishes the level in which
 the first singleton appears.  The search state is the set of subsets seen,
 the current level's path counts in discovery order, and one flat array that
 holds, by discovery number, each subset's parent and symbol, from which the
-word is read back.
+word is read back: 4 bytes a subset wherever every entry fits in 32 bits,
+as under the default cap.
 
 The search is level-synchronous, and each level takes one of three steps:
 
@@ -51,16 +52,18 @@ The search is level-synchronous, and each level takes one of three steps:
 Until the first wide level, the subsets seen are a Python set of ints and
 each level is a dict from subset to count.  That level hands them over once
 and for good: the level to a ``uint64`` array of subsets beside an array of
-counts, and the set to a :class:`_DenseSet`, a map of one byte per subset of
-the states indexed by the subset itself, when the automaton has at most
-``DENSE`` states and an image and a candidate number fit in one ``uint64``
-(fewer than 2^16 symbols at 24 states), or else to a :class:`_SubsetTable`, a
-hash table of ``uint64`` subsets.  The map needs no hashing and no probing,
-and its 2^n bytes are at most 16 MiB, a quarter of the hash table of the 3.1
-million subsets of C(24, 4); past 24 states it would double with each state,
-where a search's subsets need not.  The bit walk serves the narrow levels
-before it because numpy's fixed cost per level, about 0.1 ms, outweighs its
-per-subset gain below ``WIDE`` subsets.  After it, a level of one subset
+counts, and the set to a :class:`_DenseSet`, a map indexed by the subset
+itself, wherever an image and a candidate number fit in one ``uint64``
+(``2n + bit_length(nsym) <= 64``: up to 31 states for a binary alphabet,
+fewer than 2^16 symbols at 24 states), or else to a :class:`_SubsetTable`,
+a hash table of ``uint64`` subsets.  The map needs no hashing and no
+probing.  It holds one byte per subset up to ``DENSE`` states, 2^n bytes,
+at most 16 MiB, a quarter of the hash table of the 3.1 million subsets of
+C(24, 4), and one bit past that, 2^n / 8 bytes: 4 MiB at 25 states, 256
+MiB at 31, of which only the pages that a search touches are resident.
+The bit walk serves the narrow levels before it because numpy's fixed cost
+per level, about 0.1 ms, outweighs its per-subset gain below ``WIDE``
+subsets.  After it, a level of one subset
 costs one vectorized step, about 0.14 ms, against about 2 us a level for a
 chain step: going wide pays only while no search has a long tail of
 one-subset levels after a wide level, as none here has (the prime
@@ -89,10 +92,14 @@ WIDE = 128
 # levels in a row, so their searches never take it.
 CHAIN = 8
 # A search over at most this many states keeps its subsets seen, from the
-# first wide level on, in a map of 2^n bytes (16 MiB at 24) instead of the
-# hash table.  In fresh processes on a 2-vCPU VM (medians of 5), the map took
-# solve on C(22, 4) from 0.34 to 0.071 s and 56 to 39 MB peak RSS, and on
-# C(24, 4) from 1.21 to 0.26 s and 103 to 66 MB.
+# first wide level on, in a map of 2^n bytes (16 MiB at 24), and one of more
+# states in a map of 2^n bits, where the packed keys of the map fit.  In fresh
+# processes on a 2-vCPU VM (medians of 5), the byte map took solve on
+# C(22, 4) from 0.34 to 0.071 s and 56 to 39 MB peak RSS against the hash
+# table, and on C(24, 4) from 1.21 to 0.26 s and 103 to 66 MB; a bit map on
+# C(22, 4) cost up to 25% more time for 3 MB less.  The bit map took solve on
+# C(26, 7) from 1.18 to 0.30 s in-process and from 102 to 46 MB against the
+# hash table.
 DENSE = 24
 # Levels the chain step reads in one batch.  On the prime solves of 55 507 and
 # 86 257 levels, batches of 256 to 4096 all ran in the same time, and each
@@ -104,20 +111,25 @@ _BATCH = 256
 class SolveLimits:
     """Caps on the search; exceeding either aborts loudly, never silently.
 
-    Memory grows with the subsets discovered.  Every subset costs 8 bytes of
-    parent link.  While the seen subsets are a Python set, each costs about
-    90 bytes more (97 bytes in all, measured on C(20, 4) with the Python
-    step alone).  Once a search over at most ``DENSE`` (24) states, with
-    fewer than 2^(64 - 2n) symbols, has gone wide, they are a map of one
-    byte per subset of the states, 2^n bytes whatever the search holds, and
-    only the pages the search touches count in RSS: at most 16 MiB, which a
-    sparse search pays too (C(24, 10) rose from 35 to 41 MB of peak RSS with
-    it).  Past 24 states, the hash table costs 8 bytes per slot and is kept
-    at most 3/4 full, so 11-22 bytes per subset, and 32 while it doubles.
-    At the default ``max_subsets`` of 2^24, a search of 25 to 64 states that
-    goes wide early holds at most about 0.5 GB: a table of 2^25 slots (256
-    MiB), or 384 MiB while it doubles, and 128 MiB of parent links; one that
-    stays in Python needs about 1.6 GB.
+    Memory grows with the subsets discovered.  Every subset costs 4 bytes of
+    parent link, or 8 where ``symbols * (max_subsets + 1)`` exceeds 2^31.
+    While the seen subsets are a Python set, each costs about 90 bytes more
+    (97 bytes in all with 8-byte links, measured on C(20, 4) with the Python
+    step alone).  Once a search with fewer than 2^(64 - 2n) symbols (so of
+    at most 31 states) has gone wide, they are a map indexed by the subset,
+    whatever the search holds, and only the pages the search touches count
+    in RSS.  Up to ``DENSE`` (24) states it holds a byte per subset, 2^n
+    bytes, at most 16 MiB, which a sparse search pays too (C(24, 10) rose
+    from 35 to 41 MB of peak RSS with it); past that a bit per subset,
+    2^n / 8 bytes.  From 32 states on, or with more symbols, the hash table
+    costs 8 bytes per slot and is kept at most 3/4 full, so 11-22 bytes per
+    subset, and 32 while it doubles.  At the default ``max_subsets`` of
+    2^24, a search of 25 to 31 states holds at most 2^n / 8 bytes of map
+    (256 MiB at 31 states), counting only touched pages, plus 4 bytes per
+    discovery (64 MiB); one of 32 to 64 states that goes wide early holds at
+    most about 0.45 GB: a table of 2^25 slots (256 MiB), or 384 MiB while it
+    doubles, and 64 MiB of parent links; one that stays in Python needs
+    about 1.6 GB.
     """
 
     max_subsets: int = 1 << 24
@@ -176,8 +188,9 @@ def _search(pfa: Pfa, limits: SolveLimits):
     step = image
     full = (1 << pfa.n) - 1
     seen = {full}
-    # by discovery number: the parent's discovery number * nsym + the symbol
-    origin = array("q", [-1])
+    # by discovery number: the parent's discovery number * nsym + the symbol,
+    # below nsym * (max_subsets + 1), in 4 bytes where that fits
+    origin = array("i" if nsym * (limits.max_subsets + 1) <= 1 << 31 else "q", [-1])
     # the current level in discovery order with its shortest-path counts: a
     # dict keyed by subset, or, from the first wide level on, the arrays front
     # and weight (counts is then None)
@@ -263,11 +276,12 @@ def _search(pfa: Pfa, limits: SolveLimits):
 
 def _seen_set(n, nsym, keys):
     """The set that the subsets seen, ``keys``, are handed over to at the
-    first wide level: the dense map for at most ``DENSE`` states, where a
-    candidate's image and number, below ``2^n * nsym``, fit in 64 bits
-    together; the hash table otherwise."""
-    if n <= DENSE and 2 * n + nsym.bit_length() <= 64:
-        return _DenseSet(n, keys)
+    first wide level: the dense map where a candidate's image and number,
+    below ``2^n * nsym``, fit in 64 bits together, a byte per subset for at
+    most ``DENSE`` states and a bit per subset past that; the hash table
+    otherwise."""
+    if 2 * n + nsym.bit_length() <= 64:
+        return _DenseSet(n, keys, packed=n > DENSE)
     return _SubsetTable(keys)
 
 
@@ -373,9 +387,14 @@ class _SubsetTable:
         return first.take(new), byhome.take(starts.take(new)), sums.take(new)
 
 
+# the bit of each of a byte's 8 subsets in a packed _DenseSet
+_BIT = np.uint8(1) << np.arange(8, dtype=np.uint8)
+
+
 class _DenseSet:
-    """A set of subsets of at most ``DENSE`` states: one byte per subset,
-    indexed by the subset itself.
+    """A set of subsets indexed by the subset itself: one byte per subset,
+    or, when ``packed``, one bit, bit ``k & 7`` of byte ``k >> 3`` standing
+    for subset ``k``.
 
     :meth:`claim` orders a level's candidates by value sorts of ``uint64``
     keys, each a subset in ``n`` bits beside a number below ``2^(64 - n)``:
@@ -383,10 +402,11 @@ class _DenseSet:
     below ``2^n * nsym``, so the keys fit where ``2n + bit_length(nsym) <=
     64``, which :func:`_seen_set` checks."""
 
-    def __init__(self, n, keys):
-        self.bits = np.zeros(1 << n, bool)
-        self.bits[keys.view(np.int64)] = True
-        self.size = keys.size
+    def __init__(self, n, keys, packed):
+        self.packed = packed
+        self.bits = np.zeros((1 << n) + 7 >> 3 if packed else 1 << n, np.uint8 if packed else bool)
+        self.size = 0
+        self._add(keys)
         self.n = np.uint64(n)
         self.shift = np.uint64(64 - n)
         # the low n bits, and the low 64 - n
@@ -401,7 +421,7 @@ class _DenseSet:
         without an argsort: the candidates already in the map are dropped
         first, and the rest sorted once by subset above candidate number,
         so that each run of one subset starts with its earliest candidate."""
-        keep = (~self.bits.take(found.view(np.int64))).nonzero()[0]
+        keep = self._unseen(found)
         keys = found.take(keep) << self.shift | keep.view(np.uint64)
         keys.sort()
         del keep
@@ -411,13 +431,28 @@ class _DenseSet:
         del subsets
         number = (keys & self.number).view(np.int64)
         sums = np.add.reduceat(weight.take(number // nsym), starts)
-        self.bits[new.view(np.int64)] = True
-        self.size += new.size
+        self._add(new)
         # the runs in discovery order: by earliest candidate above run number
         keys = number.take(starts).view(np.uint64) << self.n | np.arange(new.size, dtype=np.uint64)
         keys.sort()
         run = (keys & self.subset).view(np.int64)
         return (keys >> self.n).view(np.int64), new.take(run), sums.take(run)
+
+    def _unseen(self, found):
+        """The positions of the subsets ``found`` that the set does not hold."""
+        if not self.packed:
+            return (~self.bits.take(found.view(np.int64))).nonzero()[0]
+        held = self.bits.take((found >> 3).view(np.int64))
+        held &= _BIT.take((found & 7).view(np.int64))
+        return (held == 0).nonzero()[0]
+
+    def _add(self, new):
+        """Add the distinct subsets ``new``."""
+        self.size += new.size
+        if self.packed:
+            np.bitwise_or.at(self.bits, (new >> 3).view(np.int64), _BIT.take((new & 7).view(np.int64)))
+        else:
+            self.bits[new.view(np.int64)] = True
 
 
 class _WideKernel:
@@ -466,7 +501,7 @@ class _WideKernel:
         first, found, sums = seen.claim(found, weight, self.outside.size)
         if len(seen) > limits.max_subsets:
             raise LimitExceeded("max_subsets", limits.max_subsets + 1, level + 1)
-        origin.frombytes((first + base).view(np.uint8))
+        origin.frombytes((first + base).astype(origin.typecode, copy=False).view(np.uint8))
         singles = (np.bitwise_count(found) == 1).nonzero()[0]
         hit = before + int(singles[0]) if singles.size else None
         return found, sums, hit

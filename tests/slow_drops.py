@@ -1,12 +1,21 @@
-"""Slow checks, outside the tier-1 suite: the widest subset search pinned
-here, the race commands at their limits, the drop table to n = 2^21 - 1,
-and the family's best threshold against (n-1)^2 over the same range.
+"""Slow checks, outside the tier-1 suite: the widest subset searches pinned
+here, the family by search against its formula and the published table to
+30 states, the race commands at their limits, the drop table to
+n = 2^21 - 1, and the family's best threshold against (n-1)^2 over the
+same range.
 
 ``test_solve_cerny_24_4`` runs ``solve cerny --n 24 --c 4 --count`` as a
-CLI process, within 80 MB, and compares its stdout (threshold 712, count 6,
+CLI process, within 64 MB, and compares its stdout (threshold 712, count 6,
 the lexicographically least word) with ``tests/golden/cli``.  It comes
 first, so that no earlier test of the same process raises the peak that
 the child's ``ru_maxrss`` counts (see ``spawn_cli``).
+``test_best_member_by_search_25_to_30`` solves the family's best member at
+each n = 25..30 as a CLI process with ``--cap-subsets 67108864``, each
+within 200 MB, and checks its threshold against ``tables.CONCLUSION``;
+C(30, 8) explores 20 968 208 subsets, past the default cap.
+``test_solve_matches_formula_to_24`` solves every member of 19 to 24
+states in this process and checks each threshold against ``rt_formula``;
+it comes last, as its searches raise this process's peak.
 ``test_race_render_5000`` runs ``race render --n 5000 --c 0``, and the last
 optimal plan of ``race render --n 5000 --c 1``, each as a CLI process within
 100 MB: the race trace holds one row per iteration, by position, and the
@@ -45,7 +54,9 @@ not collect it; run it by name, from the repository root:
 
     PYTHONPATH=src python -m pytest -q tests/slow_drops.py
 
-On a 2-vCPU VM the solve takes about 1 s, at about 65 MB, the race picture
+On a 2-vCPU VM the solve takes about 0.7 s, at about 55 MB, the best
+members to 30 states about 7 s in all, C(30, 8) about 2.6 s at about
+145 MB, every member of 19 to 24 states about 11 s, the race picture
 about 0.55 s and the last plan at c = 1 about 0.8 s, each at about 80 MB,
 the race word about 1.1 s at about 110 MB, plain or ``--json``, the race
 count about 35 s, the drop
@@ -66,7 +77,8 @@ from pathlib import Path
 import numpy as np
 import oracle
 
-from carefulsync import count_races, f_closed, optimal_c, scan_drops, scan_optimal
+from carefulsync import (build_cerny, count_races, f_closed, optimal_c, rt_formula,
+                         scan_drops, scan_optimal, solve, tables)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 HEADER = "n_before\tn_after\tc_before\tc_after\tr_before\tr_after\tgap"
@@ -96,10 +108,24 @@ def test_solve_cerny_24_4():
         out.seek(0)
         text = out.read().decode()
     assert code == 0
-    assert maxrss < 80 * 1024, maxrss
+    assert maxrss < 64 * 1024, maxrss
     fields = dict(line.split("\t") for line in text.splitlines())
     assert (fields["threshold"], fields["count"]) == ("712", "6")
     assert text == golden
+
+
+def test_best_member_by_search_25_to_30():
+    for n in range(25, 31):
+        _, argmax = optimal_c(n)
+        c = min(argmax)
+        with tempfile.TemporaryFile() as out:
+            code, _, maxrss = spawn_cli(out, "solve", "cerny", "--n", str(n), "--c", str(c),
+                                        "--cap-subsets", str(1 << 26))
+            out.seek(0)
+            fields = dict(line.split("\t") for line in out.read().decode().splitlines())
+        assert code == 0, n
+        assert maxrss < 200 * 1024, (n, maxrss)
+        assert int(fields["threshold"]) == tables.CONCLUSION[n] == rt_formula(n, c), n
 
 
 def test_race_render_5000():
@@ -257,3 +283,9 @@ def test_family_exceeds_the_cerny_bound_to_2097151():
     bound = (np.arange(n_max + 1) - 1) ** 2
     assert best[2:6].tolist() == [1, 4, 9, 16] == bound[2:6].tolist()
     assert (best[6:] > bound[6:]).all()
+
+
+def test_solve_matches_formula_to_24():
+    for n in range(19, 25):
+        for c in range(n - 1):
+            assert solve(build_cerny(n, c)).threshold == rt_formula(n, c), (n, c)

@@ -64,14 +64,14 @@ def test_02_grid_reproduction():
 
 
 def test_03_triple_oracle_agreement():
-    for n in range(2, 15):
+    for n in range(2, 19):
         for c in range(n - 1):
             npr = n - c - 1
             formula = rt_formula(n, c)
             recursive = npr * (npr - 1) + c + 1 + f_recursive(npr, c)
             searched = solve(build_cerny(n, c)).threshold
             assert formula == recursive == searched, (n, c)
-    ok("criterion 3: formula = recursion = subset search for n<=14")
+    ok("criterion 3: formula = recursion = subset search for n<=18")
 
 
 def test_04_pawn_race():

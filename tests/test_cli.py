@@ -128,6 +128,18 @@ def test_race_f_count_enumerate_render(capsys):
     assert len([line for line in out.splitlines() if "|" in line]) == 7  # header + 6
 
 
+def test_race_kinds_agree_at_zero_cost(capsys):
+    # at c = 0 the one optimal race is the greedy one, plan 0, the only index
+    # that render takes
+    assert run(capsys, "race", "count", "--n", "5", "--c", "0") == (0, "1\n")
+    greedy = "0\t(1-5@4 (1-4@3 (1-3@2 (1-2@1 1 2) 3) 4) 5)\n"
+    assert run(capsys, "race", "enumerate", "--n", "5", "--c", "0") == (0, greedy)
+    assert run(capsys, "race", "render", "--n", "5", "--c", "0", "--plan-index", "0")[0] == 0
+    assert dispatch(["race", "render", "--n", "5", "--c", "0", "--plan-index", "1"]) == 2
+    assert dispatch(["race", "count", "--n", "5", "--c", "-1"]) == 2
+    capsys.readouterr()
+
+
 def test_race_count_refuses_n_above_its_limit(capsys, monkeypatch):
     from carefulsync import cli, pawnrace
 

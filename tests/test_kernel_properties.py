@@ -1,7 +1,7 @@
 """Property tests of the bitset kernel and the subset search against the
 per-state simulator and the brute-force word enumerator of ``oracle``, and
-of the search's two sets of subsets, the hash table and the dense map,
-against a Python set."""
+of the search's sets of subsets, the hash table and the dense map of a byte
+or of a bit per subset, against a Python set."""
 
 from unittest.mock import patch
 
@@ -202,12 +202,12 @@ def test_subset_table_matches_set(start, batches):
 
 @st.composite
 def dense_batches(draw):
-    """A number of states n, up to ``DENSE``, the keys the map starts with,
+    """A number of states n, up to 31, the keys the map starts with,
     and batches of candidate images as a level's step hands them to
     ``claim``, from a pool that holds the least and the greatest index of
     the map, 1 and 2^n - 1: keys repeat within batches and across them, and
     last comes the whole pool one key a batch."""
-    n = draw(st.one_of(st.integers(1, 16), st.just(solver.DENSE)))
+    n = draw(st.one_of(st.integers(1, 16), st.just(solver.DENSE), st.integers(25, 31)))
     top = (1 << n) - 1
     pool = draw(st.lists(st.integers(1, top), max_size=64, unique=True))
     pool = list(dict.fromkeys([1, top, *pool]))
@@ -246,13 +246,26 @@ def check_claims(seen, start, batches, nsym, big):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(dense_batches(), st.integers(1, 3), st.booleans())
-def test_dense_set_matches_set(case, nsym, big):
+@given(dense_batches(), st.integers(1, 3), st.booleans(), st.booleans())
+def test_dense_set_matches_set(case, nsym, big, packed):
     n, start, batches = case
-    dense = solver._DenseSet(n, np.array(start, np.uint64))
+    packed = packed or n > solver.DENSE  # a byte map past 24 states is too large
+    dense = solver._DenseSet(n, np.array(start, np.uint64), packed)
     model = check_claims(dense, start, batches, nsym, big)
-    assert dense.bits.size == 1 << n
-    assert np.flatnonzero(dense.bits).tolist() == sorted(model)
+    if not packed:
+        assert dense.bits.size == 1 << n
+        assert np.flatnonzero(dense.bits).tolist() == sorted(model)
+        return
+    # bit k & 7 of byte k >> 3 is subset k; the last byte, at n < 3, in part
+    assert dense.bits.size == ((1 << n) + 7) // 8
+    # the bytes of every key the claims met, since a scan of the whole map
+    # reads 256 MiB at 31 states: they hold the model's keys and no more
+    at = np.unique(np.array(start + [key for batch in batches for key in batch]) >> 3)
+    held = np.unpackbits(dense.bits.take(at), bitorder="little").reshape(-1, 8)
+    rows, bits = held.nonzero()
+    assert (at.take(rows) * 8 + bits).tolist() == sorted(model)
+    if n <= solver.DENSE:
+        assert np.bitwise_count(dense.bits).sum() == len(model)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -335,9 +335,36 @@ def test_count_races_10000_3(monkeypatch):
     assert hashlib.sha256(digits.encode()).hexdigest().startswith("71548704014144ad")
 
 
-def test_count_races_requires_positive_cost():
-    with pytest.raises(ValueError):
-        count_races(5, 0)
+def test_count_races_at_zero_cost_is_one():
+    for n in (1, 2, 5, 40, 20000):
+        assert count_races(n, 0) == 1
+        assert plan_at(n, 0, 0) == greedy_plan(n)
+    assert enumerate_plans(40, 0) == [greedy_plan(40)]
+    for c in (-1, -5):
+        with pytest.raises(ValueError, match="^cost parameter must be >= 0$"):
+            count_races(5, c)
+
+
+def split_trees(lo, hi):
+    """Every split tree over the pawns [lo..hi]."""
+    if lo == hi:
+        return [leaf(lo)]
+    return [RacePlan(lo, hi, split, left, right)
+            for split in range(lo, hi)
+            for left in split_trees(lo, split)
+            for right in split_trees(split + 1, hi)]
+
+
+def test_greedy_tree_is_the_one_least_cost_tree_at_zero_cost():
+    # every split tree of up to 9 pawns, 1 430 of them at 9: at c = 0 only
+    # moves cost, and the greedy tree alone moves each merged pawn one step
+    for n in range(1, 10):
+        trees = split_trees(1, n)
+        costs = [simulate_race(tree, 0).cost for tree in trees]
+        least = [tree for tree, cost in zip(trees, costs) if cost == min(costs)]
+        assert least == enumerate_plans(n, 0) == [greedy_plan(n)], n
+        assert min(costs) == f_closed(n, 0) and len(least) == count_races(n, 0)
+    assert len(trees) == 1430
 
 
 # --- plans and simulation ---------------------------------------------------

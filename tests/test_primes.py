@@ -1,4 +1,4 @@
-from math import log
+from math import gcd, log
 
 import pytest
 
@@ -202,6 +202,26 @@ def test_best_prime_list_can_beat_published_sample():
     # list of the first five primes fits in 43 states and scores 3950
     values, padding, value = best_prime_list(43)
     assert (values, padding, value) == ((2, 3, 5, 7, 11), 0, 3950)
+
+
+def test_best_prime_list_matches_the_validated_formula():
+    # every ascending pairwise-coprime list of at least two entries within
+    # 100 states, scored by the formula that checks its list
+    lists = []
+
+    def grow(chosen, room):
+        if len(chosen) >= 2:
+            lists.append((group_count(chosen), prime_rt_formula(chosen), chosen))
+        for v in range(chosen[-1] + 1 if chosen else 2, room - 2):
+            if all(gcd(v, u) == 1 for u in chosen):
+                grow(chosen + (v,), room - v - 3)
+
+    grow((), 100)
+    for n in range(16, 101):
+        fits = [(value, values) for states, value, values in lists if states <= n]
+        best = max(value for value, _ in fits)
+        values = min(values for value, values in fits if value == best)
+        assert best_prime_list(n) == (values, n - group_count(values), best), n
 
 
 def test_best_prime_list_bounds():

@@ -39,13 +39,40 @@ def funnel(n, symbols="abc"):
     return Pfa(n=n, symbols=tuple(symbols), delta=tuple(row(q) for q in range(1, n + 1)))
 
 
-def outcome(pfa, wide, limits=SolveLimits(), chain=NO_CHAINS, dense=solver.DENSE):
+# the three sets of subsets seen that the first wide level may hand over to,
+# each built in place of the one that ``solver._seen_set`` picks: the dense
+# map of a byte per subset, the dense map of a bit per subset, and the hash
+# table
+SEEN = {
+    "bytes": lambda n, nsym, keys: solver._DenseSet(n, keys, packed=False),
+    "bits": lambda n, nsym, keys: solver._DenseSet(n, keys, packed=True),
+    "hash": lambda n, nsym, keys: solver._SubsetTable(keys),
+}
+
+
+def seen_kinds_for(pfa):
+    """The keys of ``SEEN`` whose sets can hold the subsets of ``pfa``: the
+    dense maps only where their packed keys fit."""
+    fits = 2 * pfa.n + len(pfa.symbols).bit_length() <= 64
+    return tuple(SEEN) if fits else ("hash",)
+
+
+def seen_kind(seen):
+    """The key of ``SEEN`` for the set of subsets seen ``seen``."""
+    if isinstance(seen, solver._SubsetTable):
+        return "hash"
+    return "bits" if seen.packed else "bytes"
+
+
+def outcome(pfa, wide, limits=SolveLimits(), chain=NO_CHAINS, seen=None):
     """solve's result, or the fields of the exception it raised, with levels
     of at least ``wide`` subsets taking the vectorized step, the chain step
     taken after ``chain`` levels of one subset, and the wide levels keeping
-    their subsets in the dense map up to ``dense`` states."""
+    their subsets in the set ``SEEN[seen]``, or the one the search picks
+    when ``seen`` is None."""
+    picked = SEEN[seen] if seen else solver._seen_set
     with (patch.object(solver, "WIDE", wide), patch.object(solver, "CHAIN", chain),
-          patch.object(solver, "DENSE", dense)):
+          patch.object(solver, "_seen_set", picked)):
         try:
             return solve(pfa, limits)
         except (LimitExceeded, NotSynchronizing) as exc:
@@ -68,21 +95,17 @@ def wide_levels(monkeypatch):
 
 @pytest.fixture
 def seen_kinds(monkeypatch):
-    """The class of the set of subsets seen that each wide level fills."""
+    """The kind (a key of ``SEEN``) of the set of subsets seen that each
+    wide level fills, with the typecode of the search's parent links."""
     kinds = set()
     step = solver._WideKernel.step
 
     def spy(self, front, weight, base, seen, origin, limits, level):
-        kinds.add(type(seen))
+        kinds.add((seen_kind(seen), origin.typecode))
         return step(self, front, weight, base, seen, origin, limits, level)
 
     monkeypatch.setattr(solver._WideKernel, "step", spy)
     return kinds
-
-
-# DENSE values that keep every wide search of at most 24 states in the dense
-# map, or send it to the hash table, with the set kind each must fill
-SET_KINDS = ((solver.DENSE, solver._DenseSet), (0, solver._SubsetTable))
 
 
 def test_classic_cerny_4():
@@ -245,33 +268,38 @@ def test_dense_counts_hand_over_before_int64_overflows(monkeypatch):
     step = solver._WideKernel.step
 
     def spy(self, front, weight, base, seen, origin, limits, level):
-        kinds.add((type(seen), weight.dtype.kind))
+        kinds.add((seen_kind(seen), weight.dtype.kind))
         return step(self, front, weight, base, seen, origin, limits, level)
 
     monkeypatch.setattr(solver._WideKernel, "step", spy)
     expected = outcome(pfa, PYTHON_ONLY)
     assert (expected.threshold, expected.count) == (19, 16**19)
     assert outcome(pfa, ALL_WIDE) == expected
-    assert kinds == {(solver._DenseSet, "i"), (solver._DenseSet, "O")}
-    kinds.clear()
-    assert outcome(pfa, ALL_WIDE, dense=0) == expected
-    assert kinds == {(solver._SubsetTable, "i"), (solver._SubsetTable, "O")}
+    assert kinds == {("bytes", "i"), ("bytes", "O")}
+    for seen in ("bits", "hash"):
+        kinds.clear()
+        assert outcome(pfa, ALL_WIDE, seen=seen) == expected
+        assert kinds == {(seen, "i"), (seen, "O")}
 
 
 def test_dense_map_only_where_a_packed_key_fits():
     # the dense map sorts each candidate as one uint64: its image in n bits
-    # above its number, below 2^n * nsym, in the 64 - n bits left
+    # above its number, below 2^n * nsym, in the 64 - n bits left; it holds
+    # a byte per subset up to DENSE states and a bit past that
     keys = np.array([1], np.uint64)
     picked = {}
-    for n in (1, 2, 8, 16, 20, 23, 24, 25):
-        for nsym in (1, 2, 3, 255, 256, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 1 << 20):
-            dense = type(solver._seen_set(n, nsym, keys)) is solver._DenseSet
-            if dense:
+    for n in (1, 2, 8, 16, 20, 23, 24, 25, 28, 30, 31, 32, 40, 64):
+        for nsym in (1, 2, 3, 4, 255, 256, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 1 << 20):
+            kind = seen_kind(solver._seen_set(n, nsym, keys))
+            if kind != "hash":
                 assert (1 << n) * nsym <= 1 << (64 - n), (n, nsym)
-            picked[n, nsym] = dense
-    assert picked[24, (1 << 16) - 1] and picked[20, 1 << 20] and picked[16, 1 << 20]
-    assert not picked[24, (1 << 16) + 1] and not picked[23, 1 << 20]
-    assert not any(dense for (n, _), dense in picked.items() if n > solver.DENSE)
+            assert (kind == "bits") == (kind != "hash" and n > solver.DENSE), (n, nsym)
+            picked[n, nsym] = kind
+    assert picked[24, (1 << 16) - 1] == picked[20, 1 << 20] == picked[16, 1 << 20] == "bytes"
+    assert picked[24, (1 << 16) + 1] == picked[23, 1 << 20] == "hash"
+    assert picked[25, 1] == picked[28, 255] == picked[31, 3] == picked[30, 4] == "bits"
+    assert picked[31, 4] == picked[32, 1] == picked[25, 1 << 16] == "hash"
+    assert all(kind == "hash" for (n, _), kind in picked.items() if n >= 32)
 
 
 def test_wide_step_matches_python_step():
@@ -296,18 +324,18 @@ def test_default_width_takes_the_wide_step(wide_levels):
 def test_cap_inside_a_wide_level(wide_levels, seen_kinds):
     # C(18, 4) has levels of at least 128 subsets from 1 469 to 43 832 discovered
     pfa = build_cerny(18, 4)
-    for dense, kind in SET_KINDS:
+    for seen in SEEN:
         seen_kinds.clear()
         for cap in (1_500, 10_000, 30_000, 43_000):
             limits = SolveLimits(max_subsets=cap)
             expected = outcome(pfa, PYTHON_ONLY, limits)
             assert expected[:3] == (LimitExceeded, "max_subsets", cap + 1)
-            assert outcome(pfa, ALL_WIDE, limits, dense=dense) == expected
+            assert outcome(pfa, ALL_WIDE, limits, seen=seen) == expected
             del wide_levels[:]
-            assert outcome(pfa, solver.WIDE, limits, dense=dense) == expected
+            assert outcome(pfa, solver.WIDE, limits, seen=seen) == expected
             # the cap fell inside the last level, which the wide step expanded
             assert wide_levels[-1][0] + 1 == expected[3]
-        assert seen_kinds == {kind}
+        assert seen_kinds == {(seen, "i")}
 
 
 def test_not_synchronizing_explored_agrees(wide_levels, seen_kinds):
@@ -318,40 +346,42 @@ def test_not_synchronizing_explored_agrees(wide_levels, seen_kinds):
     pfa = Pfa(n=n, symbols=core.symbols, delta=core.delta + ((n, n), (n - 1, n - 1)))
     expected = outcome(pfa, PYTHON_ONLY)
     assert expected[0] is NotSynchronizing
-    for dense, kind in SET_KINDS:
+    for seen in SEEN:
         seen_kinds.clear()
-        assert outcome(pfa, ALL_WIDE, dense=dense) == expected
+        assert outcome(pfa, ALL_WIDE, seen=seen) == expected
         del wide_levels[:]
-        assert outcome(pfa, solver.WIDE, dense=dense) == expected
+        assert outcome(pfa, solver.WIDE, seen=seen) == expected
         assert wide_levels
-        assert seen_kinds == {kind}
+        assert seen_kinds == {(seen, "i")}
 
 
 def test_every_handoff_between_the_steps(wide_levels, seen_kinds):
     # the search goes wide at most once, by width, and stays wide, past the
     # int64 range of the counts too (funnel(64)), each run against the
-    # Python step alone, with the dense map and with the hash table
+    # Python step alone, with each set of subsets seen
     cases = [build_cerny(n, c) for n in (16, 17, 18) for c in (3, 4)]
     cases += [build_prime_pfa((5, 7, 8, 9)), funnel(64)]
     patterns = set()
     for pfa in cases:
         expected = outcome(pfa, PYTHON_ONLY)
         for wide in (ALL_WIDE, 2, 8, 64, 128, 500):
-            for dense, _ in SET_KINDS:
+            for seen in seen_kinds_for(pfa):
                 del wide_levels[:]
-                assert outcome(pfa, wide, dense=dense) == expected, (pfa.n, pfa.symbols, wide, dense)
+                assert outcome(pfa, wide, seen=seen) == expected, (pfa.n, pfa.symbols, wide, seen)
                 taken = {level for level, _ in wide_levels}
                 steps = (level in taken for level in range(expected.levels))
                 patterns.add("".join("W" if w else "N" for w, _ in groupby(steps)))
     assert patterns == {"N", "NW", "W"}, patterns
-    assert seen_kinds == {solver._DenseSet, solver._SubsetTable}
+    assert {kind for kind, _ in seen_kinds} == set(SEEN)
 
 
-def traced_peak(pfa, dense=solver.DENSE):
-    """solve's result and the peak of the memory it traced."""
+def traced_peak(pfa, seen=None):
+    """solve's result, its wide levels keeping their subsets in
+    ``SEEN[seen]`` (or the set the search picks), and the peak of the memory
+    it traced."""
     tracemalloc.start()
     try:
-        with patch.object(solver, "DENSE", dense):
+        with patch.object(solver, "_seen_set", SEEN[seen] if seen else solver._seen_set):
             result = solve(pfa)
         return result, tracemalloc.get_traced_memory()[1]
     finally:
@@ -360,13 +390,14 @@ def traced_peak(pfa, dense=solver.DENSE):
 
 def test_wide_search_keeps_its_subsets_off_the_python_heap():
     # 196 592 subsets: about 19 MB as Python ints in a set and dicts, about
-    # 8 MB in the hash table and level arrays, and the dense map is 1 MiB
+    # 8 MB in the hash table and level arrays, and the dense map is 1 MiB of
+    # bytes or 128 KiB of bits
     pfa = build_cerny(20, 4)
     expected = outcome(pfa, PYTHON_ONLY)
-    for dense, _ in SET_KINDS:
-        result, peak = traced_peak(pfa, dense)
+    for seen in SEEN:
+        result, peak = traced_peak(pfa, seen)
         assert result == expected
-        assert peak < 12 * 2**20, (dense, peak)
+        assert peak < 12 * 2**20, (seen, peak)
 
 
 def test_dense_map_bounds_a_wide_search_of_22_states():
@@ -375,6 +406,57 @@ def test_dense_map_bounds_a_wide_search_of_22_states():
     result, peak = traced_peak(build_cerny(22, 4))
     assert (result.threshold, result.explored, result.count) == (590, 786_400, 1)
     assert peak < 16 * 2**20, peak
+
+
+def test_parent_links_fall_back_to_8_bytes(seen_kinds):
+    # a link, below nsym * (max_subsets + 1), takes 4 bytes up to 2^31
+    pfa = funnel(12)
+    cap = (1 << 31) // 3
+    assert 3 * cap <= 1 << 31 < 3 * (cap + 1)
+    expected = outcome(pfa, PYTHON_ONLY)
+    for max_subsets, typecode in ((cap - 1, "i"), (cap, "q")):
+        limits = SolveLimits(max_subsets=max_subsets)
+        seen_kinds.clear()
+        for wide in (PYTHON_ONLY, ALL_WIDE, 4):
+            assert outcome(pfa, wide, limits) == expected
+            assert outcome(pfa, wide, limits, ALL_CHAINS) == expected
+        assert seen_kinds == {("bytes", typecode)}
+    # 128 symbols pass 2^31 under the default cap of 2^24 subsets, 127 do not
+    for nsym, typecode in ((127, "i"), (128, "q")):
+        pfa = funnel(5, [f"s{k}" for k in range(nsym)])
+        seen_kinds.clear()
+        assert outcome(pfa, ALL_WIDE) == outcome(pfa, PYTHON_ONLY)
+        assert outcome(pfa, ALL_WIDE).count == nsym**4
+        assert seen_kinds == {("bytes", typecode)}
+
+
+def test_bit_map_matches_hash_table_and_python_step(seen_kinds, chains):
+    # members of 25 to 27 states, past DENSE, where the search picks the bit
+    # map, prime builds of 25 to 27 states with long chains, one that never
+    # synchronizes, and members of 4, 8 and 12 states with the bit map
+    # forced: with and without the chain step, at every width and under
+    # caps, the outcome is the Python step's, with the bit map and with the
+    # hash table
+    core = build_cerny(23, 16)
+    cases = [build_cerny(25, 17), build_cerny(26, 18), build_cerny(27, 19)]
+    cases += [build_prime_pfa((3, 5, 7), padding) for padding in (1, 2, 3)]
+    cases += [Pfa(n=25, symbols=core.symbols, delta=core.delta + ((25, 25), (24, 24)))]
+    cases += [build_cerny(n, c) for n in (4, 8, 12) for c in range(n - 1)]
+    assert {pfa.n for pfa in cases[:7]} == {25, 26, 27}
+    for pfa in cases:
+        full = outcome(pfa, PYTHON_ONLY)
+        explored = full[2] if isinstance(full, tuple) else full.explored
+        for limits in (SolveLimits(), SolveLimits(max_subsets=max(1, explored // 2)),
+                       SolveLimits(max_length=max(1, explored // 100))):
+            expected = outcome(pfa, PYTHON_ONLY, limits)
+            for chain in (ALL_CHAINS, NO_CHAINS):
+                for wide in (ALL_WIDE, 16, solver.WIDE):
+                    for seen in (None, "bits", "hash") if pfa.n > solver.DENSE else ("bits", "hash"):
+                        got = outcome(pfa, wide, limits, chain, seen)
+                        assert got == expected, (pfa.n, pfa.symbols, limits, chain, wide, seen)
+    assert {kind for kind, _ in seen_kinds} == {"bits", "hash"}
+    assert any(done for _, done, _ in chains)
+    assert outcome(cases[6], PYTHON_ONLY)[0] is NotSynchronizing
 
 
 def relay(p, r, leak=None):
