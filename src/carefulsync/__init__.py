@@ -15,7 +15,6 @@ from .pfa import (
     from_json,
     is_sync_word,
     parse_word,
-    strongly_connected,
     to_dot,
     to_json,
 )
@@ -38,21 +37,17 @@ from .pawnrace import (
     enumerate_plans,
     f_closed,
     f_recursive,
-    generic_twinverse,
     greedy_plan,
     plan_at,
     render_race,
     sequences,
     simulate_race,
-    split_interval,
     twinverse,
 )
 from .cerny import (
     DropEvent,
     build_cerny,
     build_cerny_star,
-    expand_star_word,
-    greedy_factorization,
     local_optima,
     optimal_c,
     rt_formula,
@@ -74,15 +69,15 @@ __version__ = "0.1.0"
 __all__ = [
     "FormatError", "Pfa", "StateSet", "Word",
     "apply_word", "format_word", "from_json", "is_sync_word", "parse_word",
-    "strongly_connected", "to_dot", "to_json",
+    "to_dot", "to_json",
     "LimitExceeded", "NotSynchronizing", "SolveLimits", "SolveResult",
     "count_shortest", "solve",
     "RacePlan", "RaceTrace", "SequenceCache", "TooManyPlans",
     "build_sync_word", "cache_info", "count_races", "enumerate_plans", "f_closed",
-    "f_recursive", "generic_twinverse", "greedy_plan", "plan_at", "render_race",
-    "sequences", "simulate_race", "split_interval", "twinverse",
-    "DropEvent", "build_cerny", "build_cerny_star", "expand_star_word",
-    "greedy_factorization", "local_optima", "optimal_c", "rt_formula",
+    "f_recursive", "greedy_plan", "plan_at", "render_race",
+    "sequences", "simulate_race", "twinverse",
+    "DropEvent", "build_cerny", "build_cerny_star",
+    "local_optima", "optimal_c", "rt_formula",
     "scan_drops", "scan_optimal",
     "PrimeList", "best_prime_list", "build_prime_pfa", "martyugin_stats",
     "prime_rt_formula", "transitive_lower_bound",

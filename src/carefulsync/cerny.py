@@ -10,10 +10,11 @@ queries read the one template of ``pawnrace.run_template`` that serves every
 c >= c_min at once, with a run table of its own only for each c < c_min
 (c_min is 12 at n = 7200).  Every family value comes from one of two int64
 sources: the columns of ``_head_columns`` for c < c_min, and the template's
-lines u + c·v of ``_template_columns`` for c >= c_min.  ``optimal_c`` and
-``local_optima`` read one row of them through ``_row``, ``scan_grid`` one
-row per n in turn, and ``scan_optimal``, ``scan_maximizers`` and ``scan_drops``
-take the maximum over c >= c_min on an upper envelope of the lines.
+lines u + c·v of ``_template_columns`` for c >= c_min.  ``_rows`` joins
+them into one row per n: ``optimal_c`` and ``local_optima`` read the row of
+their n, and ``scan_grid`` every row in turn.  ``scan_optimal``,
+``scan_maximizers`` and ``scan_drops`` take the maximum over c >= c_min on an
+upper envelope of the lines.
 
 From the template, the terms <= j of p_c number A(j) + c·B(j) for every
 c >= c_min, so f_c(n') = (n'-1) + SA(n') + c·SB(n') with SA and SB the
@@ -90,7 +91,7 @@ from itertools import islice
 
 import numpy as np
 
-from .pfa import Pfa, Word
+from .pfa import Pfa
 from . import pawnrace
 
 STAR_SYMBOLS = ("a", "ã", "b̃")
@@ -125,22 +126,6 @@ def build_cerny_star(m: int) -> Pfa:
         rows.append((q + 1, q + 1, q))
     rows.append((None, 1, 1))
     return Pfa(n=m, symbols=STAR_SYMBOLS, delta=tuple(rows))
-
-
-def expand_star_word(word: Word, c: int) -> tuple[Word, int]:
-    """Substitute ã -> b^c a and b̃ -> b^(c+1) and report the weighted length.
-
-    Applying the expansion on the n-state family member agrees with applying
-    the original word on the (n-c)-state auxiliary automaton.
-    """
-    if c < 0:
-        raise ValueError("cost parameter must be >= 0")
-    bad = word.letters.translate(None, b"\0\1\2")  # the letters out of range
-    if bad:
-        raise ValueError(f"symbol index {bad[0]} outside the 3-letter alphabet")
-    expansion = {0: "\0", 1: "\1" * c + "\0", 2: "\1" * (c + 1)}
-    out = word.letters.decode("latin-1").translate(expansion).encode("latin-1")
-    return Word(out), len(out)
 
 
 def rt_formula(n: int, c: int) -> int:
@@ -191,31 +176,38 @@ def _sums_below(size: int, values: list[int], counts: list[int]) -> np.ndarray:
     return out
 
 
-def _row(n: int) -> np.ndarray:
-    """rt(n, c) for c = 0 .. n-2, as int64: below c_min the last entry of
-    each head column, which ends at n, and for c >= c_min the anti-diagonal
-    of the template's arrays, read backwards."""
-    _check_n_max(n)
-    top = n - 1  # largest n'
+def _rows(n_max: int, c_max: int, n_min: int = 2):
+    """rt(n, c) for c = 0 .. min(c_max, n-2), as int64, for n = n_min ..
+    n_max in turn: below c_min the entries of the head columns at n, kept
+    from n_min on, and for c >= c_min the anti-diagonal u[j] + c·v[j],
+    j = n - 2 - c, of the template's arrays, read backwards.  Checks the
+    range and builds the columns on the call."""
+    _check_n_max(n_max)
+    top = n_max - 1  # largest n'
     c_min, u, v = _template_columns(top)
-    head = [column[-1] for _, column in _head_columns(top, c_min)]
-    c = np.arange(len(head), top, dtype=np.int64)
-    u, v = u[: c.size][::-1], v[: c.size][::-1]  # at n' - 1 = n - 2 - c
-    return np.concatenate([np.array(head, dtype=np.int64), u + c * v])
+    head = np.zeros((min(c_min, c_max + 1, top), n_max + 1 - n_min), dtype=np.int64)
+    for c, column in islice(_head_columns(top, c_min), len(head)):
+        start = max(c + 2, n_min)
+        head[c, start - n_min:] = column[start - c - 2:]
+
+    def row(n):
+        c = np.arange(c_min, min(c_max, n - 2) + 1, dtype=np.int64)
+        j = slice(n - 1 - c_min - c.size, n - 1 - c_min)
+        return np.concatenate([head[: n - 1, n - n_min], u[j][::-1] + c * v[j][::-1]])
+
+    return map(row, range(n_min, n_max + 1))
 
 
 def optimal_c(n: int) -> tuple[int, set[int]]:
     """Maximum reset threshold over all c, with every maximizing c."""
-    row = _row(n)
+    (row,) = _rows(n, n - 2, n)
     best = row.max()
     return int(best), set(np.flatnonzero(row == best).tolist())
 
 
 def local_optima(n: int) -> list[tuple[int, int]]:
     """Interior c whose threshold is >= both neighbours, with values."""
-    if n < 4:
-        return []
-    row = _row(n)
+    (row,) = _rows(n, n - 2, n)
     inner = row[1:-1]
     at = np.flatnonzero((inner >= row[:-2]) & (inner >= row[2:])) + 1
     return list(zip(at.tolist(), row[at].tolist()))
@@ -366,19 +358,7 @@ def scan_grid(n_max: int, c_max: int):
     min(c_max, n-2), as Python ints.  Checks the range on the call."""
     if c_max < 0:
         raise ValueError(f"need c_max >= 0, got {c_max}")
-    _check_n_max(n_max)
-    top = n_max - 1  # largest n'
-    c_min, u, v = _template_columns(top)
-    head = np.zeros((min(c_min, c_max + 1, top), n_max + 1), dtype=np.int64)
-    for c, column in islice(_head_columns(top, c_min), len(head)):
-        head[c, c + 2:] = column
-
-    def values(n):  # the head columns below c_min, u[j] + c·v[j] above it, as in _row
-        c = np.arange(c_min, min(c_max, n - 2) + 1, dtype=np.int64)
-        j = n - 2 - c
-        return np.concatenate([head[: n - 1, n], u[j] + c * v[j]]).tolist()
-
-    return ((n, values(n)) for n in range(2, n_max + 1))
+    return ((n, row.tolist()) for n, row in enumerate(_rows(n_max, c_max), 2))
 
 
 def scan_drops(n_max: int) -> list[DropEvent]:
@@ -392,39 +372,3 @@ def scan_drops(n_max: int) -> list[DropEvent]:
             at.tolist(), best_c[at].tolist(), best_c[at + 1].tolist(),
             best[at].tolist(), best[at + 1].tolist())
     ]
-
-
-def greedy_factorization(text: str, c: int) -> list[str] | None:
-    """Split a word (after its b^(c+1) prefix) into a, b^c a, b^(c+1) blocks.
-
-    Returns the block list, or None if the text does not factor.  Every
-    minimum-length word between subsets of the family decomposes this way.
-    The decomposition of each maximal b-run is unique: a run of length L
-    works iff L = 0 or L = c modulo c+1, the latter only directly before an
-    a, which then completes the b^c a block.
-    """
-    if c < 0:
-        raise ValueError("cost parameter must be >= 0")
-    blocks = []
-    i = 0
-    while i < len(text):
-        if text[i] == "a":
-            blocks.append("a")
-            i += 1
-            continue
-        if text[i] != "b":
-            return None
-        run = 0
-        while i + run < len(text) and text[i + run] == "b":
-            run += 1
-        full, rest = divmod(run, c + 1)
-        if rest == 0:
-            blocks.extend(["b" * (c + 1)] * full)
-            i += run
-        elif rest == c and i + run < len(text) and text[i + run] == "a":
-            blocks.extend(["b" * (c + 1)] * full)
-            blocks.append("b" * c + "a")
-            i += run + 1
-        else:
-            return None
-    return blocks

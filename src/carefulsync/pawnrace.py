@@ -285,29 +285,6 @@ def twinverse(c: int, n: int) -> int:
     return _runs_for(c, n).twinverse(n)
 
 
-def generic_twinverse(p, i: int) -> int:
-    """Twinverse of an arbitrary increasing unbounded sequence.
-
-    ``p`` is a callable on 1-based indices; returns min{k : i < p(k)}.
-    Galloping plus binary search keeps this usable even when the answer is
-    astronomically large (the twinverse of a twinverse grows like p itself).
-    """
-    if i < 1:
-        raise ValueError("argument must be >= 1")
-    if p(1) > i:
-        return 1
-    lo, hi = 1, 2
-    while p(hi) <= i:
-        lo, hi = hi, hi * 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if p(mid) <= i:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
 # ---------------------------------------------------------------------------
 # minimum race cost, two independent ways
 
@@ -368,21 +345,10 @@ def race_cost(runs, n: int) -> int:
     return n * m - runs.q(m)
 
 
-def split_interval(n: int, c: int) -> list[int]:
-    """All optimal sizes for the trailing group when racing ``n`` pawns.
-
-    With k = m_c(n) - c - 1, these are the i with
-    p(k-1) <= n-i <= p(k) <= i <= p(k+1); the result is a nonempty
-    contiguous range whose least element is max(p(k), n - p(k)).
-    """
-    if n < 3:
-        raise ValueError("meaningful only for n >= 3")
-    lo, hi = _split_interval(_runs_for(c, n), n, c)
-    return list(range(lo, hi + 1))
-
-
 def _split_interval(runs, n, c):
-    """The least and greatest optimal split of ``split_interval``."""
+    """The least and greatest optimal size of the trailing group of n >= 3
+    pawns: with k = m_c(n) - c - 1, the i with p(k-1) <= n-i <= p(k) <= i <=
+    p(k+1), a nonempty contiguous range."""
     # every value read is at most p(m-1) <= n
     k = runs.twinverse(n) - c - 1
     pk_prev, pk, pk_next = runs.p(k - 1), runs.p(k), runs.p(k + 1)

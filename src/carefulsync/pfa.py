@@ -141,28 +141,6 @@ class StateSet:
     def __contains__(self, q: int) -> bool:
         return 1 <= q <= self.n and self.bits >> (q - 1) & 1 == 1
 
-    def __or__(self, other: "StateSet") -> "StateSet":
-        self._check_carrier(other)
-        return StateSet(self.bits | other.bits, self.n)
-
-    def __and__(self, other: "StateSet") -> "StateSet":
-        self._check_carrier(other)
-        return StateSet(self.bits & other.bits, self.n)
-
-    def __sub__(self, other: "StateSet") -> "StateSet":
-        self._check_carrier(other)
-        return StateSet(self.bits & ~other.bits, self.n)
-
-    def _check_carrier(self, other):
-        if self.n != other.n:
-            raise ValueError("state sets over different carriers")
-
-    def only(self) -> int:
-        """The single member of a singleton set."""
-        if len(self) != 1:
-            raise ValueError("not a singleton")
-        return self.bits.bit_length()
-
 
 @dataclass(frozen=True)
 class Word:
@@ -393,27 +371,3 @@ def to_dot(pfa: Pfa) -> str:
                 )
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def strongly_connected(pfa: Pfa) -> bool:
-    """True iff every state is reachable from every other along defined edges."""
-    edges = [[] for _ in range(pfa.n + 1)]
-    redges = [[] for _ in range(pfa.n + 1)]
-    for q in range(1, pfa.n + 1):
-        for s in range(len(pfa.symbols)):
-            t = pfa.delta[q - 1][s]
-            if t is not None:
-                edges[q].append(t)
-                redges[t].append(q)
-
-    def reach(adj):
-        seen = {1}
-        stack = [1]
-        while stack:
-            for t in adj[stack.pop()]:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return len(seen) == pfa.n
-
-    return reach(edges) and reach(redges)

@@ -9,7 +9,7 @@ rewiring of the start states makes the automaton strongly connected.
 """
 
 from dataclasses import dataclass
-from math import gcd, isqrt, log
+from math import gcd
 
 from .pfa import Pfa
 
@@ -194,21 +194,3 @@ def best_prime_list(n: int) -> tuple[tuple[int, ...], int, int]:
     assert best is not None
     value, plist = best
     return plist, n - group_count(plist), value
-
-
-def first_primes(r: int) -> tuple[int, ...]:
-    """The first r prime numbers (trial division; r stays small here)."""
-    out = []
-    candidate = 2
-    while len(out) < r:
-        if all(candidate % p for p in out if p <= isqrt(candidate)):
-            out.append(candidate)
-        candidate += 1
-    return tuple(out)
-
-
-def growth_exponent(values, states: int | None = None) -> float:
-    """ln(threshold) / sqrt(n ln n), the scale on which these families grow."""
-    plist = _as_prime_list(values)
-    n = states if states is not None else group_count(plist)
-    return log(prime_rt_formula(plist)) / (n * log(n)) ** 0.5

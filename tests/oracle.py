@@ -21,16 +21,30 @@ against ``TermSequence``), its runs scattered into a count array and summed
 by two cumsums, with no term shared between two values of c.  ``scan_optimal``, ``scan_maximizers``,
 ``scan_drops`` and ``scan_grid`` are the dense scans over every column, one
 c at a time, that the package's upper-envelope scans replaced.
+
+The rest check the paper's claims on the package's outputs, and no command
+needs them.  ``generic_twinverse`` inverts any increasing sequence by
+galloping, for the involution m_c(m_c(i)) = p_c(i).  ``expand_star_word``
+substitutes ã -> b^c a and b̃ -> b^(c+1), the reduction of C(n, c) to the
+3-letter automaton C* of n - c states; ``greedy_factorization`` splits a
+word into the blocks a, b^c a and b^(c+1) that every shortest word of the
+family factors into after its b^(c+1) prefix.  ``strongly_connected``
+checks that the transitive prime construction is strongly connected, and
+``first_primes`` and ``growth_exponent`` give the lists and the scale
+ln(rt) / sqrt(n ln n) of the prime constructions' growth.
 """
 
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import product
+from math import isqrt, log
 
 import numpy as np
 
 from carefulsync.cerny import DropEvent
 from carefulsync.pawnrace import RacePlan, RaceTrace, SequenceCache, leaf
+from carefulsync.pfa import Word
+from carefulsync.primes import group_count, prime_rt_formula
 
 
 def simulate(pfa, states, letters):
@@ -311,3 +325,120 @@ def scan_grid(n_max, c_max):
         for row, value in zip(grid[c + 2:], column.tolist()):
             row.append(value)
     return list(enumerate(grid))[2:]
+
+
+def generic_twinverse(p, i):
+    """Twinverse of an arbitrary increasing unbounded sequence.
+
+    ``p`` is a callable on 1-based indices; returns min{k : i < p(k)}.
+    Galloping plus binary search keeps this usable even when the answer is
+    astronomically large (the twinverse of a twinverse grows like p itself).
+    """
+    if i < 1:
+        raise ValueError("argument must be >= 1")
+    if p(1) > i:
+        return 1
+    lo, hi = 1, 2
+    while p(hi) <= i:
+        lo, hi = hi, hi * 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if p(mid) <= i:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def expand_star_word(word, c):
+    """Substitute ã -> b^c a and b̃ -> b^(c+1) and report the weighted length.
+
+    Applying the expansion on the n-state family member agrees with applying
+    the original word on the (n-c)-state auxiliary automaton.
+    """
+    if c < 0:
+        raise ValueError("cost parameter must be >= 0")
+    bad = word.letters.translate(None, b"\0\1\2")  # the letters out of range
+    if bad:
+        raise ValueError(f"symbol index {bad[0]} outside the 3-letter alphabet")
+    expansion = {0: "\0", 1: "\1" * c + "\0", 2: "\1" * (c + 1)}
+    out = word.letters.decode("latin-1").translate(expansion).encode("latin-1")
+    return Word(out), len(out)
+
+
+def greedy_factorization(text, c):
+    """Split a word (after its b^(c+1) prefix) into a, b^c a, b^(c+1) blocks.
+
+    Returns the block list, or None if the text does not factor.  Every
+    minimum-length word between subsets of the family decomposes this way.
+    The decomposition of each maximal b-run is unique: a run of length L
+    works iff L = 0 or L = c modulo c+1, the latter only directly before an
+    a, which then completes the b^c a block.
+    """
+    if c < 0:
+        raise ValueError("cost parameter must be >= 0")
+    blocks = []
+    i = 0
+    while i < len(text):
+        if text[i] == "a":
+            blocks.append("a")
+            i += 1
+            continue
+        if text[i] != "b":
+            return None
+        run = 0
+        while i + run < len(text) and text[i + run] == "b":
+            run += 1
+        full, rest = divmod(run, c + 1)
+        if rest == 0:
+            blocks.extend(["b" * (c + 1)] * full)
+            i += run
+        elif rest == c and i + run < len(text) and text[i + run] == "a":
+            blocks.extend(["b" * (c + 1)] * full)
+            blocks.append("b" * c + "a")
+            i += run + 1
+        else:
+            return None
+    return blocks
+
+
+def strongly_connected(pfa):
+    """True iff every state is reachable from every other along defined edges."""
+    edges = [[] for _ in range(pfa.n + 1)]
+    redges = [[] for _ in range(pfa.n + 1)]
+    for q in range(1, pfa.n + 1):
+        for s in range(len(pfa.symbols)):
+            t = pfa.delta[q - 1][s]
+            if t is not None:
+                edges[q].append(t)
+                redges[t].append(q)
+
+    def reach(adj):
+        seen = {1}
+        stack = [1]
+        while stack:
+            for t in adj[stack.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        return len(seen) == pfa.n
+
+    return reach(edges) and reach(redges)
+
+
+def first_primes(r):
+    """The first r prime numbers (trial division; r stays small here)."""
+    out = []
+    candidate = 2
+    while len(out) < r:
+        if all(candidate % p for p in out if p <= isqrt(candidate)):
+            out.append(candidate)
+        candidate += 1
+    return tuple(out)
+
+
+def growth_exponent(values):
+    """ln(threshold) / sqrt(n ln n) with n = group_count(values), the scale
+    on which the prime constructions grow."""
+    n = group_count(values)
+    return log(prime_rt_formula(values)) / (n * log(n)) ** 0.5

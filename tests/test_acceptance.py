@@ -17,7 +17,6 @@ from carefulsync import (
     f_closed,
     f_recursive,
     format_word,
-    greedy_factorization,
     greedy_plan,
     is_sync_word,
     local_optima,
@@ -27,13 +26,14 @@ from carefulsync import (
     scan_optimal,
     simulate_race,
     solve,
-    strongly_connected,
 )
-from carefulsync.pawnrace import SequenceCache, cache_for, generic_twinverse
+from carefulsync.pawnrace import SequenceCache, cache_for
 from carefulsync.estimates import f_bounds, phi
-from carefulsync.primes import first_primes, growth_exponent
 from carefulsync.tables import DROPS, GRID, P_N_2
 from carefulsync.verify import check
+from oracle import (
+    first_primes, generic_twinverse, greedy_factorization, growth_exponent, strongly_connected,
+)
 
 
 def ok(label):

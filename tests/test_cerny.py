@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import oracle
 import pytest
-from oracle import TermSequence, exact_row, row_optimum
+from oracle import TermSequence, exact_row, expand_star_word, greedy_factorization, row_optimum
 
 from carefulsync import (
     StateSet,
@@ -12,8 +12,6 @@ from carefulsync import (
     apply_word,
     build_cerny,
     build_cerny_star,
-    expand_star_word,
-    greedy_factorization,
     local_optima,
     optimal_c,
     rt_formula,
@@ -190,11 +188,11 @@ def test_row_queries_match_exact_oracle():
 
 
 def test_family_queries_refuse_out_of_range_n():
-    for query in (optimal_c, scan_optimal, scan_drops, rt_table):
-        for n in (-1, 0, 1, 2**21):
+    for query in (optimal_c, local_optima, scan_optimal, scan_drops, rt_table):
+        for n in (-5, -1, 0, 1, 2**21):
             with pytest.raises(ValueError, match="2\\*\\*21"):
                 query(n)
-    assert local_optima(1) == local_optima(3) == []
+    assert local_optima(2) == local_optima(3) == []
 
 
 def test_int64_bound_behind_the_range_check():

