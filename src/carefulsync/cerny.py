@@ -13,8 +13,8 @@ sources: the columns of ``_head_columns`` for c < c_min, and the template's
 lines u + c·v of ``_template_columns`` for c >= c_min.  ``_rows`` joins
 them into one row per n: ``optimal_c`` and ``local_optima`` read the row of
 their n, and ``scan_grid`` every row in turn.  ``scan_optimal``,
-``scan_maximizers`` and ``scan_drops`` take the maximum over c >= c_min on an
-upper envelope of the lines.
+``scan_maximizers`` and ``scan_drops`` take the maximum over c >= c_min by a
+monotone-argmax scan of the lines.
 
 From the template, the terms <= j of p_c number A(j) + c·B(j) for every
 c >= c_min, so f_c(n') = (n'-1) + SA(n') + c·SB(n') with SA and SB the
@@ -35,57 +35,47 @@ c·(1 + SB), |SA| and |n'^2 + SA| stay below n^3, and so do the partial
 cumsums.  The per-c columns below c_min scatter run values below the
 column length, and their prefix sums stay below f_c(n').
 
-The family optimum on an upper envelope.  Put j = n' - 1 = n - c - 2, so
-c = n - 2 - j.  For c >= c_min the threshold is then
-rt(n, c) = u[j] + c·v[j] = b[j] + n·v[j] with b[j] = u[j] - (j+2)·v[j]:
-line j, with slope v[j] and intercept b[j], evaluated at n.
+The family optimum by a monotone-argmax scan.  Put j = n' - 1 = n - c - 2,
+so c = n - 2 - j, and i = n - 2 - c_min.  For c >= c_min the threshold is
+then M[i][j] = rt(n, c) = u[j] + (i + c_min - j)·v[j], and
+M[i+1][j] = M[i][j] + v[j]: row i of M is the lines j evaluated at n.
 
 - Eligibility.  Line j stands for c = n - 2 - j, which is >= c_min from
-  n = j + 2 + c_min on, and <= n - 2 as j >= 0.  So the maximum of row n
-  over c >= c_min is the maximum at n of the lines j = 0 .. n - 2 - c_min:
-  one line enters with each n, and the scan asks for n in increasing order.
+  row i = j on, and <= n - 2 as j >= 0.  So the maximum of rt(n, c) over
+  c >= c_min is the maximum of row i over the lines j = 0 .. i.
 - Slopes.  v[j+1] - v[j] = B(j+1).  The template's first run, the 2c terms
   equal to 1, has b = 2, and no run has b < 0, so B(j) >= B(1) = 2 for
-  j >= 1: the slopes increase strictly, in the order the lines enter.
-- Exactness.  Every comparison is made in Python ints.  The crossing of
-  lines i < k is x(i, k) = (b[i] - b[k]) / (v[k] - v[i]): line k is above
-  line i at n > x, equal at n = x and below at n < x; its floor and ceiling
-  are exact floor divisions.  The stacks hold j, b[j] and v[j] as int64:
-  with j + 2 <= n_max < 2^21, B(i) <= i+1 gives
-  (j+2)·v[j] <= n_max^3/2 + n_max, and |A(i)| <= c_min·(i+1) gives
-  |u[j]| <= (c_min+2)·n_max^2, so |b[j]| < 2^62 + 2^48.
-- Pop rule.  When line k enters, the back line m of the stack, with line i
-  before it, is popped while floor(x(m, k)) < ceil(x(i, m)): m attains the
-  maximum of i, m and k exactly at the integers n with x(i, m) <= n <=
-  x(m, k), and there are none.  A line that attains the maximum of a set at
-  n attains it in every subset that holds it, so a popped line attains the
-  maximum at no integer n of any later set either.  A line that only
-  touches, x(i, m) = x(m, k) = n, has ceil = floor = n and is kept.
-- Queries.  The rule keeps ceil(x) <= floor(x') for consecutive crossings
-  x, x' along the stack, so the crossings do not decrease, and two are
-  equal only at an integer.  At n the values along the stack rise strictly
-  while the crossing with the next line is < n, stay equal while it is
-  = n, and then fall strictly: the lines attaining the maximum are one
-  contiguous run.  The front line is dropped for good once the next line
-  is strictly above it, since the gap grows with n.  After that the front
-  line attains the maximum, with the least j, so the largest c; the lines
-  after it that equal it at n are the other maximizers with c >= c_min.
+  j >= 1: the slopes increase strictly.
+- Monotone argmax.  For j < k, M[i][k] - M[i][j] grows by v[k] - v[j] > 0
+  from each row to the next, so once line k ties line j or beats it, k
+  beats j in every later row.  Let lo(i) and hi(i) be the least and the
+  greatest maximizing j of row i.  Every j < lo(i) is beaten by lo(i) in
+  every later row, and every j < hi(i) is tied or beaten by hi(i) in row
+  i, so beaten in row i + 1: lo(i) <= hi(i) <= lo(i + 1).
+- Queries.  The scan finds lo(i) at the rows i = p - 1, p an odd multiple
+  of step, for step = 2^m down to 1.  The rows i - step and i + step were
+  done at a coarser step, or lie outside, where lo(-1) = 0 and
+  lo(rows) = rows - 1 stand in.  So lo(i) is the first maximum of row i
+  over j from lo(i - step) to min(lo(i + step), i).  The ranges of one
+  step overlap only at their ends, so one step evaluates fewer than
+  rows + rows/step pairs, and the scan O(n_max log n_max).  Every pair is
+  an eligible rt(n, c), exact in int64.
 - Ties.  ``best_c`` keeps the largest maximizing c.  The columns below
   c_min fold in first, in increasing c with ties moving to the larger c,
-  then the envelope, whose c >= c_min exceeds each of theirs, so a tie
-  moves to it.  ``scan_maximizers`` also keeps each c that a tie displaced,
-  with its value, and each touching line, and returns those whose value is
-  the final maximum, by n.  Up to 30 000, 1 152 values of n have two
-  maximizers and none has three; apart from n = 99, the double drop, the
-  two are adjacent values of c.
-- Cost.  Each line enters and leaves the stack once, so the scan is
-  O(n_max) after the O(c_min·n_max) columns below c_min.  u and v are read,
-  and results written into the int64 ``best`` and ``best_c``, ``_CHUNK``
-  lines at a time.  The live stack holds about 0.43·n lines, and its dead
-  front is cut once it passes a quarter of the stack.
+  then the scan's maximum at lo(i), whose c >= c_min exceeds each of theirs,
+  so a tie moves to it.  The other maximizers j with c >= c_min lie in
+  (lo(i), lo(i + 1)], a range no other row shares, and need not be
+  adjacent in j: one more pass over the lines finds them.
+  ``scan_maximizers`` keeps them, and each c that a tie displaced, with its
+  value, and returns those whose value is the final maximum, by n.  Up to
+  30 000, 1 152 values of n have two maximizers and none has three; apart
+  from n = 99, the double drop, the two are adjacent values of c.
+- Cost.  Pairs are evaluated, and results written into the int64 ``best``
+  and ``best_c``, ``_CHUNK`` at a time; a row that a slice cuts keeps its
+  earlier j on a tie.  Besides u, v, ``best`` and ``best_c``, the scan
+  holds lo as int32, and two int32 arrays of the rows of one step.
 """
 
-from array import array
 from dataclasses import dataclass
 from itertools import islice
 
@@ -252,55 +242,65 @@ def _head_columns(top: int, c_min: int):
         yield c, column
 
 
-_CHUNK = 1 << 10  # lines read from u and v, and results written, per step
+_CHUNK = 1 << 14  # pairs (n, j) evaluated, and results written, per step
 
 
-def _envelope(u: np.ndarray, v: np.ndarray, c_min: int, n_max: int, touches: list | None):
-    """The upper envelope of the lines j = 0 .. n_max - 2 - c_min, queried
-    at n = c_min + 2 .. n_max (see the module docstring).
+def _row_maxima(u: np.ndarray, v: np.ndarray, c_min: int, n_max: int, touches: list | None):
+    """The maxima of the rows i = n - 2 - c_min of M, for n = c_min + 2 ..
+    n_max, by the monotone-argmax scan of the module docstring.
 
-    Yields ``(n0, values, cs)`` for consecutive n from n0: the maximum of
-    rt(n, c) over c_min <= c <= n-2, and the largest c that attains it.
-    When ``touches`` is a list, appends ``(n, value, c)`` to it for every
-    other c >= c_min that attains it.  The hull is three int64 stacks, of
-    each line's j, intercept and slope; its live part starts at ``head``.
+    Yields ``(n0, values, cs)`` for consecutive n from n0, as int64 arrays:
+    the maximum of rt(n, c) over c_min <= c <= n-2, and the largest c that
+    attains it.  When ``touches`` is a list, appends ``(n, value, c)`` to it
+    for every other c >= c_min that attains it.  ``least[p]`` gets lo(p - 1).
     """
-    js, bs, ss = array("q"), array("q"), array("q")
-    head = 0
-    lines = n_max - 1 - c_min
-    for start in range(0, max(lines, 0), _CHUNK):
-        stop = min(start + _CHUNK, lines)
-        values, cs = [], []
-        for j, uj, vj in zip(range(start, stop), u[start:stop].tolist(), v[start:stop].tolist()):
-            b = uj - (j + 2) * vj
-            # pop the back line while it attains the maximum at no integer n
-            # between the line before it and line j
-            while len(js) - head >= 2 and (
-                (bs[-1] - b) // (vj - ss[-1]) < -((bs[-1] - bs[-2]) // (ss[-1] - ss[-2]))
-            ):
-                js.pop()
-                bs.pop()
-                ss.pop()
-            js.append(j)
-            bs.append(b)
-            ss.append(vj)
-            n = j + 2 + c_min
-            value = bs[head] + n * ss[head]
-            while head + 1 < len(js) and bs[head + 1] + n * ss[head + 1] > value:
-                head += 1
-                value = bs[head] + n * ss[head]
-            values.append(value)
-            cs.append(n - 2 - js[head])
-            if touches is not None:
-                i = head + 1
-                while i < len(js) and bs[i] + n * ss[i] == value:
-                    touches.append((n, value, n - 2 - js[i]))
-                    i += 1
-        if 4 * head > len(js):
-            for stack in (js, bs, ss):
-                del stack[:head]
-            head = 0
-        yield start + c_min + 2, values, cs
+    rows = n_max - 1 - c_min
+    if rows <= 0:
+        return
+
+    def rt(i, j):
+        return u[j] + (i + c_min - j) * v[j]
+
+    least = np.zeros(rows + 2, dtype=np.int32)  # j < 2^21, pairs per stride < 2^22
+    least[-1] = rows - 1  # a bound above every row
+    step = 1 << (rows.bit_length() - 1)
+    while step:
+        p = np.arange(step, rows + 1, 2 * step, dtype=np.int32)  # rows p - 1, each searched
+        last = np.minimum(least[np.minimum(p + step, rows + 1)], p - 1)  # from least[p - step]
+        ends = last - least[p - step] + 1
+        np.cumsum(ends, out=ends)  # a row's pairs end where the next row's start
+        shift = last + 1 - ends  # j minus the pair's position
+        del p, last
+        total, held = int(ends[-1]), 0  # held: the p the previous slice ended in
+        for start in range(0, total, _CHUNK):
+            stop = min(start + _CHUNK, total)
+            first, final = np.searchsorted(ends, (start, stop - 1), side="right")
+            p = np.arange((2 * first + 1) * step, (2 * final + 2) * step, 2 * step)  # rows met
+            bounds = np.minimum(ends[first: final + 1], stop) - start
+            heads = np.concatenate(([0], bounds[:-1]))  # where each row's pairs start
+            sizes = bounds - heads
+            j = np.arange(start, stop) + np.repeat(shift[first: final + 1], sizes)
+            values = rt(np.repeat(p - 1, sizes), j)
+            tops = np.maximum.reduceat(values, heads)
+            argmax = np.minimum.reduceat(np.where(values == np.repeat(tops, sizes), j, rows), heads)
+            if p[0] == held and rt(held - 1, least[held]) >= tops[0]:
+                argmax[0] = least[held]  # a row split between slices keeps its earlier j
+            held = p[-1]
+            least[p] = argmax
+        step >>= 1
+    least = least[1:-1]
+    for start in range(0, rows, _CHUNK):
+        i = np.arange(start, min(start + _CHUNK, rows))
+        yield start + c_min + 2, rt(i, least[i]), i + c_min - least[i]
+        if touches is not None:
+            # the maximizers of row r lie in [least[r], least[r + 1]]: pair
+            # each line i with the row whose range it closes, if it is in it
+            r = np.searchsorted(least, i) - 1
+            r, i = r[i <= r], i[i <= r]
+            values = rt(r, i)
+            at = np.flatnonzero(values == rt(r, least[r]))
+            touches.extend(zip((r[at] + c_min + 2).tolist(), values[at].tolist(),
+                               (r[at] + c_min - i[at]).tolist()))
 
 
 def _merge(best: np.ndarray, best_c: np.ndarray, n0: int, values: np.ndarray, c, ties):
@@ -328,8 +328,8 @@ def _scan(n_max: int, ties: list | None = None) -> tuple[np.ndarray, np.ndarray]
     best_c = np.full(n_max + 1, -1, dtype=np.int64)
     for c, column in _head_columns(top, c_min):
         _merge(best, best_c, c + 2, column, c, ties)
-    for n0, values, cs in _envelope(u, v, c_min, n_max, ties):
-        _merge(best, best_c, n0, np.array(values, dtype=np.int64), np.array(cs, dtype=np.int64), ties)
+    for n0, values, cs in _row_maxima(u, v, c_min, n_max, ties):
+        _merge(best, best_c, n0, values, cs, ties)
     return best, best_c
 
 

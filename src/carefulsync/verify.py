@@ -21,11 +21,11 @@ def _check(mismatches, label, got, expected):
 
 def _best_values(published, label):
     """Best family threshold per n against a published ``{n: value}``."""
+    best = cerny.scan_optimal(max(published))[0].tolist()
     mismatches, rows = [], []
     for n, value in sorted(published.items()):
-        got = cerny.optimal_c(n)[0]
-        _check(mismatches, label.format(n), got, value)
-        rows.append((n, got))
+        _check(mismatches, label.format(n), best[n], value)
+        rows.append((n, best[n]))
     return ("n", "value"), rows, mismatches
 
 
@@ -66,11 +66,12 @@ def _drops(nmax):
 
 
 def _defeat():
+    family, family_c = (a.tolist() for a in cerny.scan_optimal(max(r.n for r in tables.DEFEAT)))
     mismatches, rows = [], []
     for row in tables.DEFEAT:
-        best, argmax = cerny.optimal_c(row.n)
+        best = family[row.n]
         _check(mismatches, f"defeat({row.n}) cerny", best, row.cerny_rt)
-        _check(mismatches, f"defeat({row.n}) c'", max(argmax), row.best_c)
+        _check(mismatches, f"defeat({row.n}) c'", family_c[row.n], row.best_c)
         plist = primes.PrimeList(row.primes)
         _check(mismatches, f"defeat({row.n}) q", plist.q, row.q)
         plain = solve(primes.build_prime_pfa(plist, row.padding, False)).threshold

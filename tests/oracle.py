@@ -20,7 +20,7 @@ loop that the family scans ran before the shared run template: one
 against ``TermSequence``), its runs scattered into a count array and summed
 by two cumsums, with no term shared between two values of c.  ``scan_optimal``, ``scan_maximizers``,
 ``scan_drops`` and ``scan_grid`` are the dense scans over every column, one
-c at a time, that the package's upper-envelope scans replaced.
+c at a time, that the package's monotone-argmax scans replaced.
 
 The rest check the paper's claims on the package's outputs, and no command
 needs them.  ``generic_twinverse`` inverts any increasing sequence by

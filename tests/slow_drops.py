@@ -28,7 +28,7 @@ word's text, and parses it.
 ``test_race_count_20000`` runs ``race count --n 20000 --c 1``, the most
 costly count under the cap of ``--n`` (``cli.RACE_COUNT_MAX_N``), as a CLI
 process, and pins the 2 436 digits it prints by their SHA-256.
-``test_drops_to_120000_match_the_dense_oracle`` compares the envelope scan
+``test_drops_to_120000_match_the_dense_oracle`` compares the monotone-argmax scan
 ``scan_drops(120000)`` with the dense per-c scan of ``oracle.scan_drops`` and
 pins the four drops beyond the published eight that it finds.
 ``test_scan_optimal_c_to_2097151`` runs ``scan optimal-c --nmax 2097151``
@@ -42,7 +42,7 @@ streams one n at a time.
 ``test_drops_to_2097151`` checks the two endpoints of each of the
 four drops after those with ``optimal_c``, one exact row each, which does
 not show that no other drop lies between them.  It also runs
-``scan drops --nmax 2097151`` as a CLI process, within 30 s and 200 MB,
+``scan drops --nmax 2097151`` as a CLI process, within 15 s and 200 MB,
 and pins the 16 drops it prints.
 ``test_family_exceeds_the_cerny_bound_to_2097151`` checks the family side
 of the headline theorem, which the tier-1 suite checks to 7200: the
@@ -60,10 +60,11 @@ members to 30 states about 7 s in all, C(30, 8) about 2.6 s at about
 about 0.55 s and the last plan at c = 1 about 0.8 s, each at about 80 MB,
 the race word about 1.1 s at about 110 MB, plain or ``--json``, the race
 count about 35 s, the drop
-table to 120000 about 2 minutes, nearly all of it in the oracle, the scan
-of optimal c about 30 s, at about 240 MB per CLI process, with ``--full``
-about 12 s and 250 MB, the grid about 7 s and 32 MB, the drop table to
-2^21 - 1 about 12 s, and the family's best threshold about 8 s.
+table to 120000 about 1.5 minutes, nearly all of it in the oracle, the
+scan of optimal c about 12 s, at about 225 MB per CLI process, with
+``--full`` about 5 s and 250 MB, the grid about 7 s and 32 MB, the drop
+table to 2^21 - 1 about 3.5 s (the CLI scan about 2.7 s at 150 MB), and
+the family's best threshold about 1.5 s.
 """
 
 import hashlib
@@ -265,7 +266,7 @@ def test_drops_to_2097151():
         out.seek(0)
         lines = out.read().decode().splitlines()
     assert code == 0
-    assert elapsed < 30, elapsed
+    assert elapsed < 15, elapsed
     assert maxrss < 200 * 1024, maxrss
     assert lines[0] == HEADER and len(lines) == 1 + 16
     assert [tuple(map(int, line.split("\t")[:6])) for line in lines[-8:]] == BEYOND_7200

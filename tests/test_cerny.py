@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import oracle
@@ -20,7 +21,9 @@ from carefulsync import (
     solve,
     format_word,
 )
-from carefulsync.cerny import STAR_SYMBOLS, _envelope, _template_columns, scan_grid, scan_maximizers
+from carefulsync import cerny
+from carefulsync.cerny import (STAR_SYMBOLS, _row_maxima, _template_columns, scan_grid,
+                               scan_maximizers)
 from carefulsync.pawnrace import SequenceCache, f_closed
 from carefulsync.tables import CONCLUSION, GRID, P_N_2
 from carefulsync.verify import check
@@ -280,6 +283,22 @@ def test_maximizers_to_7200_match_the_dense_oracle():
     assert all(len(cs) == 2 and cs[1] == cs[0] + 1 for n, cs in tied.items() if n != 99)
 
 
+def test_maxima_at_the_stride_edges():
+    # the scan's strides are powers of two up to its row count, n_max - 1 -
+    # c_min: every n_max to 130, and for k = 7..10 each n_max from 2^k - 1
+    # to 2^k + 14, which holds 2^k - 1, 2^k and 2^k + 1 both as n_max and as
+    # row count.  A row's values do not depend on n_max, so one oracle scan
+    # serves every size.
+    assert _template_columns(2**10 + 13)[0] <= 12  # c_min at the largest n_max
+    want_best, want_c, want_smaller = oracle.scan_maximizers(2**10 + 14)
+    sizes = [*range(2, 131), *(m for k in range(7, 11) for m in range(2**k - 1, 2**k + 15))]
+    for n_max in sizes:
+        best, best_c, smaller = scan_maximizers(n_max)
+        assert best.tolist() == want_best[: n_max + 1].tolist(), n_max
+        assert best_c.tolist() == want_c[: n_max + 1].tolist(), n_max
+        assert smaller == {n: cs for n, cs in want_smaller.items() if n <= n_max}, n_max
+
+
 def test_envelope_keeps_a_line_that_only_touches():
     # with c_min = 0 line j enters at n = j + 2; lines 0, 1 and 2 meet at
     # n = 10 with the value 1000, so line 1 attains the maximum there and
@@ -290,11 +309,37 @@ def test_envelope_keeps_a_line_that_only_touches():
     intercepts[:3] = 1000 - 10 * slopes[:3]
     u = intercepts + (np.arange(lines) + 2) * slopes
     touches = []
-    ((n0, values, cs),) = _envelope(u, slopes, 0, lines + 1, touches)
+    ((n0, values, cs),) = _row_maxima(u, slopes, 0, lines + 1, touches)
     assert n0 == 2
-    assert values == [1000 + n - 10 for n in range(2, 11)] + [1003, 1006]
-    assert cs == [n - 2 for n in range(2, 11)] + [7, 8]
+    assert values.tolist() == [1000 + n - 10 for n in range(2, 11)] + [1003, 1006]
+    assert cs.tolist() == [n - 2 for n in range(2, 11)] + [7, 8]
     assert touches == [(10, 1000, 7), (10, 1000, 6)]
+
+
+def scan_matches_every_line(intercepts, slopes, c_min):
+    """Whether the scan of the lines agrees with the maximum over every line
+    at each n, also in slices of 2 pairs, which split rows, and whether some
+    n has two maximizers with a lower line between them in j."""
+    lines = len(intercepts)
+    u = np.array(intercepts) + (np.arange(lines) + 2) * slopes
+    scans = []
+    for chunk in (cerny._CHUNK, 2):
+        touches = []
+        with patch.object(cerny, "_CHUNK", chunk):
+            got = [(n0 + i, value, c) for n0, values, cs in
+                   _row_maxima(u, slopes, c_min, lines + 1 + c_min, touches)
+                   for i, (value, c) in enumerate(zip(values.tolist(), cs.tolist()))]
+        scans.append((got, touches))
+    want, want_touches, apart = [], [], False
+    for n in range(c_min + 2, lines + 2 + c_min):
+        row = {n - 2 - j: intercepts[j] + n * int(slopes[j]) for j in range(n - 1 - c_min)}
+        best = max(row.values())
+        cs = sorted(c for c, value in row.items() if value == best)
+        want.append((n, best, cs[-1]))
+        want_touches += [(n, best, c) for c in reversed(cs[:-1])]
+        apart |= any(b - a > 1 for a, b in zip(cs, cs[1:]))
+    assert scans == [(want, want_touches)] * 2
+    return apart
 
 
 def test_envelope_matches_every_line_on_random_sets():
@@ -309,43 +354,44 @@ def test_envelope_matches_every_line_on_random_sets():
         for s in slopes.tolist():
             x, y = rng.choice(points)
             intercepts.append(y - s * x + rng.choice([0, 0, 0, -1, 1]))
-        u = np.array(intercepts) + (np.arange(lines) + 2) * slopes
-        touches = []
-        got = [(n0 + i, value, c) for n0, values, cs in
-               _envelope(u, slopes, c_min, lines + 1 + c_min, touches)
-               for i, (value, c) in enumerate(zip(values, cs))]
-        want, want_touches = [], []
-        for n in range(c_min + 2, lines + 2 + c_min):
-            row = {n - 2 - j: intercepts[j] + n * int(slopes[j]) for j in range(n - 1 - c_min)}
-            best = max(row.values())
-            cs = sorted(c for c, value in row.items() if value == best)
-            want.append((n, best, cs[-1]))
-            want_touches += [(n, best, c) for c in reversed(cs[:-1])]
-        assert got == want
-        assert touches == want_touches
+        scan_matches_every_line(intercepts, slopes, c_min)
+
+
+def test_envelope_finds_maximizers_apart_in_j():
+    # every line passes through (x, y) or below it at n = x, so the
+    # maximizers there have lower lines between them
+    rng = random.Random(29)
+    apart = 0
+    for _ in range(200):
+        lines, c_min = rng.randint(3, 25), rng.randint(0, 3)
+        slopes = np.cumsum([rng.randint(1, 3) for _ in range(lines)])
+        x, y = rng.randint(c_min + 2, lines + 1 + c_min), rng.randint(-50, 50)
+        intercepts = [y - s * x - rng.choice([0, 0, 1, 2, 5]) for s in slopes.tolist()]
+        apart += scan_matches_every_line(intercepts, slopes, c_min)
+    assert apart >= 50, apart
 
 
 def test_template_slopes_increase():
-    # the envelope adds its lines in order of slope v[j]; it divides by
-    # the difference of two slopes, so they must increase strictly
+    # the scan's argmax never decreases from one n to the next because the
+    # slopes v[j] increase strictly
     _, _, v = _template_columns(2**16)
     assert v[0] == 1 and (np.diff(v) >= 2).all()
 
 
 def test_envelope_scan_memory_is_linear():
     # no Python list as long as the scan: a list of n ints costs about
-    # 40 bytes per n on top of the int64 arrays.  Traced memory slows the
-    # envelope's Python loop about 25-fold, so the sizes stay small.
-    scan_optimal(2**14)  # grow the shared run template first
+    # 40 bytes per n on top of the int64 arrays u, v, best and best_c.  The
+    # scan runs no Python loop per line, so tracing barely slows it.
+    scan_optimal(2**17)  # grow the shared run template first
     peaks = {}
-    for n_max in (2**12, 2**14):
+    for n_max in (2**14, 2**17):
         tracemalloc.start()
         try:
             scan_optimal(n_max)
             peaks[n_max] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    per_n = (peaks[2**14] - peaks[2**12]) / (2**14 - 2**12)
+    per_n = (peaks[2**17] - peaks[2**14]) / (2**17 - 2**14)
     assert per_n < 64, peaks
 
 
