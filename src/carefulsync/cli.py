@@ -51,7 +51,8 @@ CAP_PLANS = _flag("--cap-plans", type=int, default=1000)
 PLAN_INDEX = _flag("--plan-index", type=int, default=0)
 SOLVE = (_flag("--cap-subsets", type=int, default=SolveLimits.max_subsets),
          _flag("--cap-length", type=int, default=SolveLimits.max_length),
-         _flag("--count", action="store_true", help="also count shortest words"),
+         _flag("--count", action="store_true",
+               help="also print the number of shortest words, which every search counts"),
          JSON, PRETTY, OUT)
 AUTOMATA = {
     "cerny": (N, C),

@@ -59,6 +59,10 @@ def _next_block(block, before, need):
     return out, u
 
 
+# p, q and twinverse read the runs at one c, which the template does not fix
+_AT_ONE_C = "the template has no c: call p, q and twinverse on at(c, limit) or on SequenceCache(c)"
+
+
 def _steps(ends):
     """The run lengths behind running term counts."""
     return [end - start for start, end in zip([0, *ends], ends)]
@@ -117,28 +121,28 @@ class SequenceCache:
         self._lock = threading.Lock()
 
     def _extend_block(self):
+        """Append the runs of the next block, each a value of its own: a
+        block's values increase, and its first exceeds the last term of the
+        block before it, as p((j-1)c+1) - p((j-1)c) = p((j-2)c+1) -
+        p((j-2)c-1) > 0, by induction from block 3, whose twos follow ones."""
         self._block, self._before = _next_block(self._block, self._before, self._floor[-1])
         values, floor = self._p, self._floor
         ends_a, ends_b, sums_a, sums_b = self._ends_a, self._ends_b, self._sums_a, self._sums_b
         for value, a, b, need in self._block:
-            if value == values[-1]:
-                sums_a[-1] += value * a
-                sums_b[-1] += value * b
-                ends_a[-1] += a
-                ends_b[-1] += b
-                floor[-1] = need
-            else:
-                values.append(value)
-                sums_a.append(sums_a[-1] + value * a)
-                sums_b.append(sums_b[-1] + value * b)
-                ends_a.append(ends_a[-1] + a)
-                ends_b.append(ends_b[-1] + b)
-                floor.append(need)
+            values.append(value)
+            sums_a.append(sums_a[-1] + value * a)
+            sums_b.append(sums_b[-1] + value * b)
+            ends_a.append(ends_a[-1] + a)
+            ends_b.append(ends_b[-1] + b)
+            floor.append(need)
 
     def _grow(self, value: int, count: int = 0, c: int | None = None) -> bool:
         """Grow until a run exceeds ``value`` and, read at ``c``, the runs
         hold ``count`` terms.  With ``c``, stop early and return False once
         the last run needs a larger c (never, in a table of its own c)."""
+        if self._limit is not None:
+            raise ValueError("a table made by at() never grows: call runs and c_min on "
+                             "the template or on SequenceCache(c)")
         with self._lock:
             while (self._p[-1] <= value
                    or count and self._ends_a[-1] + c * self._ends_b[-1] < count):
@@ -149,6 +153,8 @@ class SequenceCache:
 
     def _run(self, k: int) -> int:
         """Index of the run holding p(k), grown to it in a table of one c."""
+        if self.c is None:
+            raise ValueError(_AT_ONE_C)
         if self._ends[-1] < k:
             if self._limit is not None:
                 raise ValueError(f"p({k}) exceeds the limit {self._limit} of these runs")
@@ -172,6 +178,8 @@ class SequenceCache:
     def twinverse(self, n: int) -> int:
         if n < 1:
             raise ValueError("argument must be >= 1")
+        if self.c is None:
+            raise ValueError(_AT_ONE_C)
         if self._limit is None:
             self._grow(n)
         elif n > self._limit:
@@ -198,6 +206,8 @@ class SequenceCache:
         reads the runs of values <= ``limit`` (or, with ``limit`` None, the
         runs through p_c(index)), holds their counts at c and never grows;
         None when c < ``c_min`` of those runs."""
+        if self.c is not None:
+            raise ValueError("at() reads the template: call it on run_template()")
         if limit is None:
             if not self._grow(0, index, c):
                 return None

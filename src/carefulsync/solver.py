@@ -14,9 +14,34 @@ holds, by discovery number, each subset's parent and symbol, from which the
 word is read back: 4 bytes a subset wherever every entry fits in 32 bits,
 as under the default cap.
 
-The search is level-synchronous, and each level takes one of three steps:
+The search is level-synchronous and runs in two phases, a loop each: the
+narrow phase takes the Python step, or the chain step where it applies, up
+to the first level of at least ``WIDE`` subsets, and the wide phase takes
+the vectorized step for that level and every later one, however narrow.
+The chain and vectorized steps read one kernel (:class:`_Kernel`) of
+byte-chunk image tables and per-symbol successor and orbit tables, which a
+search over at most 64 states builds on first need; a search over more
+states takes only the Python step.
 
-* The vectorized step (:class:`_WideKernel`) expands the whole level with
+* The Python step walks each subset's set bits with
+  :func:`carefulsync.pfa.image`, the step of :func:`carefulsync.pfa.apply_word`,
+  with arbitrary-precision counts.  It is the reference the tests hold the
+  two other steps to.
+* The chain step (:meth:`_Kernel.chain`) takes many levels at once where the
+  frontier is one subset T whose only new image is s(T), for the symbol s
+  that found T: the long runs of one letter in the words of the prime
+  constructions.  It is taken once the last ``CHAIN`` levels each held one
+  subset and found one new subset in the Python step.  It reads the orbit
+  s(T), s^2(T), ... a batch at a time off a table of every state's
+  trajectory under s, and the other symbols' images of the orbit off the
+  byte tables, then commits level by level while the Python step would make
+  exactly one discovery, the next set of the orbit: that set is defined,
+  unseen and not a singleton, every other symbol's image is undefined or
+  already seen, and both caps still hold.  Such a level adds one subset
+  under s and keeps the count, as the Python step would; the first level
+  that fails goes to the Python step, so the result and every exception are
+  the Python step's.
+* The vectorized step (:meth:`_Kernel.step`) expands the whole level with
   numpy: images by byte-chunk table gathers over a ``uint64`` frontier, where
   an undefined image reads as the full set, which is always seen;
   deduplication by sorting, exact sums of the path counts, and new subsets
@@ -25,33 +50,12 @@ The search is level-synchronous, and each level takes one of three steps:
   below, the images the map holds are dropped first and the rest sorted by
   value, each as one ``uint64`` of image and candidate number; with the hash
   table, every image is argsorted by its home slot, the order in which the
-  table is probed.  A search over at most 64 states takes it for every level
-  from its first of at least ``WIDE`` subsets on.  Its counts are int64 while
-  ``symbols * width * largest count < 2^63``, so that no sum overflows, and
-  Python ints past that.
-* The Python step walks each subset's set bits with
-  :func:`carefulsync.pfa.image`, the step of :func:`carefulsync.pfa.apply_word`,
-  with arbitrary-precision counts.  It takes every level before the first
-  wide one, and it is the reference the tests hold the two other steps to.
-* The chain step (:class:`_Chain`) takes many levels at once where the
-  frontier is one subset T whose only new image is s(T), for the symbol s
-  that found T: the long runs of one letter in the words of the prime
-  constructions.  It is taken when the automaton has at most 64 states and
-  the last ``CHAIN`` levels each held one subset and found one new subset in
-  the Python step, so never after the first wide level.  It reads the orbit
-  s(T), s^2(T), ... a batch at a time off a table of every state's
-  trajectory under s, and the other symbols' images of the orbit with the
-  vectorized step's byte tables, then commits level by level while the
-  Python step would make exactly one discovery, the next set of the orbit:
-  that set is defined, unseen and not a singleton, every other symbol's
-  image is undefined or already seen, and both caps still hold.  Such a
-  level adds one subset under s and keeps the count, as the Python step
-  would; the first level that fails goes to the Python step, so the result
-  and every exception are the Python step's.
+  table is probed.  Its counts are int64 while ``symbols * width * largest
+  count < 2^63``, so that no sum overflows, and Python ints past that.
 
-Until the first wide level, the subsets seen are a Python set of ints and
-each level is a dict from subset to count.  That level hands them over once
-and for good: the level to a ``uint64`` array of subsets beside an array of
+In the narrow phase, the subsets seen are a Python set of ints and each
+level is a dict from subset to count.  The handoff between the phases goes
+one way: the level goes to a ``uint64`` array of subsets beside an array of
 counts, and the set to a :class:`_DenseSet`, a map indexed by the subset
 itself, wherever an image and a candidate number fit in one ``uint64``
 (``2n + bit_length(nsym) <= 64``: up to 31 states for a binary alphabet,
@@ -61,17 +65,17 @@ probing.  It holds one byte per subset up to ``DENSE`` states, 2^n bytes,
 at most 16 MiB, a quarter of the hash table of the 3.1 million subsets of
 C(24, 4), and one bit past that, 2^n / 8 bytes: 4 MiB at 25 states, 256
 MiB at 31, of which only the pages that a search touches are resident.
-The bit walk serves the narrow levels before it because numpy's fixed cost
-per level, about 0.1 ms, outweighs its per-subset gain below ``WIDE``
-subsets.  After it, a level of one subset
-costs one vectorized step, about 0.14 ms, against about 2 us a level for a
-chain step: going wide pays only while no search has a long tail of
-one-subset levels after a wide level, as none here has (the prime
-constructions, whose words are such tails, never go wide).
+The narrow phase comes first because numpy's fixed cost per level, about
+0.1 ms, outweighs its per-subset gain below ``WIDE`` subsets.  After it, a
+level of one subset costs one vectorized step, about 0.14 ms, against about
+2 us a level for a chain step: going wide pays only while no search has a
+long tail of one-subset levels after a wide level, as none here has (the
+prime constructions, whose words are such tails, never go wide).
 """
 
 from array import array
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -191,14 +195,14 @@ def _search(pfa: Pfa, limits: SolveLimits):
     # by discovery number: the parent's discovery number * nsym + the symbol,
     # below nsym * (max_subsets + 1), in 4 bytes where that fits
     origin = array("i" if nsym * (limits.max_subsets + 1) <= 1 << 31 else "q", [-1])
-    # the current level in discovery order with its shortest-path counts: a
-    # dict keyed by subset, or, from the first wide level on, the arrays front
-    # and weight (counts is then None)
+    # the current level in discovery order with its shortest-path counts
     counts = {full: 1}
-    wide = chain = None
+    # a search over more than 64 states takes neither the chain nor the wide
+    # step, and one over at most 64 builds their kernel on first need
+    chain, wide = (CHAIN, WIDE) if pfa.n <= 64 else (inf, inf)
+    kernel = None
     level = 0
-    # consecutive levels of one subset that the Python step expanded into one;
-    # still 0 at the first wide level, which is level 0 if it holds one subset
+    # consecutive levels of one subset that the Python step expanded into one
     narrow = 0
     # nsym times the discovery number of the next subset to expand; subsets
     # are expanded in discovery order, so this only ever counts up
@@ -206,15 +210,19 @@ def _search(pfa: Pfa, limits: SolveLimits):
     # (first discovery number, past the last, symbol) of every chain step's
     # commits, each discovery's parent the one before it
     runs = []
+    # the narrow phase: the Python step, and the chain step after ``chain``
+    # levels of one subset, until the first level of ``wide`` subsets
     while True:
-        if narrow >= CHAIN and pfa.n <= 64:
-            if chain is None:
-                wide = _WideKernel(pfa)
-                chain = _Chain(pfa, wide)
+        width = len(counts)
+        if narrow >= chain or width >= wide:
+            # the chain and vectorized steps both read the kernel
+            kernel = kernel or _Kernel(pfa)
+            if width >= wide:
+                break
             [(bits, c)] = counts.items()
             s = origin[-1] % nsym
             room = min(limits.max_length - level, limits.max_subsets - len(seen))
-            bits, done = chain.run(bits, s, seen, room)
+            bits, done = kernel.chain(bits, s, seen, room)
             if done:
                 runs.append((len(origin), len(origin) + done, s))
             origin.extend(range(base + s, base + nsym * done, nsym))
@@ -224,53 +232,55 @@ def _search(pfa: Pfa, limits: SolveLimits):
             if not done:
                 # one batch per CHAIN levels at most where chains never commit
                 narrow = 0
-        width = len(counts) if counts is not None else front.size
         if not width:
             raise NotSynchronizing(len(seen), level)
         if level >= limits.max_length:
             raise LimitExceeded("max_length", len(seen), level)
         hit = None
-        if counts is not None and width >= WIDE and pfa.n <= 64:
-            # the one handoff: this level and every later one go wide
-            wide = wide or _WideKernel(pfa)
-            keys = np.fromiter(seen, np.uint64, len(seen))
-            seen = _seen_set(pfa.n, nsym, keys)
-            front = np.fromiter(counts, np.uint64, width)
-            weight = np.fromiter(counts.values(), object, width)
-            counts = None
-        if counts is None:
-            # int64 sums are exact while no sum can reach 2^63; Python ints past that
-            big = nsym * width * int(weight.max()) >> 63
-            weight = weight.astype(object if big else np.int64, copy=False)
-            front, weight, hit = wide.step(front, weight, base, seen, origin, limits, level)
-            base += nsym * width
-        else:
-            next_counts = {}
-            for bits, c in counts.items():
-                for s, mask, col in steps:
-                    target = step(bits, mask, col)
-                    if target is None:
-                        continue
-                    if target not in seen:
-                        seen.add(target)
-                        origin.append(base + s)
-                        if len(seen) > limits.max_subsets:
-                            raise LimitExceeded("max_subsets", len(seen), level + 1)
-                        next_counts[target] = c
-                        if hit is None and target.bit_count() == 1:
-                            # first discovery in this level is the lex-least word
-                            hit = len(seen) - 1
-                    elif target in next_counts:
-                        next_counts[target] += c
-                base += nsym
-            narrow = narrow + 1 if width == 1 and len(next_counts) == 1 else 0
-            counts = next_counts
+        next_counts = {}
+        for bits, c in counts.items():
+            for s, mask, col in steps:
+                target = step(bits, mask, col)
+                if target is None:
+                    continue
+                if target not in seen:
+                    seen.add(target)
+                    origin.append(base + s)
+                    if len(seen) > limits.max_subsets:
+                        raise LimitExceeded("max_subsets", len(seen), level + 1)
+                    next_counts[target] = c
+                    if hit is None and target.bit_count() == 1:
+                        # first discovery in this level is the lex-least word
+                        hit = len(seen) - 1
+                elif target in next_counts:
+                    next_counts[target] += c
+            base += nsym
+        narrow = narrow + 1 if width == 1 and len(next_counts) == 1 else 0
+        counts = next_counts
         level += 1
         if hit is not None:
-            if counts is None:
-                total = sum(weight[np.bitwise_count(front) == 1].tolist())
-            else:
-                total = sum(v for k, v in counts.items() if k.bit_count() == 1)
+            total = sum(v for k, v in counts.items() if k.bit_count() == 1)
+            return level, _backtrack(origin, nsym, hit, runs), hit + 1, level, total
+    # the one handoff: the level goes to the arrays front and weight, the
+    # subsets seen to a set off the Python heap, and this level and every
+    # later one, however narrow, take the vectorized step
+    seen = _seen_set(pfa.n, nsym, np.fromiter(seen, np.uint64, len(seen)))
+    front = np.fromiter(counts, np.uint64, len(counts))
+    weight = np.fromiter(counts.values(), object, len(counts))
+    while True:
+        width = front.size
+        if not width:
+            raise NotSynchronizing(len(seen), level)
+        if level >= limits.max_length:
+            raise LimitExceeded("max_length", len(seen), level)
+        # int64 sums are exact while no sum can reach 2^63; Python ints past that
+        big = nsym * width * int(weight.max()) >> 63
+        weight = weight.astype(object if big else np.int64, copy=False)
+        front, weight, hit = kernel.step(front, weight, base, seen, origin, limits, level)
+        base += nsym * width
+        level += 1
+        if hit is not None:
+            total = sum(weight[np.bitwise_count(front) == 1].tolist())
             return level, _backtrack(origin, nsym, hit, runs), hit + 1, level, total
 
 
@@ -455,29 +465,42 @@ class _DenseSet:
             self.bits[new.view(np.int64)] = True
 
 
-class _WideKernel:
-    """The automaton as byte-chunk gather tables for whole ``uint64``
-    frontiers, derived from :attr:`Pfa.kernel`, for ``n <= 64`` only.
+class _Kernel:
+    """The automaton compiled for the chain and vectorized steps of
+    :func:`_search`, from :attr:`Pfa.kernel`, for ``n <= 64`` only.
 
     ``tables[k][byte][s]`` is the OR of the one-bit targets, under symbol
     ``s``, of the states set in ``byte``, bit ``j`` standing for state
     ``8k + j + 1``, or the full set where ``s`` is undefined on one of those
-    states; ``outside[s]`` is the set of states where ``s`` is undefined."""
+    states; ``outside[s]`` is the set of states where ``s`` is undefined.
+
+    ``orbits[s][q, j]`` is the one-bit set of s^(j+1) of state ``q + 1``, or
+    0 from the first undefined step on, built by index doubling off the
+    successor table ``succ[s]`` once per symbol, ``_BATCH`` steps wide.  The
+    OR of a subset's rows is its orbit T_0, T_1 = s(T_0), ..., exact up to
+    the first T_i that meets ``outside[s]``, beyond which no level
+    commits."""
 
     def __init__(self, pfa: Pfa):
+        n = pfa.n
         masks, cols = pfa.kernel
-        chunks = (pfa.n + 7) // 8
+        chunks = (n + 7) // 8
         onebit = np.zeros((8 * chunks, len(masks)), np.uint64)
-        onebit[: pfa.n] = np.array(cols, np.uint64).T
+        onebit[:n] = np.array(cols, np.uint64).T
         byte = np.arange(256, dtype=np.uint64)
         self.tables = np.zeros((chunks, 256, len(masks)), np.uint64)
         for j in range(8):
             self.tables[:, byte >> j & 1 == 1] |= onebit[j::8, None]
-        full = (1 << pfa.n) - 1
+        full = (1 << n) - 1
         self.outside = np.array([full & ~m for m in masks], np.uint64)
         for k in range(chunks):
             off = self.outside >> np.uint64(8 * k) & np.uint64(255)
             self.tables[k][byte[:, None] & off != 0] = full
+        # state index -> one-bit set, with index n standing for undefined
+        self.bit = np.append(np.uint64(1) << np.arange(n, dtype=np.uint64), np.uint64(0))
+        self.succ = [np.array([t.bit_length() - 1 if t else n for t in col] + [n], np.uint8)
+                     for col in cols]
+        self.orbits = {}
 
     def images(self, front):
         """The images of the ``uint64`` subsets ``front`` under every symbol,
@@ -490,11 +513,11 @@ class _WideKernel:
         return images
 
     def step(self, front, weight, base, seen, origin, limits, level):
-        """One level at once; the same discoveries, in the same order, with
-        the same counts as the Python step of :func:`_search`, whose state
-        and ``base`` it takes.  Returns the next level's subsets and counts
-        in discovery order, and the discovery number of its first
-        singleton, or None."""
+        """The vectorized step: one level at once; the same discoveries, in
+        the same order, with the same counts as the Python step of
+        :func:`_search`, whose state and ``base`` it takes.  Returns the
+        next level's subsets and counts in discovery order, and the
+        discovery number of its first singleton, or None."""
         # the candidates in (parent, symbol) order, the Python step's order
         found = self.images(front).ravel()
         before = len(seen)
@@ -506,29 +529,6 @@ class _WideKernel:
         hit = before + int(singles[0]) if singles.size else None
         return found, sums, hit
 
-
-class _Chain:
-    """The chain step of :func:`_search`: levels of one subset that each
-    find one new subset under one symbol s, taken a batch at a time over the
-    orbit T_0, T_1 = s(T_0), ... of the level's subset.
-
-    ``orbits[s][q, j]`` is the one-bit set of s^(j+1) of state ``q + 1``, or
-    0 from the first undefined step on, built by index doubling once per
-    symbol, ``_BATCH`` steps wide.  The OR of a subset's rows is its orbit, exact up
-    to the first T_i that meets ``outside[s]``, beyond which no level
-    commits."""
-
-    def __init__(self, pfa: Pfa, wide: _WideKernel):
-        self.wide = wide
-        n = pfa.n
-        # state index -> one-bit set, with index n standing for undefined
-        self.bit = np.append(np.uint64(1) << np.arange(n, dtype=np.uint64), np.uint64(0))
-        self.succ = [
-            np.array([t.bit_length() - 1 if t else n for t in col] + [n], np.uint8)
-            for col in pfa.kernel[1]
-        ]
-        self.orbits = {}
-
     def _orbit_table(self, s):
         table = self.orbits.get(s)
         if table is None:
@@ -539,15 +539,15 @@ class _Chain:
             table = self.orbits[s] = self.bit[at[:-1]]
         return table
 
-    def run(self, bits, s, seen, room):
-        """Expand the levels from ``bits`` on under symbol ``s`` for as long
-        as the Python step would find exactly one new subset, T_(i+1), from
-        each T_i: it is defined, unseen and not a singleton, and every other
-        symbol's image of T_i is undefined or already seen.  Commits at most
-        ``room`` levels, adding each T_(i+1) to ``seen``; returns the last
-        subset reached and the number of levels committed."""
-        wide = self.wide
-        others = [r for r in range(wide.outside.size) if r != s]
+    def chain(self, bits, s, seen, room):
+        """The chain step: expand the levels from ``bits`` on under symbol
+        ``s``, a batch at a time over its orbit, for as long as the Python
+        step would find exactly one new subset, T_(i+1), from each T_i: it
+        is defined, unseen and not a singleton, and every other symbol's
+        image of T_i is undefined or already seen.  Commits at most ``room``
+        levels, adding each T_(i+1) to the Python set ``seen``; returns the
+        last subset reached and the number of levels committed."""
+        others = [r for r in range(self.outside.size) if r != s]
         has, add = seen.__contains__, seen.add
         done = 0
         while room > 0:
@@ -557,10 +557,10 @@ class _Chain:
             )
             orbit = np.bitwise_or.reduce(self._orbit_table(s)[members, :k], axis=0)
             front = np.concatenate((np.array([bits], np.uint64), orbit[:-1]))
-            undefined = (front & wide.outside[s]) != 0
+            undefined = (front & self.outside[s]) != 0
             stop = np.flatnonzero(undefined | (np.bitwise_count(orbit) == 1))
             stop = int(stop[0]) if stop.size else k
-            checks = wide.images(front)[:stop, others]
+            checks = self.images(front)[:stop, others]
             if len(others) == 1:
                 rows, known = checks[:, 0].tolist(), has
             else:
@@ -582,12 +582,12 @@ class _Chain:
 
 def _backtrack(origin, nsym, d, runs):
     """The letters from the full set to discovery ``d``, jumping in one go
-    over each of the chain step's ``runs`` that the path enters; consumes
-    ``runs``."""
+    over each of the chain step's ``runs``; consumes ``runs``.  The path
+    enters every run: once a chain step commits, its last subset is the
+    whole frontier, so every later discovery descends from it, and the
+    chain step never commits the singleton ``d``."""
     letters = bytearray()
     while origin[d] >= 0:
-        while runs and runs[-1][0] > d:
-            runs.pop()
         if runs and d < runs[-1][1]:
             first, _, s = runs.pop()
             letters += bytes((s,)) * (d + 1 - first)

@@ -9,6 +9,10 @@ CLI process, within 64 MB, and compares its stdout (threshold 712, count 6,
 the lexicographically least word) with ``tests/golden/cli``.  It comes
 first, so that no earlier test of the same process raises the peak that
 the child's ``ru_maxrss`` counts (see ``spawn_cli``).
+``test_solve_cerny_64_50`` runs ``solve cerny --n 64 --c 50 --count`` as a
+CLI process, within 80 MB, and checks its threshold against
+``rt_formula``, its count and the 424 550 subsets it explores: the wide
+phase of the search on the hash table, with state 64 on bit 63.
 ``test_best_member_by_search_25_to_30`` solves the family's best member at
 each n = 25..30 as a CLI process with ``--cap-subsets 67108864``, each
 within 200 MB, and checks its threshold against ``tables.CONCLUSION``;
@@ -54,7 +58,8 @@ not collect it; run it by name, from the repository root:
 
     PYTHONPATH=src python -m pytest -q tests/slow_drops.py
 
-On a 2-vCPU VM the solve takes about 0.7 s, at about 55 MB, the best
+On a 2-vCPU VM the solve takes about 0.7 s, at about 55 MB, that of 64
+states about 0.6 s, at about 53 MB, the best
 members to 30 states about 7 s in all, C(30, 8) about 2.6 s at about
 145 MB, every member of 19 to 24 states about 11 s, the race picture
 about 0.55 s and the last plan at c = 1 about 0.8 s, each at about 80 MB,
@@ -113,6 +118,17 @@ def test_solve_cerny_24_4():
     fields = dict(line.split("\t") for line in text.splitlines())
     assert (fields["threshold"], fields["count"]) == ("712", "6")
     assert text == golden
+
+
+def test_solve_cerny_64_50():
+    with tempfile.TemporaryFile() as out:
+        code, _, maxrss = spawn_cli(out, "solve", "cerny", "--n", "64", "--c", "50", "--count")
+        out.seek(0)
+        fields = dict(line.split("\t") for line in out.read().decode().splitlines())
+    assert code == 0
+    assert maxrss < 80 * 1024, maxrss
+    assert int(fields["threshold"]) == rt_formula(64, 50) == 2679
+    assert (fields["count"], fields["explored"]) == ("3", "424550")
 
 
 def test_best_member_by_search_25_to_30():

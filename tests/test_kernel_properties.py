@@ -149,14 +149,14 @@ def test_chain_pfas_take_the_chain_step(monkeypatch):
     # the test above holds the chain step to the oracle only if its automata
     # make the chain step commit levels
     committed = []
-    run = solver._Chain.run
+    run = solver._Kernel.chain
 
     def spy(self, bits, s, seen, room):
         bits, done = run(self, bits, s, seen, room)
         committed.append(done)
         return bits, done
 
-    monkeypatch.setattr(solver._Chain, "run", spy)
+    monkeypatch.setattr(solver._Kernel, "chain", spy)
     test_chain_step_matches_brute_force()
     assert sum(committed) > 200
 

@@ -879,6 +879,45 @@ def test_sequence_queries_keep_their_error_messages():
                 twinverse(bad, 500)
 
 
+def test_every_block_starts_a_run_of_its_own():
+    # each block's first value exceeds the last term of the block before
+    # it, so every run a block appends is a new distinct value
+    limit = 10**6
+    for c in range(1, run_template().c_min(limit) + 41):
+        table = SequenceCache(c)
+        table.runs(limit)
+        assert all(a < b for a, b in zip(table._p, table._p[1:])), c
+    template = SequenceCache()
+    template.runs(2**40)
+    assert template._p[-1] > 2**40
+    assert all(a < b for a, b in zip(template._p, template._p[1:]))
+
+
+def test_template_refuses_reads_at_one_c():
+    # the template holds every large c at once, and at() reads it at one
+    template = SequenceCache()
+    for read in (template.p, template.q, template.twinverse):
+        with pytest.raises(ValueError, match=r"call p, q and twinverse on at\(c, limit\)"):
+            read(5)
+    assert template.at(40, 300).p(5) == SequenceCache(40).p(5)
+
+
+def test_tables_made_by_at_refuse_to_grow():
+    view = run_template().at(40, 300)
+    for read in (view.runs, view.c_min):
+        with pytest.raises(ValueError, match=r"call runs and c_min on the template"):
+            read(10)
+    assert view.twinverse(300) == SequenceCache(40).twinverse(300)
+
+
+def test_only_the_template_reads_at_another_c():
+    # a table of one c would read its own runs as those of the c asked for
+    for table in (run_template().at(40, 300), SequenceCache(5)):
+        for read in (lambda: table.at(40, 300), lambda: table.at(40, index=5)):
+            with pytest.raises(ValueError, match=r"call it on run_template\(\)"):
+                read()
+
+
 def test_point_queries_read_the_template():
     n = 2000
     c_min = run_template().c_min(n)

@@ -17,6 +17,7 @@ from carefulsync import (
     count_shortest,
     format_word,
     is_sync_word,
+    rt_formula,
     sequences,
     solve,
     solver,
@@ -83,13 +84,13 @@ def outcome(pfa, wide, limits=SolveLimits(), chain=NO_CHAINS, seen=None):
 def wide_levels(monkeypatch):
     """(level, width) of every level the vectorized step expands."""
     levels = []
-    step = solver._WideKernel.step
+    step = solver._Kernel.step
 
     def spy(self, front, weight, base, seen, origin, limits, level):
         levels.append((level, front.size))
         return step(self, front, weight, base, seen, origin, limits, level)
 
-    monkeypatch.setattr(solver._WideKernel, "step", spy)
+    monkeypatch.setattr(solver._Kernel, "step", spy)
     return levels
 
 
@@ -98,13 +99,13 @@ def seen_kinds(monkeypatch):
     """The kind (a key of ``SEEN``) of the set of subsets seen that each
     wide level fills, with the typecode of the search's parent links."""
     kinds = set()
-    step = solver._WideKernel.step
+    step = solver._Kernel.step
 
     def spy(self, front, weight, base, seen, origin, limits, level):
         kinds.add((seen_kind(seen), origin.typecode))
         return step(self, front, weight, base, seen, origin, limits, level)
 
-    monkeypatch.setattr(solver._WideKernel, "step", spy)
+    monkeypatch.setattr(solver._Kernel, "step", spy)
     return kinds
 
 
@@ -265,13 +266,13 @@ def test_dense_counts_hand_over_before_int64_overflows(monkeypatch):
     pfa = funnel(20, "abcdefghijklmnop")
     assert 16**19 > 2**63
     kinds = set()
-    step = solver._WideKernel.step
+    step = solver._Kernel.step
 
     def spy(self, front, weight, base, seen, origin, limits, level):
         kinds.add((seen_kind(seen), weight.dtype.kind))
         return step(self, front, weight, base, seen, origin, limits, level)
 
-    monkeypatch.setattr(solver._WideKernel, "step", spy)
+    monkeypatch.setattr(solver._Kernel, "step", spy)
     expected = outcome(pfa, PYTHON_ONLY)
     assert (expected.threshold, expected.count) == (19, 16**19)
     assert outcome(pfa, ALL_WIDE) == expected
@@ -319,6 +320,18 @@ def test_default_width_takes_the_wide_step(wide_levels):
     first = wide_levels[0][0]
     assert [level for level, _ in wide_levels] == list(range(first, result.levels))
     assert min(width for _, width in wide_levels) < solver.WIDE
+
+
+def test_default_wide_phase_on_the_hash_table(seen_kinds):
+    # past 31 states the packed keys of the dense map no longer fit, so the
+    # wide phase of C(34, 22), at the default width, keeps its subsets seen
+    # in the hash table
+    pfa = build_cerny(34, 22)
+    result = solve(pfa)
+    assert result == outcome(pfa, PYTHON_ONLY)
+    assert (result.threshold, result.explored) == (rt_formula(34, 22), 49_053)
+    assert result.threshold == 1008
+    assert seen_kinds == {("hash", "i")}
 
 
 def test_cap_inside_a_wide_level(wide_levels, seen_kinds):
@@ -479,14 +492,14 @@ def chains(monkeypatch):
     """(symbol, levels committed, whether ``seen`` is still a Python set) of
     every chain step."""
     steps = []
-    run = solver._Chain.run
+    run = solver._Kernel.chain
 
     def spy(self, bits, s, seen, room):
         bits, done = run(self, bits, s, seen, room)
         steps.append((s, done, isinstance(seen, set)))
         return bits, done
 
-    monkeypatch.setattr(solver._Chain, "run", spy)
+    monkeypatch.setattr(solver._Kernel, "chain", spy)
     return steps
 
 
@@ -545,8 +558,8 @@ def test_chain_ending_where_its_letter_is_undefined(chains):
 def test_chain_longer_than_its_batches(chains, monkeypatch):
     monkeypatch.setattr(solver, "_BATCH", 8)
     widths = set()
-    table = solver._Chain._orbit_table
-    monkeypatch.setattr(solver._Chain, "_orbit_table",
+    table = solver._Kernel._orbit_table
+    monkeypatch.setattr(solver._Kernel, "_orbit_table",
                         lambda self, s: widths.add(table(self, s).shape[1]) or table(self, s))
     for p, r in ((30, 30), (12, 40), (3, 50)):
         chained(relay(p, r))
