@@ -8,13 +8,20 @@ three independent ways: closed formula, dynamic program, subset search.
 
 from carefulsync import (
     build_cerny,
-    f_recursive,
     format_word,
     optimal_c,
     rt_formula,
     solve,
     to_dot,
 )
+
+
+def race_cost(n, c):
+    """The minimum race cost f_c(n), by recursion over every split point."""
+    f = [0, 0]
+    for m in range(2, n + 1):
+        f.append(min(f[i] + f[m - i] + (c + 1) * m - i for i in range(1, m)))
+    return f[n]
 
 ########################################
 ## the classical 4-state automaton
@@ -37,7 +44,7 @@ print(to_dot(member))
 # three routes to the same number
 npr = 8 - 2 - 1
 print("formula:       ", rt_formula(8, 2))
-print("via recursion: ", npr * (npr - 1) + 2 + 1 + f_recursive(npr, 2))
+print("via recursion: ", npr * (npr - 1) + 2 + 1 + race_cost(npr, 2))
 print("subset search: ", solve(member).threshold)
 
 ########################################

@@ -13,7 +13,6 @@ from carefulsync import (
     count_races,
     enumerate_plans,
     f_closed,
-    f_recursive,
     format_word,
     is_sync_word,
     render_race,
@@ -23,11 +22,19 @@ from carefulsync import (
 )
 from carefulsync.pawnrace import plan_text
 
+
+def race_cost(n, c):
+    """The minimum race cost f_c(n), by recursion over every split point."""
+    f = [0, 0]
+    for m in range(2, n + 1):
+        f.append(min(f[i] + f[m - i] + (c + 1) * m - i for i in range(1, m)))
+    return f[n]
+
 ########################################
 ## minimum cost, two ways
 ########################################
 
-print("f(n, c=1) for n = 1..8:", [f_recursive(n, 1) for n in range(1, 9)])
+print("f(n, c=1) for n = 1..8:", [race_cost(n, 1) for n in range(1, 9)])
 print("closed form agrees:    ", [f_closed(n, 1) for n in range(1, 9)])
 
 # the closed form reads off two Fibonacci-flavoured sequences

@@ -36,7 +36,6 @@ from .pawnrace import (
     count_races,
     enumerate_plans,
     f_closed,
-    f_recursive,
     greedy_plan,
     plan_at,
     render_race,
@@ -74,7 +73,7 @@ __all__ = [
     "count_shortest", "solve",
     "RacePlan", "RaceTrace", "SequenceCache", "TooManyPlans",
     "build_sync_word", "cache_info", "count_races", "enumerate_plans", "f_closed",
-    "f_recursive", "greedy_plan", "plan_at", "render_race",
+    "greedy_plan", "plan_at", "render_race",
     "sequences", "simulate_race", "twinverse",
     "DropEvent", "build_cerny", "build_cerny_star",
     "local_optima", "optimal_c", "rt_formula",

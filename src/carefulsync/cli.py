@@ -29,6 +29,15 @@ RACE_COUNT_MAX_N = 20_000
 # 110 MB in 1.1 s; `race render --n 5000 --c 0`, the most pawns it allows,
 # takes 80 MB in 0.55 s (2-vCPU VM).
 RACE_MAX_BYTES = 25_000_000
+# `gen` and `solve` build at most this many states, counted from the
+# arguments before anything is built (a file read by --path is not counted).
+# At the cap, `gen cerny --n 2097151 --c 1` peaks at 558 MB, 1.24 GB with
+# --dot, and `gen prime` at 830 MB (2-vCPU VM).
+MAX_STATES = 2**21 - 1
+
+
+class _TooLarge(Exception):
+    """An automaton of more than ``MAX_STATES`` states, refused unbuilt."""
 
 
 def _flag(name, **spec):
@@ -119,7 +128,18 @@ def _parse(argv):
     return args
 
 
+def _states(args):
+    """The states that ``_build`` makes, from the arguments alone: a prime
+    build has p + 3 states per entry p and its padding (0 for a file)."""
+    if args.kind == "prime":
+        return sum(int(p) + 3 for p in args.primes.split(",")) + args.padding
+    return 0 if args.kind == "path" else args.n
+
+
 def _build(args):
+    states = _states(args)
+    if states > MAX_STATES:
+        raise _TooLarge(f"{args.command} builds at most {MAX_STATES} states, not {states}")
     if args.kind == "cerny":
         return cerny.build_cerny(args.n, args.c)
     if args.kind == "cerny-star":
@@ -293,7 +313,7 @@ def dispatch(argv) -> int:
     try:
         with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
             return _HANDLERS[args.command](args, out)
-    except (LimitExceeded, pawnrace.TooManyPlans) as exc:
+    except (LimitExceeded, pawnrace.TooManyPlans, _TooLarge) as exc:
         print(f"resources: {exc}", file=sys.stderr)
         return RESOURCES
     except (ValueError, OSError) as exc:

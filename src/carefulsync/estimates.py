@@ -41,6 +41,9 @@ def phi(c: int) -> PhiRoot:
     Bisection to 1e-13 followed by a few Newton steps; strictly decreasing
     in c and approaching 1.  The bisection tests x^(c+1) < x + 1 in logs, as
     (c+1)·ln x < ln(1+x), since x^(c+1) overflows a float from c = 1750 on.
+    The root, about 1 + ln(2)/c, is accepted up to about c = 1.1·10^14; past
+    that the steps do not converge, and past about 5·10^16 they overflow,
+    and either raises ``ValueError``.
     """
     if c < 1:
         raise ValueError("cost parameter must be >= 1")
@@ -52,9 +55,12 @@ def phi(c: int) -> PhiRoot:
         else:
             hi = mid
     x = (lo + hi) / 2
-    for _ in range(4):
-        derivative = (c + 1) * x**c - 1.0
-        x -= _char(c, x) / derivative
+    try:
+        for _ in range(4):
+            derivative = (c + 1) * x**c - 1.0
+            x -= _char(c, x) / derivative
+    except OverflowError:  # from about c = 5 * 10**16 on, x**c from the bisection's x
+        raise ValueError(f"the root is found for c up to about 10**14, not c={c}") from None
     return PhiRoot(c=c, value=x, residual=abs(_char(c, x)))
 
 
@@ -63,9 +69,13 @@ def f_bounds(n: int, c: int) -> tuple[float, float, float, float]:
 
     The tight pair is n ln(n)/ln(phi_c) -3cn and +(c+1)n (strict bounds);
     the simple pair is c n log2(n) and (c + 1/2) n ceil(log2 n) (inclusive).
+    The bounds are floats, so 3cn, the largest integer they convert, must be
+    below 2^1024 - 2^970, the least integer that rounds to 2^1024.
     """
     if n < 1 or c < 1:
         raise ValueError("need n >= 1 and c >= 1")
+    if 3 * c * n >= 2**1024 - 2**970:
+        raise ValueError(f"need 3*c*n < 2**1024 - 2**970, the float range; got n={n}, c={c}")
     log_phi = log(phi(c).value)
     center = n * log(n) / log_phi
     tight_lower = center - 3 * c * n

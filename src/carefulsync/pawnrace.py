@@ -2,11 +2,12 @@
 
 ``n`` pawns sit on the integers 1..n.  Each iteration every live pawn either
 moves one step right (cost ``c+1``) or stays (cost ``c``); pawns landing on
-the same spot merge.  ``f_recursive`` minimizes the total cost by brute
-recursion, ``f_closed`` evaluates the closed form built on the generalized
-Fibonacci sequences below, and the plan machinery enumerates the optimal
-races, lays out each race's schedule from its split nodes and writes the
-races' words.
+the same spot merge.  ``f_closed`` evaluates the minimum total cost in
+the closed form built on the generalized Fibonacci sequences below, and the
+plan machinery enumerates the optimal races, lays out each race's schedule
+from its split nodes and writes the races' words.  The run tables below are
+the package's only source of split-sequence values; the brute recursion
+over every split point that checks the closed form is a test oracle.
 
 The split sequences p_c are held as runs of equal values in one kind of
 table, ``SequenceCache``, whose run lengths are affine in c.  A table for
@@ -19,10 +20,7 @@ import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain
-from math import isqrt
 from operator import mul
-
-import numpy as np
 
 from .pfa import Word
 
@@ -264,21 +262,17 @@ def _runs_for(c: int, limit: int | None = None, index: int = 0) -> SequenceCache
 def cache_info() -> dict[str, int]:
     """Sizes of the module-level memos: the run tables that ``cache_for``
     holds (one per c below c_min that a query met) and their runs, the runs
-    of the shared template (0 before its first use), the ``f_recursive``
-    tables and their entries, and the ``count_races`` memos and the counts
-    they hold.  Reading them grows nothing."""
+    of the shared template (0 before its first use), and the
+    ``count_races`` memos and the counts they hold.  Reading them grows
+    nothing."""
     with _caches_lock:
         sequence = list(_caches.values())
         template = _template
-    with _f_lock:
-        f_tables = list(_f_tables.values())
     o_tables = list(_o_tables.values())
     return {
         "sequence_tables": len(sequence),
         "sequence_runs": sum(len(cache._p) for cache in sequence),
         "template_runs": 0 if template is None else len(template._p),
-        "f_tables": len(f_tables),
-        "f_entries": sum(len(table) for table in f_tables),
         "race_count_tables": len(o_tables),
         "race_counts": sum(len(memo) for memo in o_tables),
     }
@@ -296,42 +290,11 @@ def twinverse(c: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# minimum race cost, two independent ways
+# minimum race cost
 
-_f_tables: dict[int, np.ndarray] = {}
-_f_lock = threading.Lock()
-
-
-def f_recursive(n: int, c: int) -> int:
-    """Minimum race cost by direct recursion over every split point.
-
-    f(1) = 0 and f(n) = min over 1<=i<=n-1 of f(i) + f(n-i) + (c+1)n - i.
-    Memoized per cost parameter; deliberately independent of the closed form
-    so the two can check each other.  The table is int64: f(m) <= (c+1)m(m-1),
-    so every split sum stays below (c+1)m^2, and n needs (c+1)n^2 < 2^63.
-    """
-    if n < 1:
-        raise ValueError("need at least one pawn")
-    if c < 0:
-        raise ValueError("cost parameter must be >= 0")
-    m_max = isqrt((2**63 - 1) // (c + 1))  # the largest m with (c+1)m^2 < 2^63
-    if n > m_max:
-        raise ValueError(f"need (c + 1) * n**2 < 2**63, got n={n}, c={c}")
-    with _f_lock:
-        table = _f_tables.get(c)
-        if table is None or len(table) <= n:
-            size = min(max(n + 1, 16, 0 if table is None else 2 * len(table)), m_max + 1)
-            new = np.zeros(size, dtype=np.int64)
-            start = 2
-            if table is not None:
-                new[: len(table)] = table
-                start = len(table)
-            idx = np.arange(size, dtype=np.int64)
-            for m in range(start, size):
-                splits = new[1:m] + new[m - 1:0:-1] - idx[1:m]
-                new[m] = (c + 1) * m + splits.min()
-            table = _f_tables[c] = new
-        return int(table[n])
+# Empty and written by nothing: the benchmark's child process reads this
+# name after every operation, until it reads cache_info() instead.
+_f_tables: dict = {}
 
 
 def f_closed(n: int, c: int) -> int:

@@ -7,10 +7,14 @@ every term of the split sequence p_c in a list, where the package keeps runs
 of equal values, and ``exact_row`` evaluates the closed form from it with
 arbitrary-precision integers, one c at a time, so neither shares code with
 the run tables behind ``rt_formula``, ``f_closed`` and the family-wide
-queries.  ``split_interval`` reads the optimal splits from the same term
-list; ``race_counts`` counts the optimal races of every pawn count bottom-up,
-and ``plans`` builds the optimal plans with no memo, for ``count_races`` and
-``enumerate_plans`` to be checked against.  ``simulate_race`` walks a
+queries.  ``f_recursive`` reads no split sequence at all: it minimizes the
+race cost over every split point, in one int64 table per c that grows by
+doubling under a lock (so threads may share it) and refuses any n with
+(c+1)n^2 >= 2^63, past which a split sum could wrap.  ``split_interval``
+reads the optimal splits from the same term list; ``race_counts`` counts
+the optimal races of every pawn count bottom-up, and ``plans`` builds the
+optimal plans with no memo, for ``count_races`` and ``enumerate_plans`` to
+be checked against.  ``simulate_race`` walks a
 plan's pawns iteration by iteration, with a position, a live set and the
 pawns on each position, from the windows of ``pawn_windows_reference``, a
 recursive walk of each pawn's ancestors, where the package fills its race
@@ -32,11 +36,17 @@ family factors into after its b^(c+1) prefix.  ``strongly_connected``
 checks that the transitive prime construction is strongly connected, and
 ``first_primes`` and ``growth_exponent`` give the lists and the scale
 ln(rt) / sqrt(n ln n) of the prime constructions' growth.
+``binary_thresholds`` searches every binary PFA (a, b) of up to 6 states,
+from the tables of ``partial_maps`` and ``subset_images``, for the upper
+bound p(n, 2) <= (n-1)^2 that no command checks;
+``total_noninjective_classes`` gives the one letter a per class that its
+pruning keeps.
 """
 
+import threading
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 from math import isqrt, log
 
 import numpy as np
@@ -127,6 +137,42 @@ def exact_f(n, c):
     terms = term_sequence(c)
     m = terms.twinverse(n)
     return n * m - terms.q(m)
+
+
+_f_tables = {}  # c -> the int64 table of f_recursive, grown by doubling
+_f_lock = threading.Lock()
+
+
+def f_recursive(n, c):
+    """Minimum race cost by direct recursion over every split point.
+
+    f(1) = 0 and f(n) = min over 1<=i<=n-1 of f(i) + f(n-i) + (c+1)n - i.
+    Memoized per cost parameter; deliberately independent of the closed form
+    so the two can check each other.  The table is int64: f(m) <= (c+1)m(m-1),
+    so every split sum stays below (c+1)m^2, and n needs (c+1)n^2 < 2^63.
+    """
+    if n < 1:
+        raise ValueError("need at least one pawn")
+    if c < 0:
+        raise ValueError("cost parameter must be >= 0")
+    m_max = isqrt((2**63 - 1) // (c + 1))  # the largest m with (c+1)m^2 < 2^63
+    if n > m_max:
+        raise ValueError(f"need (c + 1) * n**2 < 2**63, got n={n}, c={c}")
+    with _f_lock:
+        table = _f_tables.get(c)
+        if table is None or len(table) <= n:
+            size = min(max(n + 1, 16, 0 if table is None else 2 * len(table)), m_max + 1)
+            new = np.zeros(size, dtype=np.int64)
+            start = 2
+            if table is not None:
+                new[: len(table)] = table
+                start = len(table)
+            idx = np.arange(size, dtype=np.int64)
+            for m in range(start, size):
+                splits = new[1:m] + new[m - 1:0:-1] - idx[1:m]
+                new[m] = (c + 1) * m + splits.min()
+            table = _f_tables[c] = new
+        return int(table[n])
 
 
 def split_interval(n, c):
@@ -442,3 +488,85 @@ def growth_exponent(values):
     on which the prime constructions grow."""
     n = group_count(values)
     return log(prime_rt_formula(values)) / (n * log(n)) ** 0.5
+
+
+def partial_maps(n):
+    """Every partial map of the states 0..n-1 into themselves, one row each,
+    -1 marking an undefined image: (n + 1)^n rows, in lexicographic order."""
+    return (np.indices((n + 1,) * n, dtype=np.int8).reshape(n, -1).T - 1).copy()
+
+
+def total_noninjective_classes(n):
+    """One total, non-injective map of 0..n-1 per conjugacy class under
+    relabelling the states: the lexicographically least of each class."""
+    maps = np.indices((n,) * n, dtype=np.int64).reshape(n, -1).T
+    maps = maps[[len(set(row)) < n for row in maps.tolist()]]
+    weights = n ** np.arange(n - 1, -1, -1)
+    least = None
+    for perm in permutations(range(n)):
+        sigma = np.array(perm)
+        # sigma f sigma^-1, as a row: x -> sigma[f[sigma^-1[x]]]
+        codes = sigma[maps[:, np.argsort(sigma)]] @ weights
+        least = codes if least is None else np.minimum(least, codes)
+    classes = np.unique(least)
+    return (classes[:, None] // weights % n).astype(np.int8)
+
+
+def subset_images(n, maps):
+    """The image of every subset of 0..n-1 (as a bitmask) under each partial
+    map: a ``uint8`` table of shape (2^n, len(maps)), 0 where the map is
+    undefined on some member (a nonempty set never maps onto the empty one)."""
+    maps = np.asarray(maps)
+    table = np.zeros((1 << n, len(maps)), np.uint8)
+    single = np.where(maps >= 0, np.left_shift(1, maps.clip(0)), 0).astype(np.uint8)
+    for s in range(1, 1 << n):
+        q = (s & -s).bit_length() - 1
+        rest = s & (s - 1)
+        if rest:
+            both = (table[rest] != 0) & (single[:, q] != 0)
+            table[s] = np.where(both, table[rest] | single[:, q], 0)
+        else:
+            table[s] = single[:, q]
+    return table
+
+
+def binary_thresholds(n, a_maps, b_maps):
+    """The careful synchronization threshold of every binary PFA (a, b) with
+    a in ``a_maps`` and b in ``b_maps`` (rows of ``partial_maps``), by
+    breadth-first search over subsets with no code of the package's search:
+    an ``int8`` array of shape (len(a_maps), len(b_maps)), -1 where no word
+    synchronizes.  Each automaton keeps the subsets it has reached as the
+    bits of one ``uint64`` (so n <= 6), and each level ORs the bits of a(S)
+    and b(S) into every automaton whose frontier holds S, bit 0 standing
+    for an undefined image.  An automaton leaves the search at its first
+    singleton or when its frontier empties; at most 2^18 automata are
+    searched at once."""
+    if not 2 <= n <= 6:
+        raise ValueError("one uint64 holds the subsets of at most 6 states")
+    a_img, b_img = subset_images(n, a_maps), subset_images(n, b_maps)
+    one = np.uint64(1)
+    singletons = np.uint64(sum(1 << (1 << q) for q in range(n)))
+    full = (1 << n) - 1
+    nb = len(b_maps)
+    out = np.full(len(a_maps) * nb, -1, np.int8)
+    rows = max(1, (1 << 18) // nb)
+    for first in range(0, len(a_maps), rows):
+        ids = np.arange(first * nb, min(len(a_maps), first + rows) * nb)
+        ai, bi = ids // nb, ids % nb
+        frontier = np.full(ids.size, 1 << full, np.uint64)
+        seen = frontier.copy()
+        level = 0
+        while ids.size:
+            hit = (frontier & singletons) != 0
+            out[ids[hit]] = level
+            live = ~hit & (frontier != 0)
+            ids, ai, bi, frontier, seen = ids[live], ai[live], bi[live], frontier[live], seen[live]
+            reached = np.zeros_like(frontier)
+            for s in range(1, full + 1):
+                at = np.flatnonzero((frontier >> np.uint64(s)) & one)
+                if at.size:
+                    reached[at] |= (one << a_img[s][ai[at]]) | (one << b_img[s][bi[at]])
+            frontier = reached & ~(seen | one)
+            seen |= frontier
+            level += 1
+    return out.reshape(len(a_maps), nb)

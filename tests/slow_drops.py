@@ -1,8 +1,8 @@
 """Slow checks, outside the tier-1 suite: the widest subset searches pinned
 here, the family by search against its formula and the published table to
 30 states, the race commands at their limits, the drop table to
-n = 2^21 - 1, and the family's best threshold against (n-1)^2 over the
-same range.
+n = 2^21 - 1, the family's best threshold against (n-1)^2 over the same
+range, and the largest threshold of every binary PFA of 6 states.
 
 ``test_solve_cerny_24_4`` runs ``solve cerny --n 24 --c 4 --count`` as a
 CLI process, within 64 MB, and compares its stdout (threshold 712, count 6,
@@ -52,6 +52,10 @@ and pins the 16 drops it prints.
 of the headline theorem, which the tier-1 suite checks to 7200: the
 family's best threshold is (n-1)^2 for n = 2..5 and more than (n-1)^2 for
 every 6 <= n <= 2^21 - 1.
+``test_binary_pfas_of_6_states_reach_26`` runs the exhaustive search of
+``tests/test_exhaustive_bound.py`` at n = 6 in a fresh process, within 25 s
+and 160 MB: over every binary PFA of 6 states, pruned as there, the largest
+threshold is 26, ``tables.P_N_2[6]``, so the family's member is extremal.
 
 The file name does not start with ``test_``, so a plain ``pytest`` run does
 not collect it; run it by name, from the repository root:
@@ -68,8 +72,9 @@ count about 35 s, the drop
 table to 120000 about 1.5 minutes, nearly all of it in the oracle, the
 scan of optimal c about 12 s, at about 225 MB per CLI process, with
 ``--full`` about 5 s and 250 MB, the grid about 7 s and 32 MB, the drop
-table to 2^21 - 1 about 3.5 s (the CLI scan about 2.7 s at 150 MB), and
-the family's best threshold about 1.5 s.
+table to 2^21 - 1 about 3.5 s (the CLI scan about 2.7 s at 150 MB), the
+family's best threshold about 1.5 s, and the search of 6 states about
+12.5 s at about 79 MB.
 """
 
 import hashlib
@@ -220,9 +225,15 @@ def spawn_cli(out, *args):
     returns its exit code, wall time and ``ru_maxrss`` (kilobytes on Linux).
     A child's ru_maxrss counts the peak of the process it was spawned from,
     so each test runs its CLI before it gathers rows of 2 M points itself."""
-    argv = [sys.executable, "-m", "carefulsync", *args]
+    return spawn_python(out, ["-m", "carefulsync", *args])
+
+
+def spawn_python(out, args):
+    """``spawn_cli`` for ``python *args``, with the package and the tests'
+    modules on its path."""
+    argv = [sys.executable, *args]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        [str(SRC), str(Path(__file__).parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
     start = time.perf_counter()
     pid = os.posix_spawn(sys.executable, argv, env,
                          file_actions=[(os.POSIX_SPAWN_DUP2, out.fileno(), 1)])
@@ -300,6 +311,24 @@ def test_family_exceeds_the_cerny_bound_to_2097151():
     bound = (np.arange(n_max + 1) - 1) ** 2
     assert best[2:6].tolist() == [1, 4, 9, 16] == bound[2:6].tolist()
     assert (best[6:] > bound[6:]).all()
+
+
+def test_binary_pfas_of_6_states_reach_26():
+    # the search of tests/test_exhaustive_bound.py at n = 6: 119 classes of
+    # a, each with all 7^6 maps b, 14 M automata in chunks of 2^18
+    search = ("import oracle\n"
+              "classes = oracle.total_noninjective_classes(6)\n"
+              "found = oracle.binary_thresholds(6, classes, oracle.partial_maps(6))\n"
+              "print(len(classes), found.max(), (found == found.max()).sum())\n")
+    with tempfile.TemporaryFile() as out:
+        code, elapsed, maxrss = spawn_python(out, ["-c", search])
+        out.seek(0)
+        text = out.read().decode()
+    assert code == 0
+    assert elapsed < 25, elapsed
+    assert maxrss < 160 * 1024, maxrss
+    # the maximum is p(6, 2), which the family attains; 6 pairs (class, b) reach it
+    assert text.split() == ["119", str(tables.P_N_2[6]), "6"] and tables.P_N_2[6] == 26
 
 
 def test_solve_matches_formula_to_24():

@@ -15,7 +15,6 @@ from carefulsync import (
     count_shortest,
     enumerate_plans,
     f_closed,
-    f_recursive,
     format_word,
     greedy_plan,
     is_sync_word,
@@ -32,7 +31,8 @@ from carefulsync.estimates import f_bounds, phi
 from carefulsync.tables import DROPS, GRID, P_N_2
 from carefulsync.verify import check
 from oracle import (
-    first_primes, generic_twinverse, greedy_factorization, growth_exponent, strongly_connected,
+    f_recursive, first_primes, generic_twinverse, greedy_factorization, growth_exponent,
+    strongly_connected,
 )
 
 

@@ -301,6 +301,41 @@ def test_gen_prime_states(capsys):
     assert json.loads(out)["n"] == 41
 
 
+def test_gen_and_solve_refuse_more_states_than_the_cap(capsys):
+    from carefulsync import cli
+
+    cap = cli.MAX_STATES
+    assert cap == 2**21 - 1
+    # a prime build has p + 3 states per entry p, then its padding
+    for argv, states in (
+        (f"gen cerny --n {cap + 1} --c 1", cap + 1),
+        (f"solve cerny --n {cap + 1} --c 3", cap + 1),
+        ("gen cerny-star --n 1000000000000", 10**12),
+        (f"solve cerny-star --n {cap + 1}", cap + 1),
+        (f"gen prime --primes 2,3 --padding {cap - 10}", cap + 1),
+        (f"solve prime --primes 2,3 --padding {cap - 10} --transitive", cap + 1),
+        (f"gen prime --primes 5,{cap - 7}", cap + 4),
+    ):
+        assert dispatch(argv.split()) == 3, argv
+        command = argv.split()[0]
+        assert capsys.readouterr() == (
+            "", f"resources: {command} builds at most {cap} states, not {states}\n"), argv
+    # the count is the size of what the build makes
+    for argv in ("gen prime --primes 5,7,8,9 --padding 3", "gen prime --primes 2,3 --transitive",
+                 "gen cerny --n 9 --c 2", "gen cerny-star --n 7"):
+        args = cli._parse(argv.split())
+        assert cli._states(args) == cli._build(args).n, argv
+
+
+def test_gen_past_the_cap_exits_at_once():
+    # it built all 10^12 states first, about 250 bytes each
+    proc = subprocess.run([sys.executable, "-m", "carefulsync", "gen", "cerny", "--n", str(10**12),
+                           "--c", "1"], capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "resources: gen builds at most 2097151 states, not 1000000000000\n"
+
+
 def test_solve_cerny(capsys, monkeypatch):
     from carefulsync import solver
 
@@ -501,6 +536,26 @@ def test_estimate_refuses_a_root_it_cannot_resolve(capsys, monkeypatch):
     monkeypatch.setattr(estimates, "phi", lambda c: PhiRoot(c, off, abs(off ** (c + 1) - off - 1.0)))
     assert dispatch(["estimate", "--c", "10000"]) == 2
     assert capsys.readouterr() == ("", "error: residual too large\n")
+
+
+def test_estimate_refuses_c_past_the_float_range(capsys):
+    # x**c in the Newton step overflowed, a traceback and exit 1
+    for c in (5 * 10**16, 10**17, 10**30):
+        assert dispatch(["estimate", "--c", str(c)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: the root is found for c up to about 10**14, not c={c}\n")
+
+
+def test_estimate_refuses_n_past_the_float_range(capsys):
+    # the bounds converted n to a float and overflowed, a traceback and exit 1
+    n = 10**309
+    assert dispatch(["estimate", "--c", "2", "--n", str(n)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: need 3*c*n < 2**1024 - 2**970, the float range; got n={n}, c=2\n")
+    # the largest n whose bounds are floats still gets them
+    n = (2**1024 - 2**970 - 1) // 6
+    code, out = run(capsys, "estimate", "--c", "2", "--n", str(n), "--json")
+    assert code == 0 and json.loads(out)["n"] == n
 
 
 def test_output_is_byte_stable(capsys):

@@ -7,7 +7,7 @@ from math import ceil, isqrt, log2
 
 import oracle
 import pytest
-from oracle import TermSequence, exact_f, generic_twinverse, greedy_factorization
+from oracle import TermSequence, exact_f, f_recursive, generic_twinverse, greedy_factorization
 
 from carefulsync import (
     RacePlan,
@@ -17,7 +17,6 @@ from carefulsync import (
     count_races,
     enumerate_plans,
     f_closed,
-    f_recursive,
     format_word,
     greedy_plan,
     is_sync_word,
@@ -153,7 +152,7 @@ def test_recursion_stays_within_int64():
     for c in (2**58, 2**60, 2**40):
         n = isqrt((2**63 - 1) // (c + 1))  # the largest n under the bound
         assert f_recursive(n, c) == f_closed(n, c), c
-        assert len(pawnrace._f_tables[c]) == n + 1, c  # never grown past it
+        assert len(oracle._f_tables[c]) == n + 1, c  # never grown past it
         with pytest.raises(ValueError, match="2\\*\\*63"):
             f_recursive(n + 1, c)
 
@@ -211,7 +210,6 @@ def test_cache_info_reports_the_memos(monkeypatch):
 
     # start from empty memos, whatever the tests before this one left
     monkeypatch.setattr(pawnrace, "_caches", {})
-    monkeypatch.setattr(pawnrace, "_f_tables", {})
     monkeypatch.setattr(pawnrace, "_o_tables", {})
     monkeypatch.setattr(pawnrace, "_template", None)
     assert set(cache_info().values()) == {0}
@@ -221,8 +219,6 @@ def test_cache_info_reports_the_memos(monkeypatch):
     assert counted["race_counts"] > 2
     assert counted["sequence_tables"] == 1 and counted["sequence_runs"] > 0
     assert counted["template_runs"] > 0
-    f_recursive(40, 2)
-    assert cache_info()["f_tables"] == 1 and cache_info()["f_entries"] > 40
     for c in range(1, 192):
         twinverse(c, 500)  # a table of its own exactly for each c < c_min
     swept = cache_info()
