@@ -5,11 +5,12 @@ below the top; ``b`` idles on the low states and climbs the top ones.  For
 c = 0 this is exactly the Cerny sequence.  The reset threshold of every
 member has a closed form driven by the pawn race solution.  Every value
 comes from the runs of the split sequences in ``pawnrace``:
-``rt_formula`` evaluates single points through ``f_closed``, and the family
-queries read the one template of ``pawnrace.run_template`` that serves every
-c >= c_min at once, with a run table of its own only for each c < c_min
-(c_min is 12 at n = 7200).  Every family value comes from one of two int64
-sources: the columns of ``_head_columns`` for c < c_min, and the template's
+``rt_formula`` evaluates single points through ``f_closed``, which reads
+the frozen ``pawnrace.Runs`` view at its c, and the family queries read the
+runs of the one template of ``pawnrace.run_template`` that serves every
+c >= c_min at once, with a fresh run table of its own for each c < c_min
+(c_min is 12 at n = 7200), so that no family query pins one.  Every family
+value comes from one of two int64 sources: the columns of ``_head_columns`` for c < c_min, and the template's
 lines u + c·v of ``_template_columns`` for c >= c_min.  ``_rows`` joins
 them into one row per n: ``optimal_c`` and ``local_optima`` read the row of
 their n, and ``scan_grid`` every row in turn.  ``scan_optimal``,
@@ -235,7 +236,7 @@ def _head_columns(top: int, c_min: int):
     squares = _squares(top)
     for c in range(min(c_min, top)):
         count = top - c
-        values, counts = pawnrace.SequenceCache(c).runs(count - 1) if c else ([], [])
+        values, counts, _ = pawnrace.SequenceCache(c).runs(count - 1) if c else ([], [], [])
         column = _sums_below(count, values, counts)
         column += squares[:count]
         column += c

@@ -41,27 +41,29 @@ def phi(c: int) -> PhiRoot:
     Bisection to 1e-13 followed by a few Newton steps; strictly decreasing
     in c and approaching 1.  The bisection tests x^(c+1) < x + 1 in logs, as
     (c+1)·ln x < ln(1+x), since x^(c+1) overflows a float from c = 1750 on.
-    The root, about 1 + ln(2)/c, is accepted up to about c = 1.1·10^14; past
-    that the steps do not converge, and past about 5·10^16 they overflow,
-    and either raises ``ValueError``.
+    The root lies below 1 + ln(2)/c, and from about c = 10^6 on closer to it
+    than the bisection resolves, so the Newton steps start from the smaller
+    of the two.  The root is accepted up to about c = 7.5·10^15; past that
+    it is no longer a float within one step of the true root, and past
+    about 9·10^15 it rounds to 1, and either raises ``ValueError``.
     """
     if c < 1:
         raise ValueError("cost parameter must be >= 1")
-    lo, hi = 1.0, 2.0
-    while hi - lo > 1e-13:
-        mid = (lo + hi) / 2
-        if (c + 1) * log(mid) < log1p(mid):
-            lo = mid
-        else:
-            hi = mid
-    x = (lo + hi) / 2
     try:
+        lo, hi = 1.0, 2.0
+        while hi - lo > 1e-13:
+            mid = (lo + hi) / 2
+            if (c + 1) * log(mid) < log1p(mid):
+                lo = mid
+            else:
+                hi = mid
+        x = min((lo + hi) / 2, 1.0 + log(2.0) / c)
         for _ in range(4):
             derivative = (c + 1) * x**c - 1.0
             x -= _char(c, x) / derivative
-    except OverflowError:  # from about c = 5 * 10**16 on, x**c from the bisection's x
-        raise ValueError(f"the root is found for c up to about 10**14, not c={c}") from None
-    return PhiRoot(c=c, value=x, residual=abs(_char(c, x)))
+        return PhiRoot(c=c, value=x, residual=abs(_char(c, x)))
+    except (OverflowError, ValueError):  # c or x**c past the float range, or no root within a step
+        raise ValueError(f"the root is found for c up to about 7.5*10**15, not c={c}") from None
 
 
 def f_bounds(n: int, c: int) -> tuple[float, float, float, float]:

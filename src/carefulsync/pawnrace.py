@@ -9,11 +9,12 @@ from its split nodes and writes the races' words.  The run tables below are
 the package's only source of split-sequence values; the brute recursion
 over every split point that checks the closed form is a test oracle.
 
-The split sequences p_c are held as runs of equal values in one kind of
+The split sequences p_c are held as runs of equal values in a growing
 table, ``SequenceCache``, whose run lengths are affine in c.  A table for
 one c fixes them; the template of ``run_template`` runs the recurrence once
-for every c from a small ``c_min`` on.  Every query reads the template where
-it is exact for its c and a table of that c alone below that.
+for every c from a small ``c_min`` on.  A query reads p_c, q_c and the
+twinverse from ``Runs``, the frozen view at its c that ``at`` makes of the
+template where it is exact for c, and of a table of that c alone below that.
 """
 
 import threading
@@ -57,28 +58,21 @@ def _next_block(block, before, need):
     return out, u
 
 
-# p, q and twinverse read the runs at one c, which the template does not fix
-_AT_ONE_C = "the template has no c: call p, q and twinverse on at(c, limit) or on SequenceCache(c)"
-
-
 def _steps(ends):
     """The run lengths behind running term counts."""
     return [end - start for start, end in zip([0, *ends], ends)]
 
 
 class SequenceCache:
-    """Exact values of the split sequences, for one cost parameter ``c`` or,
-    as the template, for every large c at once.
+    """The runs of the split sequences, grown for one cost parameter ``c``
+    or, as the template, for every large c at once.
 
-    ``p(k)`` is 1 for k <= 2c and p(k-c-1) + p(k-c) afterwards (Fibonacci for
-    c=1, a shifted Padovan for c=2).  ``q(k)`` is 1 plus the partial sums of
-    p through p(k-1), and ``twinverse(n)`` is the least k with n < p(k).
-
-    p is nondecreasing with few distinct values (at c = 420000 the 8.8 M
-    terms up to 579999 form 198 runs), so the table holds runs: ``_p`` lists
-    the distinct values in increasing order, the terms <= ``_p[i]`` number
-    ``_ends_a[i] + c·_ends_b[i]`` and add up to ``_sums_a[i] +
-    c·_sums_b[i]``, so p, q and twinverse are each one bisection.  ``_p``
+    p_c(k) is 1 for k <= 2c and p_c(k-c-1) + p_c(k-c) afterwards (Fibonacci
+    for c=1, a shifted Padovan for c=2).  p is nondecreasing with few
+    distinct values (at c = 420000 the 8.8 M terms up to 579999 form 198
+    runs), so the table holds runs: ``_p`` lists the distinct values in
+    increasing order, the terms <= ``_p[i]`` number ``_ends_a[i] +
+    c·_ends_b[i]`` and add up to ``_sums_a[i] + c·_sums_b[i]``.  ``_p``
     keeps its name because its length is still the table's size, one entry
     per run, as the benchmark's cache statistics read it.
 
@@ -93,25 +87,27 @@ class SequenceCache:
     changes only runs of equal or larger value, so the template's runs up to
     a limit are exactly those of ``SequenceCache(c)`` for every c >=
     ``c_min(limit)``, by construction; c_min is 8 at 300, 12 at 7200 and 20
-    just below 2^21.  ``at`` reads the template for one such c, and the
-    template grows only as far as the queries that it answers need.
+    just below 2^21.
 
-    Values are exact Python ints.  Growth holds a lock, appends a value and
-    its sums before its counts, and changes only the last run, so reads,
-    which take the lock only to grow, see final runs below the last while
-    another thread grows the table.
+    ``runs`` and ``c_min`` read the runs up to a value, and ``at`` reads
+    them at one c as a frozen ``Runs``, which answers p, q and twinverse;
+    each grows the table only as far as it needs.  ``at`` returns None
+    wherever the table is not exact for its c: a table of one c at any
+    other c, and the template below c_min.
+
+    Values are exact Python ints.  Growth holds a lock and only appends,
+    a value and its sums before its counts, so reads, which take the lock
+    only to grow, see final runs below the last while another thread grows
+    the table.
     """
 
     def __init__(self, c: int | None = None):
         if c is not None and c < 1:
             raise ValueError("cost parameter must be >= 1")
-        self.c = c
-        self._limit = None  # the values that a table made by ``at`` reads
+        self._c = c
         a, b = (0, 1) if c is None else (c, 0)  # the first block: c ones
         self._p = [1]
         self._ends_a, self._ends_b = [2 * a], [2 * b]
-        # the terms <= _p[i] at this table's c: where every b is 0, the a's
-        self._ends = None if c is None else self._ends_a
         self._sums_a, self._sums_b = [2 * a], [2 * b]
         self._floor = [1]
         self._block = [(1, a, b, 1)]  # runs of the last complete block
@@ -138,9 +134,6 @@ class SequenceCache:
         """Grow until a run exceeds ``value`` and, read at ``c``, the runs
         hold ``count`` terms.  With ``c``, stop early and return False once
         the last run needs a larger c (never, in a table of its own c)."""
-        if self._limit is not None:
-            raise ValueError("a table made by at() never grows: call runs and c_min on "
-                             "the template or on SequenceCache(c)")
         with self._lock:
             while (self._p[-1] <= value
                    or count and self._ends_a[-1] + c * self._ends_b[-1] < count):
@@ -149,15 +142,64 @@ class SequenceCache:
                 self._extend_block()
         return True
 
+    def runs(self, limit: int):
+        """The distinct values v <= limit of p, and the a and b of the
+        multiplicity a + b·c of each: exact for c >= ``c_min(limit)`` in the
+        template, and with b = 0 at its own c in a table of one c."""
+        self._grow(limit)
+        r = bisect_right(self._p, limit)
+        return self._p[:r], _steps(self._ends_a[:r]), _steps(self._ends_b[:r])
+
+    def c_min(self, limit: int) -> int:
+        """The least c >= 1 from which the runs of values <= limit are exact."""
+        self._grow(limit)
+        return self._floor[max(bisect_right(self._p, limit) - 1, 0)]
+
+    def at(self, c: int, limit: int | None = None, index: int = 0) -> "Runs | None":
+        """The ``Runs`` of p_c that read the runs of values <= ``limit`` (or,
+        with ``limit`` None, the runs through p_c(index)); None where this
+        table is not exact for them at c."""
+        if self._c not in (None, c):
+            return None
+        # end(i): the terms <= _p[i] at c; in a table of one c every b is 0
+        ends_a, ends_b = self._ends_a, self._ends_b
+        end = ends_a.__getitem__ if self._c else lambda i: ends_a[i] + c * ends_b[i]
+        if limit is None:
+            if not self._grow(0, index, c):
+                return None
+            # search the runs before the last, final even while another
+            # thread grows the table; when none holds p_c(index), the last does
+            i = bisect_left(range(len(ends_b) - 1), index, key=end)
+            limit = self._p[i]
+        if not self._grow(limit, c=c):
+            return None
+        r = bisect_right(self._p, limit)
+        if self._floor[max(r - 1, 0)] > c:
+            return None
+        return Runs(self, c, r, end)
+
+
+class Runs:
+    """p_c, q_c and twinverse at one c, read from the first ``r`` runs of a
+    ``SequenceCache`` exact for c; it never grows.
+
+    ``q(k)`` is 1 plus the partial sums of p through p(k-1), and
+    ``twinverse(n)`` is the least k with n < p(k), for every n up to the
+    limit that ``at`` read.  Each is one bisection.  The view shares the
+    table's lists, final below r, and copies none: at c = 1 every term is a
+    run of its own.
+    """
+
+    def __init__(self, table: SequenceCache, c: int, r: int, end):
+        self._c, self._r, self._end = c, r, end  # end(i): the terms <= _p[i] at c
+        self._p, self._sums_a, self._sums_b = table._p, table._sums_a, table._sums_b
+
     def _run(self, k: int) -> int:
-        """Index of the run holding p(k), grown to it in a table of one c."""
-        if self.c is None:
-            raise ValueError(_AT_ONE_C)
-        if self._ends[-1] < k:
-            if self._limit is not None:
-                raise ValueError(f"p({k}) exceeds the limit {self._limit} of these runs")
-            self._grow(0, k, self.c)
-        return bisect_left(self._ends, k)
+        """Index of the run holding p(k)."""
+        i = bisect_left(range(self._r), k, key=self._end)
+        if i == self._r:
+            raise ValueError(f"p({k}) lies past these runs")
+        return i
 
     def p(self, k: int) -> int:
         if k < 1:
@@ -170,60 +212,13 @@ class SequenceCache:
         i = self._run(k - 1)  # the run holding p(k-1)
         if not i:
             return k  # 1 plus k-1 ones
-        total = self._sums_a[i - 1] + self.c * self._sums_b[i - 1]
-        return 1 + total + self._p[i] * (k - 1 - self._ends[i - 1])
+        total = self._sums_a[i - 1] + self._c * self._sums_b[i - 1]
+        return 1 + total + self._p[i] * (k - 1 - self._end(i - 1))
 
     def twinverse(self, n: int) -> int:
         if n < 1:
             raise ValueError("argument must be >= 1")
-        if self.c is None:
-            raise ValueError(_AT_ONE_C)
-        if self._limit is None:
-            self._grow(n)
-        elif n > self._limit:
-            raise ValueError(f"argument must be in 1..{self._limit}")
-        return self._ends[bisect_right(self._p, n) - 1] + 1
-
-    def runs(self, limit: int):
-        """The distinct values v <= limit of p, and how many terms equal
-        each; for the template, the a and b of each multiplicity a + b·c,
-        exact for c >= ``c_min(limit)``."""
-        self._grow(limit)
-        r = bisect_right(self._p, limit)
-        if self.c is None:
-            return self._p[:r], _steps(self._ends_a[:r]), _steps(self._ends_b[:r])
-        return self._p[:r], _steps(self._ends[:r])
-
-    def c_min(self, limit: int) -> int:
-        """The least c >= 1 from which the runs of values <= limit are exact."""
-        self._grow(limit)
-        return self._floor[max(bisect_right(self._p, limit) - 1, 0)]
-
-    def at(self, c: int, limit: int | None = None, index: int = 0) -> "SequenceCache | None":
-        """The template's p_c, q_c and twinverse, as a table of that c that
-        reads the runs of values <= ``limit`` (or, with ``limit`` None, the
-        runs through p_c(index)), holds their counts at c and never grows;
-        None when c < ``c_min`` of those runs."""
-        if self.c is not None:
-            raise ValueError("at() reads the template: call it on run_template()")
-        if limit is None:
-            if not self._grow(0, index, c):
-                return None
-            # search the runs before the last, final even while another
-            # thread grows the table; when none holds p_c(index), the last does
-            done = range(len(self._ends_b) - 1)
-            i = bisect_left(done, index, key=lambda i: self._ends_a[i] + c * self._ends_b[i])
-            limit = self._p[i]
-        if not self._grow(limit, c=c):
-            return None
-        r = bisect_right(self._p, limit)
-        if self._floor[max(r - 1, 0)] > c:
-            return None
-        ends = [a + c * b for a, b in zip(self._ends_a[:r], self._ends_b[:r])]
-        view = object.__new__(SequenceCache)  # the read state only, so it cannot grow
-        vars(view).update(c=c, _limit=limit, _p=self._p, _sums_a=self._sums_a,
-                          _sums_b=self._sums_b, _ends=ends)
-        return view
+        return self._end(bisect_right(self._p, n, 0, self._r) - 1) + 1
 
 
 # Run tables of single c, each below the template's c_min for the query that
@@ -251,12 +246,11 @@ def run_template() -> SequenceCache:
         return _template
 
 
-def _runs_for(c: int, limit: int | None = None, index: int = 0) -> SequenceCache:
+def _runs_for(c: int, limit: int | None = None, index: int = 0) -> Runs:
     """The runs of p_c that answer every read of a value <= limit (or, with
-    ``limit`` None, of an index <= index): the template where it is exact
-    for c, else the table of ``cache_for``."""
-    runs = run_template().at(c, limit, index)
-    return cache_for(c) if runs is None else runs
+    ``limit`` None, of an index <= index): the template's where it is exact
+    for c, else those of the table of ``cache_for``."""
+    return run_template().at(c, limit, index) or cache_for(c).at(c, limit, index)
 
 
 def cache_info() -> dict[str, int]:
@@ -311,9 +305,9 @@ def f_closed(n: int, c: int) -> int:
     return race_cost(_runs_for(c, n), n)
 
 
-def race_cost(runs, n: int) -> int:
-    """f_c(n) = n*m - q(m) with m = twinverse(n), read from one
-    ``SequenceCache`` of c (or the template's copy for c)."""
+def race_cost(runs: Runs, n: int) -> int:
+    """f_c(n) = n*m - q(m) with m = twinverse(n), read from the ``Runs`` of
+    c that ``SequenceCache.at`` makes."""
     m = runs.twinverse(n)
     return n * m - runs.q(m)
 

@@ -20,11 +20,13 @@ pawns on each position, from the windows of ``pawn_windows_reference``, a
 recursive walk of each pawn's ancestors, where the package fills its race
 grid from the split nodes alone.  ``columns`` is the int64 column
 loop that the family scans ran before the shared run template: one
-``SequenceCache(c)``, a run table of that c alone, per c (itself checked
-against ``TermSequence``), its runs scattered into a count array and summed
-by two cumsums, with no term shared between two values of c.  ``scan_optimal``, ``scan_maximizers``,
-``scan_drops`` and ``scan_grid`` are the dense scans over every column, one
-c at a time, that the package's monotone-argmax scans replaced.
+``SequenceCache(c)``, a run table grown for that c alone, per c (its
+``Runs`` at c checked against ``TermSequence``), the values and counts of
+its runs, whose b is 0, scattered into a count array and summed by two
+cumsums, with no term shared between two values of c.  ``scan_optimal``,
+``scan_maximizers``, ``scan_drops`` and ``scan_grid`` are the dense scans
+over every column, one c at a time, that the package's monotone-argmax
+scans replaced.
 
 The rest check the paper's claims on the package's outputs, and no command
 needs them.  ``generic_twinverse`` inverts any increasing sequence by
@@ -307,7 +309,7 @@ def columns(n_max):
         if c == 0:
             np.subtract(nprime[:count], 1, out=f[:count])
         else:
-            values, multiplicities = SequenceCache(c).runs(count - 1)
+            values, multiplicities, _ = SequenceCache(c).runs(count - 1)  # b = 0
             hist[values] = multiplicities
             np.cumsum(hist[1:count], out=below[: count - 1])  # terms <= j
             hist[values] = 0

@@ -6,9 +6,9 @@ range, and the largest threshold of every binary PFA of 6 states.
 
 ``test_solve_cerny_24_4`` runs ``solve cerny --n 24 --c 4 --count`` as a
 CLI process, within 64 MB, and compares its stdout (threshold 712, count 6,
-the lexicographically least word) with ``tests/golden/cli``.  It comes
-first, so that no earlier test of the same process raises the peak that
-the child's ``ru_maxrss`` counts (see ``spawn_cli``).
+the lexicographically least word) with ``tests/golden/cli``.  Each bound
+of a CLI process is on that process's own peak, read by ``spawn_python``,
+so the checks may run in any order and in one process.
 ``test_solve_cerny_64_50`` runs ``solve cerny --n 64 --c 50 --count`` as a
 CLI process, within 80 MB, and checks its threshold against
 ``rt_formula``, its count and the 424 550 subsets it explores: the wide
@@ -18,8 +18,7 @@ each n = 25..30 as a CLI process with ``--cap-subsets 67108864``, each
 within 200 MB, and checks its threshold against ``tables.CONCLUSION``;
 C(30, 8) explores 20 968 208 subsets, past the default cap.
 ``test_solve_matches_formula_to_24`` solves every member of 19 to 24
-states in this process and checks each threshold against ``rt_formula``;
-it comes last, as its searches raise this process's peak.
+states in this process and checks each threshold against ``rt_formula``.
 ``test_race_render_5000`` runs ``race render --n 5000 --c 0``, and the last
 optimal plan of ``race render --n 5000 --c 1``, each as a CLI process within
 100 MB: the race trace holds one row per iteration, by position, and the
@@ -115,11 +114,11 @@ def test_solve_cerny_24_4():
     golden = (Path(__file__).resolve().parent / "golden" / "cli"
               / "solve_cerny_24_4_count.txt").read_text(encoding="utf-8")
     with tempfile.TemporaryFile() as out:
-        code, _, maxrss = spawn_cli(out, "solve", "cerny", "--n", "24", "--c", "4", "--count")
+        code, _, peak = spawn_cli(out, "solve", "cerny", "--n", "24", "--c", "4", "--count")
         out.seek(0)
         text = out.read().decode()
     assert code == 0
-    assert maxrss < 64 * 1024, maxrss
+    assert peak < 64 * 1024, peak
     fields = dict(line.split("\t") for line in text.splitlines())
     assert (fields["threshold"], fields["count"]) == ("712", "6")
     assert text == golden
@@ -127,11 +126,11 @@ def test_solve_cerny_24_4():
 
 def test_solve_cerny_64_50():
     with tempfile.TemporaryFile() as out:
-        code, _, maxrss = spawn_cli(out, "solve", "cerny", "--n", "64", "--c", "50", "--count")
+        code, _, peak = spawn_cli(out, "solve", "cerny", "--n", "64", "--c", "50", "--count")
         out.seek(0)
         fields = dict(line.split("\t") for line in out.read().decode().splitlines())
     assert code == 0
-    assert maxrss < 80 * 1024, maxrss
+    assert peak < 80 * 1024, peak
     assert int(fields["threshold"]) == rt_formula(64, 50) == 2679
     assert (fields["count"], fields["explored"]) == ("3", "424550")
 
@@ -141,33 +140,33 @@ def test_best_member_by_search_25_to_30():
         _, argmax = optimal_c(n)
         c = min(argmax)
         with tempfile.TemporaryFile() as out:
-            code, _, maxrss = spawn_cli(out, "solve", "cerny", "--n", str(n), "--c", str(c),
+            code, _, peak = spawn_cli(out, "solve", "cerny", "--n", str(n), "--c", str(c),
                                         "--cap-subsets", str(1 << 26))
             out.seek(0)
             fields = dict(line.split("\t") for line in out.read().decode().splitlines())
         assert code == 0, n
-        assert maxrss < 200 * 1024, (n, maxrss)
+        assert peak < 200 * 1024, (n, peak)
         assert int(fields["threshold"]) == tables.CONCLUSION[n] == rt_formula(n, c), n
 
 
 def test_race_render_5000():
     with tempfile.TemporaryFile() as out:
-        code, _, maxrss = spawn_cli(out, "race", "render", "--n", "5000", "--c", "0")
+        code, _, peak = spawn_cli(out, "race", "render", "--n", "5000", "--c", "0")
         count, tail = count_and_tail(out, b"\n")
     assert code == 0
-    assert maxrss < 100 * 1024, maxrss
+    assert peak < 100 * 1024, peak
     assert count == 2 + 4999  # the header and its rule, then one line per iteration
     assert tail.endswith(b"CR  merge@5000\n"), tail
     # the last of the optimal plans at c = 1, built alone by its index
     last = str(count_races(5000, 1) - 1)
     with tempfile.TemporaryFile() as out:
-        code, _, maxrss = spawn_cli(out, "race", "render", "--n", "5000", "--c", "1",
+        code, _, peak = spawn_cli(out, "race", "render", "--n", "5000", "--c", "1",
                                     "--plan-index", last)
         count, tail = count_and_tail(out, b"\n")
         moves, _ = count_and_tail(out, b"C")
         stays, _ = count_and_tail(out, b"R")
     assert code == 0
-    assert maxrss < 100 * 1024, maxrss
+    assert peak < 100 * 1024, peak
     assert count == 2 + 4999
     assert tail.endswith(b"CR  merge@5000\n"), tail
     assert 2 * moves + stays == f_closed(5000, 1)  # each move costs c + 1, each stay c
@@ -175,27 +174,25 @@ def test_race_render_5000():
 
 def test_race_word_5001():
     with tempfile.TemporaryFile() as out:
-        code, _, maxrss = spawn_cli(out, "race", "word", "--n", "5001", "--c", "0")
+        code, _, peak = spawn_cli(out, "race", "word", "--n", "5001", "--c", "0")
         count, _ = count_and_tail(out, b"\n")
         size = out.seek(0, os.SEEK_END)
     assert code == 0
-    assert maxrss < 150 * 1024, maxrss
+    assert peak < 150 * 1024, peak
     assert (count, size) == (1, 25_000_000 + 1)  # one line: the word
 
 
 def test_race_word_5001_json():
     with tempfile.TemporaryFile() as out:
-        code, _, maxrss = spawn_cli(out, "race", "word", "--n", "5001", "--c", "0", "--json")
+        code, _, peak = spawn_cli(out, "race", "word", "--n", "5001", "--c", "0", "--json")
         a, tail = count_and_tail(out, b"a")
         b, _ = count_and_tail(out, b"b")
         size = out.seek(0, os.SEEK_END)
         out.seek(0)
         head = out.read(100)
     assert code == 0
-    assert maxrss < 130 * 1024, maxrss
-    # parsed without its word, whose letters a and b need no escape: held
-    # whole, the text would raise this process's peak, which later children
-    # count (see ``spawn_cli``)
+    assert peak < 130 * 1024, peak
+    # parsed without its word, whose letters a and b need no escape
     prefix = head[:head.index(b'"word": "') + len(b'"word": "')]
     assert json.loads(prefix + b'"}') == {"n": 5001, "c": 0, "length": 25_000_000, "word": ""}
     assert a + b == 25_000_000 and size == len(prefix) + 25_000_000 + len(b'"}\n')
@@ -222,23 +219,48 @@ def test_drops_to_120000_match_the_dense_oracle():
 
 def spawn_cli(out, *args):
     """Run ``python -m carefulsync *args`` with stdout into the file ``out``;
-    returns its exit code, wall time and ``ru_maxrss`` (kilobytes on Linux).
-    A child's ru_maxrss counts the peak of the process it was spawned from,
-    so each test runs its CLI before it gathers rows of 2 M points itself."""
+    returns what ``spawn_python`` returns."""
     return spawn_python(out, ["-m", "carefulsync", *args])
 
 
+# Runs ``python -m module ...`` or ``python -c code ...`` as given after it,
+# and at exit, however it exits, writes this process's own peak resident
+# set, VmHWM in kB, to fd 3.  VmHWM restarts at exec; a child's ru_maxrss
+# starts at the peak of the process that spawned it.
+_PEAK_WRAPPER = """\
+import atexit, os, runpy, sys
+
+def peak():
+    with open("/proc/self/status") as status:
+        line = next(line for line in status if line.startswith("VmHWM:"))
+    os.write(3, line.split()[1].encode())
+
+atexit.register(peak)
+flag, target, *args = sys.argv[1:]
+sys.argv = [flag, *args]  # as python sets it; run_module puts the module's path first
+if flag == "-m":
+    runpy.run_module(target, run_name="__main__", alter_sys=True)
+else:
+    exec(compile(target, "<string>", "exec"), {"__name__": "__main__"})
+"""
+
+
 def spawn_python(out, args):
-    """``spawn_cli`` for ``python *args``, with the package and the tests'
-    modules on its path."""
-    argv = [sys.executable, *args]
+    """Run ``python *args``, where ``args`` start with ``-m`` or ``-c``, with
+    the package and the tests' modules on its path and stdout into the file
+    ``out``; returns its exit code, wall time and its own peak resident set
+    in kB, read from its VmHWM at exit, also on a nonzero exit."""
+    argv = [sys.executable, "-c", _PEAK_WRAPPER, *args]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC), str(Path(__file__).parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    start = time.perf_counter()
-    pid = os.posix_spawn(sys.executable, argv, env,
-                         file_actions=[(os.POSIX_SPAWN_DUP2, out.fileno(), 1)])
-    _, status, usage = os.wait4(pid, 0)
-    return os.waitstatus_to_exitcode(status), time.perf_counter() - start, usage.ru_maxrss
+    with tempfile.TemporaryFile() as peak_kb:
+        start = time.perf_counter()
+        pid = os.posix_spawn(sys.executable, argv, env, file_actions=[
+            (os.POSIX_SPAWN_DUP2, out.fileno(), 1), (os.POSIX_SPAWN_DUP2, peak_kb.fileno(), 3)])
+        _, status = os.waitpid(pid, 0)
+        elapsed = time.perf_counter() - start
+        peak_kb.seek(0)
+        return os.waitstatus_to_exitcode(status), elapsed, int(peak_kb.read())
 
 
 def count_and_tail(out, mark):
@@ -259,42 +281,42 @@ def test_scan_optimal_c_to_2097151():
         (["--json"], b"{", b', {"n": 2097151, "value": 23299139627484, "c": 948711}]\n'),
     ):
         with tempfile.TemporaryFile() as out:
-            code, _, maxrss = spawn_cli(out, "scan", "optimal-c", "--nmax", "2097151", *flag)
+            code, _, peak = spawn_cli(out, "scan", "optimal-c", "--nmax", "2097151", *flag)
             count, tail = count_and_tail(out, mark)
         assert code == 0, flag
-        assert maxrss < 300 * 1024, (flag, maxrss)
+        assert peak < 300 * 1024, (flag, peak)
         assert count == rows + (not flag), flag  # the TSV header is one more line
         assert tail.endswith(last), (flag, tail)
 
 
 def test_scan_optimal_c_full_to_2097151():
     with tempfile.TemporaryFile() as out:
-        code, _, maxrss = spawn_cli(out, "scan", "optimal-c", "--nmax", "2097151", "--full")
+        code, _, peak = spawn_cli(out, "scan", "optimal-c", "--nmax", "2097151", "--full")
         count, tail = count_and_tail(out, b"\n")
     assert code == 0
-    assert maxrss < 320 * 1024, maxrss
+    assert peak < 320 * 1024, peak
     assert count == 1 + (2097151 - 1)  # the header, then n = 2 .. 2097151
     assert tail.endswith(b"\n2097151\t23299139627484\t948711\n"), tail
 
 
 def test_tables_grid_3000():
     with tempfile.TemporaryFile() as out:
-        code, _, maxrss = spawn_cli(out, "tables", "grid", "--nmax", "3000", "--cmax", "3000")
+        code, _, peak = spawn_cli(out, "tables", "grid", "--nmax", "3000", "--cmax", "3000")
         count, tail = count_and_tail(out, b"\n")
     assert code == 0
-    assert maxrss < 100 * 1024, maxrss
+    assert peak < 100 * 1024, peak
     assert count == 1 + 2999 * 3000 // 2  # the header, then c = 0 .. n-2 for n = 2 .. 3000
     assert tail.endswith(b"\n3000\t2998\t2999\t\n"), tail
 
 
 def test_drops_to_2097151():
     with tempfile.TemporaryFile() as out:
-        code, elapsed, maxrss = spawn_cli(out, "scan", "drops", "--nmax", "2097151")
+        code, elapsed, peak = spawn_cli(out, "scan", "drops", "--nmax", "2097151")
         out.seek(0)
         lines = out.read().decode().splitlines()
     assert code == 0
     assert elapsed < 15, elapsed
-    assert maxrss < 200 * 1024, maxrss
+    assert peak < 200 * 1024, peak
     assert lines[0] == HEADER and len(lines) == 1 + 16
     assert [tuple(map(int, line.split("\t")[:6])) for line in lines[-8:]] == BEYOND_7200
 
@@ -321,12 +343,12 @@ def test_binary_pfas_of_6_states_reach_26():
               "found = oracle.binary_thresholds(6, classes, oracle.partial_maps(6))\n"
               "print(len(classes), found.max(), (found == found.max()).sum())\n")
     with tempfile.TemporaryFile() as out:
-        code, elapsed, maxrss = spawn_python(out, ["-c", search])
+        code, elapsed, peak = spawn_python(out, ["-c", search])
         out.seek(0)
         text = out.read().decode()
     assert code == 0
     assert elapsed < 25, elapsed
-    assert maxrss < 160 * 1024, maxrss
+    assert peak < 160 * 1024, peak
     # the maximum is p(6, 2), which the family attains; 6 pairs (class, b) reach it
     assert text.split() == ["119", str(tables.P_N_2[6]), "6"] and tables.P_N_2[6] == 26
 

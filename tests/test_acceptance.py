@@ -185,18 +185,18 @@ def test_10_conclusion_table():
 def test_11_property_suites():
     # twinverse involution
     for c in range(1, 11):
-        cache = SequenceCache(c)
-        m = lambda i: generic_twinverse(cache.p, i)
+        runs = SequenceCache(c).at(c, index=1000)
+        m = lambda i: generic_twinverse(runs.p, i)
         for i in range(1, 51):
-            assert generic_twinverse(m, i) == cache.p(i)
+            assert generic_twinverse(m, i) == runs.p(i)
 
     # rectangle identity
     for c in range(1, 11):
-        cache = SequenceCache(c)
+        runs = SequenceCache(c).at(c, 500)
         twin_sum = 0
         for n in range(1, 501):
-            m_n = cache.twinverse(n)
-            assert cache.q(m_n) - 1 == n * m_n - twin_sum - 1
+            m_n = runs.twinverse(n)
+            assert runs.q(m_n) - 1 == n * m_n - twin_sum - 1
             twin_sum += m_n
 
     # bracketing bounds, both pairs
@@ -214,19 +214,17 @@ def test_11_property_suites():
 
     # affine linearity between sequence terms
     for c in (1, 2, 3):
-        cache = SequenceCache(c)
-        k = 1
-        while cache.p(k + 1) <= 1500:
-            for x in range(cache.p(k), cache.p(k + 1)):
+        runs = SequenceCache(c).at(c, 1500)
+        for k in range(1, runs.twinverse(1500) - 1):  # while p(k+1) <= 1500
+            for x in range(runs.p(k), runs.p(k + 1)):
                 assert f_closed(x + 1, c) - f_closed(x, c) == k + 1
-            k += 1
 
     # uniqueness of the shortest word iff the reduced size is a sequence term
     for n in range(3, 13):
         for c in range(1, n - 1):
-            cache = cache_for(c)
             npr = n - c - 1
-            is_term = cache.p(cache.twinverse(npr) - 1) == npr
+            runs = cache_for(c).at(c, npr)
+            is_term = runs.p(runs.twinverse(npr) - 1) == npr
             assert (count_shortest(build_cerny(n, c))[1] == 1) == is_term, (n, c)
 
     # b-run prefix and block factorization of every solved word
@@ -253,7 +251,7 @@ def test_12_asymptotic_smoke_bands():
         assert 0.5 <= growth_exponent(first_primes(r)) <= 1.5
     # phi really is the growth rate the bands lean on
     for c in (1, 2, 5):
-        cache = SequenceCache(c)
         k = 150 * c  # the smaller roots die off more slowly for larger c
-        assert abs(cache.p(k) / cache.p(k - 1) - phi(c).value) < 1e-6
+        runs = SequenceCache(c).at(c, index=k)
+        assert abs(runs.p(k) / runs.p(k - 1) - phi(c).value) < 1e-6
     ok("criterion 12: wide-band smoke checks of the asymptotics")

@@ -417,11 +417,14 @@ def test_rt_table_matches_formula():
 @pytest.mark.parametrize("c", [*range(1, 40), 64, 300, 499, 1502])
 def test_sequence_terms_match_cache(c):
     # the runs of the package against the term list of the oracle
-    cache, terms = SequenceCache(c), TermSequence(c)
-    for k in range(1, 20000 if c >= 64 else 3000):
-        assert (cache.p(k), cache.q(k)) == (terms.p(k), terms.q(k)), k
+    table, terms = SequenceCache(c), TermSequence(c)
+    count = 20000 if c >= 64 else 3000
+    runs = table.at(c, index=count)
+    for k in range(1, count):
+        assert (runs.p(k), runs.q(k)) == (terms.p(k), terms.q(k)), k
+    runs = table.at(c, 4999)
     for n in range(1, 5000):
-        assert cache.twinverse(n) == terms.twinverse(n), n
+        assert runs.twinverse(n) == terms.twinverse(n), n
 
 
 def test_solved_words_start_with_b_run_and_factor():

@@ -539,11 +539,12 @@ def test_estimate_refuses_a_root_it_cannot_resolve(capsys, monkeypatch):
 
 
 def test_estimate_refuses_c_past_the_float_range(capsys):
-    # x**c in the Newton step overflowed, a traceback and exit 1
-    for c in (5 * 10**16, 10**17, 10**30):
+    # x**c in the Newton step overflowed, a traceback and exit 1; past about
+    # 7.5*10**15 the root is no float within one step of the true root
+    for c in (8 * 10**15, 10**16, 5 * 10**16, 10**17, 10**30, 10**400):
         assert dispatch(["estimate", "--c", str(c)]) == 2
         assert capsys.readouterr() == (
-            "", f"error: the root is found for c up to about 10**14, not c={c}\n")
+            "", f"error: the root is found for c up to about 7.5*10**15, not c={c}\n")
 
 
 def test_estimate_refuses_n_past_the_float_range(capsys):

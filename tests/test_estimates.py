@@ -1,4 +1,5 @@
-from math import log, log1p, nextafter, sqrt
+import random
+from math import log, log10, log1p, nextafter, sqrt, ulp
 
 import numpy as np
 import pytest
@@ -50,6 +51,24 @@ def test_phi_for_large_c():
             PhiRoot(c=c, value=off, residual=abs(off ** (c + 1) - off - 1.0))
 
 
+def test_phi_from_10_14_to_the_float_limit():
+    # the Newton steps started from the bisection, 1e-13 wide, and did not
+    # converge from about c = 1.1*10**14 on
+    rng = random.Random(31)
+    cs = sorted({int(10 ** rng.uniform(14, log10(7.5e15))) for _ in range(400)})
+    roots = [phi(c) for c in (*cs, 2 * 10**14, 10**15, 7 * 10**15)]
+    for root in roots:
+        assert PhiRoot(root.c, root.value, root.residual) == root
+        # the root lies in (1 + ln2/(c+1), 1 + ln2/c)
+        assert 1 + log(2) / (root.c + 1) - ulp(1.0) <= root.value <= 1 + log(2) / root.c + ulp(1.0)
+    values = [root.value for root in roots[:len(cs)]]
+    assert all(a >= b for a, b in zip(values, values[1:]))  # ties: one float step
+    assert values[0] < phi(10**4).value and values[-1] > 1.0
+    for c in (8 * 10**15, 10**16):
+        with pytest.raises(ValueError, match=r"for c up to about 7\.5\*10\*\*15, not c="):
+            phi(c)
+
+
 def test_phi_root_validates():
     with pytest.raises(ValueError):
         PhiRoot(c=1, value=2.5, residual=0.0)
@@ -79,10 +98,10 @@ def test_bounds_bracket_grid():
 def test_power_sandwich():
     # phi^(m(n)-2c-1) <= n < phi^(m(n)-c)
     for c in range(1, 11):
-        cache = SequenceCache(c)
+        runs = SequenceCache(c).at(c, 5000)
         x = phi(c).value
         for n in range(1, 5001):
-            m = cache.twinverse(n)
+            m = runs.twinverse(n)
             assert x ** (m - 2 * c - 1) <= n * (1 + 1e-12), (n, c)
             assert n < x ** (m - c) * (1 + 1e-12), (n, c)
 
@@ -90,9 +109,9 @@ def test_power_sandwich():
 def test_cumulative_at_twinverse_is_linear_in_n():
     # c*n < q_c(m_c(n)) < 4*c*n
     for c in range(1, 11):
-        cache = SequenceCache(c)
+        runs = SequenceCache(c).at(c, 2000)
         for n in range(1, 2001):
-            q = cache.q(cache.twinverse(n))
+            q = runs.q(runs.twinverse(n))
             assert c * n < q < 4 * c * n, (n, c)
 
 

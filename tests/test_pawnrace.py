@@ -88,11 +88,11 @@ def test_twinverse_values():
 
 
 def test_twinverse_involution():
-    cache = SequenceCache(3)
-    m = lambda i: generic_twinverse(cache.p, i)
+    runs = SequenceCache(3).at(3, index=1000)
+    m = lambda i: generic_twinverse(runs.p, i)
     back = lambda i: generic_twinverse(m, i)
     for i in range(1, 51):
-        assert back(i) == cache.p(i)
+        assert back(i) == runs.p(i)
 
 
 def test_twinverse_monotone_unbounded():
@@ -166,25 +166,23 @@ def test_closed_form_bounds():
 
 def test_rectangle_identity():
     for c in range(1, 11):
-        cache = SequenceCache(c)
+        runs = SequenceCache(c).at(c, 500)
         twin_sum = 0  # running total of twinverse(1..n-1)
         for n in range(1, 501):
-            m_n = cache.twinverse(n)
-            left = cache.q(m_n) - 1  # q packages the partial sums of p
+            m_n = runs.twinverse(n)
+            left = runs.q(m_n) - 1  # q packages the partial sums of p
             assert left == n * m_n - twin_sum - 1, (n, c)
             twin_sum += m_n
 
 
 def test_affine_linearity_between_terms():
     for c in (1, 2, 5):
-        cache = SequenceCache(c)
-        k = 1
-        while cache.p(k + 1) <= 2000:
-            a, b = cache.p(k), cache.p(k + 1)
+        runs = SequenceCache(c).at(c, 2000)
+        for k in range(1, runs.twinverse(2000) - 1):  # while p(k+1) <= 2000
+            a, b = runs.p(k), runs.p(k + 1)
             if a < b:
                 for x in range(a, b):
                     assert f_closed(x + 1, c) - f_closed(x, c) == k + 1
-            k += 1
 
 
 def traced_peak(call):
@@ -279,11 +277,11 @@ def test_split_interval_examples():
 
 def test_split_interval_least_element():
     for c in (1, 2, 3):
-        cache = SequenceCache(c)
+        runs = SequenceCache(c).at(c, 120)
         for n in range(3, 120):
             interval = split_interval(n, c)
-            k = cache.twinverse(n) - c - 1
-            assert interval[0] == max(cache.p(k), n - cache.p(k))
+            k = runs.twinverse(n) - c - 1
+            assert interval[0] == max(runs.p(k), n - runs.p(k))
 
 
 def test_split_interval_is_exact_argmin_set():
@@ -304,12 +302,8 @@ def test_count_races_examples():
 
 def test_count_one_iff_sequence_term():
     for c in (1, 2, 3):
-        cache = SequenceCache(c)
-        terms = set()
-        k = 1
-        while cache.p(k) <= 60:
-            terms.add(cache.p(k))
-            k += 1
+        runs = SequenceCache(c).at(c, 60)
+        terms = {runs.p(k) for k in range(1, runs.twinverse(60))}  # every p(k) <= 60
         for n in range(1, 61):
             assert (count_races(n, c) == 1) == (n in terms), (n, c)
 
@@ -754,7 +748,7 @@ def test_concurrent_queries_are_consistent(monkeypatch):
             for (n, c), want in expected.items():
                 if f_closed(n, c) != want or f_recursive(n, c) != want:
                     errors.append((n, c))
-            local.twinverse(2000)
+            local.at(13, 2000).twinverse(2000)
 
     def sweeper():
         start.wait()
@@ -762,7 +756,7 @@ def test_concurrent_queries_are_consistent(monkeypatch):
             for c, want in sweep.items():
                 if f_closed(300, c) != want:
                     errors.append(("sweep", c))
-                if pawnrace.race_cost(pawnrace.cache_for(c), 300) != want:
+                if pawnrace.race_cost(pawnrace.cache_for(c).at(c, 300), 300) != want:
                     errors.append(("sweep per-c", c))
 
     interval = sys.getswitchinterval()
@@ -795,8 +789,10 @@ TEMPLATE_LIMITS = (1, 2, 10, 300, 2000, 7198)
 LARGE_C = (64, 300, 499, 1502, 5000)
 
 
-def template_runs(c, limit):
-    values, a, b = run_template().runs(limit)
+def runs_at(table, c, limit):
+    """The values <= limit of p_c in ``table`` and the multiplicity of
+    each at c."""
+    values, a, b = table.runs(limit)
     return values, [x + c * y for x, y in zip(a, b)]
 
 
@@ -811,7 +807,9 @@ def test_template_c_min_values():
 def test_template_runs_match_per_c_tables(limit):
     c_min = run_template().c_min(limit)
     for c in [*range(c_min, c_min + 41), *LARGE_C]:
-        assert template_runs(c, limit) == SequenceCache(c).runs(limit), c
+        table = SequenceCache(c)
+        assert runs_at(run_template(), c, limit) == runs_at(table, c, limit), c
+        assert not any(table.runs(limit)[2]), c  # b = 0 in a table of one c
 
 
 @pytest.mark.parametrize("limit", TEMPLATE_LIMITS)
@@ -820,7 +818,7 @@ def test_c_min_is_the_exact_boundary(limit):
     c_min = t.c_min(limit)
     assert t.at(c_min, limit) is not None
     for c in range(1, c_min):  # c_min - 1 among them
-        assert template_runs(c, limit) != SequenceCache(c).runs(limit), c
+        assert runs_at(run_template(), c, limit) != runs_at(SequenceCache(c), c, limit), c
         assert t.at(c, limit) is None, c
 
 
@@ -889,29 +887,35 @@ def test_every_block_starts_a_run_of_its_own():
     assert all(a < b for a, b in zip(template._p, template._p[1:]))
 
 
-def test_template_refuses_reads_at_one_c():
-    # the template holds every large c at once, and at() reads it at one
-    template = SequenceCache()
-    for read in (template.p, template.q, template.twinverse):
-        with pytest.raises(ValueError, match=r"call p, q and twinverse on at\(c, limit\)"):
-            read(5)
-    assert template.at(40, 300).p(5) == SequenceCache(40).p(5)
+def public(cls):
+    return {name for name in dir(cls) if not name.startswith("_")}
 
 
-def test_tables_made_by_at_refuse_to_grow():
+def test_a_table_reads_one_c_only_through_at():
+    # a table grows and answers runs, c_min and at; p, q and twinverse at
+    # one c belong to the frozen view that at makes
+    assert public(SequenceCache) == {"runs", "c_min", "at"}
+    for table in (SequenceCache(), SequenceCache(40)):
+        assert not any(hasattr(table, read) for read in ("p", "q", "twinverse"))
+    assert run_template().at(40, 300).p(5) == SequenceCache(40).at(40, 300).p(5)
+
+
+def test_runs_made_by_at_never_grow():
+    assert public(pawnrace.Runs) == {"p", "q", "twinverse"}
     view = run_template().at(40, 300)
-    for read in (view.runs, view.c_min):
-        with pytest.raises(ValueError, match=r"call runs and c_min on the template"):
-            read(10)
-    assert view.twinverse(300) == SequenceCache(40).twinverse(300)
+    assert not any(hasattr(view, grow) for grow in ("runs", "c_min", "at", "_grow"))
+    assert view.twinverse(300) == SequenceCache(40).at(40, 300).twinverse(300)
+    with pytest.raises(ValueError, match=r"lies past these runs"):
+        view.p(view.twinverse(300))  # the first term above 300
 
 
-def test_only_the_template_reads_at_another_c():
-    # a table of one c would read its own runs as those of the c asked for
-    for table in (run_template().at(40, 300), SequenceCache(5)):
-        for read in (lambda: table.at(40, 300), lambda: table.at(40, index=5)):
-            with pytest.raises(ValueError, match=r"call it on run_template\(\)"):
-                read()
+def test_a_table_of_one_c_reads_no_other_c():
+    # it would read its own runs as those of the c asked for
+    table = SequenceCache(5)
+    assert table.at(40, 300) is None
+    assert table.at(40, index=5) is None
+    assert table._p == [1]  # refused before growing
+    assert table.at(5, 300).twinverse(300) == TermSequence(5).twinverse(300)
 
 
 def test_point_queries_read_the_template():
