@@ -1,13 +1,22 @@
 """Command line surface: generate automata, solve them, and reproduce the
 published tables (the ``tables`` subcommands recompute everything and exit
-nonzero on any disagreement with the frozen reference values)."""
+nonzero on any disagreement with the frozen reference values).
 
-import argparse
+A well-formed command line is read straight off the flag table,
+``_COMMANDS``: a known command and kind, then only that kind's flags spelled
+in full, each with a value its type accepts that does not begin with ``-``
+(none for a switch), and every required flag.  Every other line, among them
+``-h``, ``--flag=value``, negative values, abbreviations and unknown flags,
+goes to argparse, imported only then, which prints the help or the usage
+error and sets the exit code.
+"""
+
 import json
 import sys
 from contextlib import nullcontext
 from itertools import islice
 from math import isqrt
+from types import SimpleNamespace
 
 from . import cerny, estimates, pawnrace, primes, verify
 from .pfa import from_json, to_dot, to_json, format_word
@@ -103,14 +112,59 @@ _COMMANDS = {
 
 def _choose(prog, name, choices, text, argv):
     """Exit as argparse does for a missing or unknown word, or for -h."""
+    import argparse
+
     parser = argparse.ArgumentParser(prog=prog)
     parser.add_argument(name, choices=choices, help=text)
     parser.parse_args(argv)
 
 
+def _read(argv):
+    """The arguments of a well-formed line, with the dest names and
+    defaults that ``add_argument`` derives from each flag's spec, or None
+    for a line that is not well formed."""
+    command = argv[0] if argv else None
+    if command not in _COMMANDS:
+        return None
+    kinds = _COMMANDS[command][1]
+    words = argv[:1] if None in kinds else argv[:2]
+    kind = words[1] if len(words) == 2 else None
+    if kind not in kinds:
+        return None
+    flags, given, tokens = dict(kinds[kind]), {}, iter(argv[len(words):])
+    for name in tokens:
+        if name not in flags:
+            return None
+        spec = flags[name]
+        if spec.get("action") == "store_true":
+            given[name] = True
+            continue
+        value = next(tokens, "-")  # a missing value is refused as one
+        if value.startswith("-"):
+            return None
+        try:
+            given[name] = spec.get("type", str)(value)
+        except ValueError:
+            return None
+    args = SimpleNamespace(command=command, kind=kind)
+    for name, spec in flags.items():
+        if name not in given and spec.get("required"):
+            return None
+        default = spec.get("default", False if spec.get("action") == "store_true" else None)
+        setattr(args, name.lstrip("-").replace("-", "_"), given.get(name, default))
+    return args
+
+
 def _parse(argv):
-    """Parse one command line with the parser of its (command, kind) alone:
-    the command and the kind are the first two words."""
+    """Parse one command line: read a well-formed line off ``_COMMANDS``
+    (see ``_read``), and hand any other line to argparse, with the parser
+    of its (command, kind) alone; the command and the kind are the first
+    two words.  argparse prints every help text and usage error."""
+    args = _read(argv)
+    if args is not None:
+        return args
+    import argparse
+
     command = argv[0] if argv else None
     if command not in _COMMANDS:
         _choose("carefulsync", "command", _COMMANDS,

@@ -96,9 +96,9 @@ class SequenceCache:
     other c, and the template below c_min.
 
     Values are exact Python ints.  Growth holds a lock and only appends,
-    a value and its sums before its counts, so reads, which take the lock
-    only to grow, see final runs below the last while another thread grows
-    the table.
+    a value and its sums before its counts and its floor last, so reads,
+    which take the lock only to grow, see final runs below the last while
+    another thread grows the table.
     """
 
     def __init__(self, c: int | None = None):
@@ -134,6 +134,14 @@ class SequenceCache:
         """Grow until a run exceeds ``value`` and, read at ``c``, the runs
         hold ``count`` terms.  With ``c``, stop early and return False once
         the last run needs a larger c (never, in a table of its own c)."""
+        # grown already, or refused: growth only appends, a run's a count
+        # before its b count and its floor last, so these unlocked reads see
+        # no more terms and no larger a floor than the table then holds; a
+        # read that sees too few terms and a floor <= c takes the lock below
+        if self._p[-1] > value and not (count and self._ends_a[-1] + c * self._ends_b[-1] < count):
+            return True
+        if c is not None and self._floor[-1] > c:
+            return False
         with self._lock:
             while (self._p[-1] <= value
                    or count and self._ends_a[-1] + c * self._ends_b[-1] < count):

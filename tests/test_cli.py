@@ -6,11 +6,13 @@ from dataclasses import replace
 from math import nextafter
 from pathlib import Path
 from textwrap import dedent
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from oracle import exact_row, row_optimum
 
-from carefulsync import (build_cerny, enumerate_plans, from_json, is_sync_word, parse_word,
+from carefulsync import (build_cerny, cli, enumerate_plans, from_json, is_sync_word, parse_word,
                          render_race, rt_formula, simulate_race, to_json)
 from carefulsync.cli import dispatch
 
@@ -712,12 +714,98 @@ def test_one_dispatch_builds_at_most_two_parsers(capsys, monkeypatch, pfa_file):
     init = argparse.ArgumentParser.__init__
     monkeypatch.setattr(argparse.ArgumentParser, "__init__",
                         lambda self, *a, **k: built.append(1) or init(self, *a, **k))
-    for line in [*READ_ALL.values(), "", "-h", "nope", "race", "race -h", "race nope",
-                 "race word -h", "race word --n 9", "estimate -h", "scan drops --nmax 60 --full"]:
+    for line in READ_ALL.values():  # read off the flag table
         built.clear()
         dispatch(line.format(pfa=pfa_file).split())
+        assert not built, line
+    for line in ["", "-h", "nope", "race", "race -h", "race nope", "race word -h",
+                 "race word --n 9", "estimate -h", "scan drops --nmax 60 --full"]:
+        built.clear()
+        dispatch(line.split())
         assert 1 <= len(built) <= 2, line
     capsys.readouterr()
+
+
+def test_well_formed_lines_leave_argparse_unimported():
+    script = dedent("""
+        import contextlib, io, sys
+        from carefulsync.cli import dispatch
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [dispatch(line.split()) for line in ("race count --n 15 --c 4", "tables pn2")]
+        print(codes, sorted({"argparse", "gettext", "locale"} & set(sys.modules)))
+        sys.exit(dispatch(["race", "count", "-h"]))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("[0, 0] []\nusage: carefulsync race count [-h] --n N --c C")
+
+
+# what `_read` understands of an `add_argument` spec
+READ_KEYS = {"type", "action", "required", "default", "help"}
+FLAGS = {(command, kind): dict(flags)
+         for command, (_, kinds) in cli._COMMANDS.items() for kind, flags in kinds.items()}
+EVERY_FLAG = sorted({name for flags in FLAGS.values() for name in flags})
+WORDS = sorted({*cli._COMMANDS, *(kind for _, kind in FLAGS if kind), "-h"})
+VALUES = st.one_of(st.integers(-10**4, 10**4).map(str),
+                   st.sampled_from(["", "abc", "2,3", " 7", "+7", "1_0", "\u0663", "0x10",
+                                    "-", "--", "-x", "-h"]))
+
+
+def test_every_flag_spec_is_one_read_understands():
+    for flags in FLAGS.values():
+        for name, spec in flags.items():
+            assert name.startswith("--") and set(spec) <= READ_KEYS, name
+            assert spec.get("action", "store_true") == "store_true", name
+            assert spec.get("type", int) is int, name
+
+
+def test_read_takes_every_well_formed_line_the_project_runs(monkeypatch, pfa_file):
+    monkeypatch.syspath_prepend(str(Path(SRC).parent / "bench"))
+    import workloads
+
+    lines = [line.format(pfa=pfa_file).split() for line in READ_ALL.values()]
+    lines += [op["argv"] for name in workloads.NAMES for quick in (False, True)
+              for op in workloads.build(name, 0, quick) if "argv" in op]
+    for argv in lines:
+        assert cli._read(argv) is not None, argv
+
+
+@st.composite
+def command_lines(draw):
+    """The words of a (command, kind), or others, then its required flags,
+    most often all of them, with well-formed values, with other tokens put
+    among them."""
+    command, kind = draw(st.sampled_from(sorted(FLAGS, key=str)))
+    flags = FLAGS[command, kind]
+    words = draw(st.one_of(st.just([command] if kind is None else [command, kind]),
+                           st.lists(st.sampled_from(WORDS), max_size=2)))
+    required = draw(st.permutations([name for name, spec in flags.items()
+                                     if spec.get("required")]))
+    tokens = []
+    for name in required[:draw(st.just(len(required)) | st.integers(0, len(required)))]:
+        tokens += [name, draw(st.integers(0, 99).map(str))]
+    extra = st.one_of(
+        st.tuples(st.sampled_from(sorted(flags)), VALUES).map(list),
+        st.sampled_from(sorted(flags)).map(lambda name: [name]),
+        st.tuples(st.sampled_from(EVERY_FLAG), VALUES).map(list),
+        st.sampled_from(["-h", "--help", "--"]).map(lambda token: [token]),
+        st.tuples(st.sampled_from(EVERY_FLAG), VALUES).map(lambda pair: ["=".join(pair)]),
+        VALUES.map(lambda value: [value]),
+    )
+    for more in draw(st.lists(extra, max_size=3)):
+        at = draw(st.integers(0, len(tokens)))
+        tokens[at:at] = more
+    return words + tokens
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(command_lines())
+def test_read_agrees_with_argparse(argv):
+    args = cli._read(argv)
+    if args is not None:  # then argparse takes the line too, to the same values
+        with mock.patch.object(cli, "_read", return_value=None):
+            assert vars(cli._parse(argv)) == vars(args), argv
 
 
 def test_importing_the_cli_builds_no_parser():

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import pickle
 import random
+import threading
 import tracemalloc
 from math import ceil, isqrt, log2
 
@@ -725,7 +726,6 @@ def test_render_distinguishes_all_optimal_races():
 
 def test_concurrent_queries_are_consistent(monkeypatch):
     import sys
-    import threading
 
     expected = {(n, c): f_closed(n, c) for n in (500, 1500) for c in (7, 19)}
     races = {(n, c): count_races(n, c) for n in (300, 2000) for c in (2, 11)}
@@ -772,6 +772,36 @@ def test_concurrent_queries_are_consistent(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not errors
+
+
+class _CountingLock:
+    def __init__(self):
+        self.acquired, self._lock = 0, threading.Lock()
+
+    def __enter__(self):
+        self.acquired += 1
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self._lock.__exit__(*exc)
+
+
+@pytest.mark.parametrize("seed, c", [(None, 300), (3, 3)])
+def test_a_grown_table_answers_without_its_lock(seed, c):
+    table = SequenceCache(seed)
+
+    def reads():
+        return (table.at(c, index=2000).p(2000), table.at(c, 5000).twinverse(5000),
+                table.runs(5000), table.c_min(5000))
+
+    first = reads()
+    table._lock = lock = _CountingLock()
+    assert reads() == first
+    if seed is None:  # the template refuses a c below c_min, grown or not
+        assert table.at(2, index=2000) is None and table.at(2, 10**9) is None
+    assert lock.acquired == 0
+    table.at(c, index=20000)  # growing still takes the lock
+    assert lock.acquired > 0
 
 
 def test_render_golden_two_pawns():

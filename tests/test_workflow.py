@@ -1,6 +1,7 @@
 """The CI workflow names every slow check: pytest does not collect
 ``tests/slow_drops.py`` in the tier-1 run, so a check that the ``slow-drops``
-job leaves out would never run anywhere."""
+job leaves out would never run anywhere.  And it runs the installed console
+script, which no test reaches."""
 
 import ast
 import re
@@ -9,12 +10,28 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def job(name):
+    """The lines of one job: from its key to the next key at the same
+    indent, or the end."""
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    return re.search(rf"^  {name}:\n(.*?)(?=^  \S|\Z)", workflow, re.M | re.S).group(1)
+
+
 def test_slow_drops_job_runs_every_slow_check_once():
     tree = ast.parse((ROOT / "tests" / "slow_drops.py").read_text(encoding="utf-8"))
     checks = [node.name for node in tree.body
               if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")]
-    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
-    # the job runs from its key to the next key at the same indent, or the end
-    job = re.search(r"^  slow-drops:\n(.*?)(?=^  \S|\Z)", workflow, re.M | re.S).group(1)
-    named = re.findall(r"tests/slow_drops\.py::(\w+)", job)
+    named = re.findall(r"tests/slow_drops\.py::(\w+)", job("slow-drops"))
     assert checks and sorted(named) == sorted(checks)
+
+
+def test_tier1_job_runs_the_installed_console_script():
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'carefulsync = "carefulsync.cli:main"' in pyproject
+    step = re.search(r"^      - name: Install the package and run its console script\n"
+                     r"(.*?)(?=^      - |\Z)", job("tier1"), re.M | re.S)
+    assert step, "no console-script step in the tier-1 job"
+    lines = [line.strip() for line in step.group(1).splitlines()]
+    assert "python -m pip install --no-deps ." in lines
+    assert "carefulsync tables pn2 > /dev/null || exit 1" in lines
+    assert "carefulsync race count -h || exit 1" in lines
