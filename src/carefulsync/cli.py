@@ -119,19 +119,11 @@ def _choose(prog, name, choices, text, argv):
     parser.parse_args(argv)
 
 
-def _read(argv):
-    """The arguments of a well-formed line, with the dest names and
-    defaults that ``add_argument`` derives from each flag's spec, or None
-    for a line that is not well formed."""
-    command = argv[0] if argv else None
-    if command not in _COMMANDS:
-        return None
-    kinds = _COMMANDS[command][1]
-    words = argv[:1] if None in kinds else argv[:2]
-    kind = words[1] if len(words) == 2 else None
-    if kind not in kinds:
-        return None
-    flags, given, tokens = dict(kinds[kind]), {}, iter(argv[len(words):])
+def _read(flags, tokens):
+    """The arguments of one kind's ``flags`` in ``tokens``, with the dest
+    names and defaults that ``add_argument`` derives from each flag's spec,
+    or None unless the tokens are well formed."""
+    flags, given, tokens = dict(flags), {}, iter(tokens)
     for name in tokens:
         if name not in flags:
             return None
@@ -146,7 +138,7 @@ def _read(argv):
             given[name] = spec.get("type", str)(value)
         except ValueError:
             return None
-    args = SimpleNamespace(command=command, kind=kind)
+    args = SimpleNamespace()
     for name, spec in flags.items():
         if name not in given and spec.get("required"):
             return None
@@ -156,15 +148,12 @@ def _read(argv):
 
 
 def _parse(argv):
-    """Parse one command line: read a well-formed line off ``_COMMANDS``
-    (see ``_read``), and hand any other line to argparse, with the parser
-    of its (command, kind) alone; the command and the kind are the first
-    two words.  argparse prints every help text and usage error."""
-    args = _read(argv)
-    if args is not None:
-        return args
-    import argparse
-
+    """Parse one command line.  The command and the kind are the first two
+    words; argparse prints the help or the usage error for a missing or
+    unknown one.  The kind's flags are read straight off ``_COMMANDS`` (see
+    ``_read``) when well formed, and otherwise by argparse, with the parser
+    of that (command, kind) alone, which prints every help text and usage
+    error."""
     command = argv[0] if argv else None
     if command not in _COMMANDS:
         _choose("carefulsync", "command", _COMMANDS,
@@ -174,10 +163,15 @@ def _parse(argv):
     kind = words[1] if len(words) == 2 else None
     if kind not in kinds:
         _choose(f"carefulsync {command}", "kind", kinds, text, argv[1:2])
-    leaf = argparse.ArgumentParser(prog=" ".join(["carefulsync", *words]), allow_abbrev=False)
-    for name, spec in kinds[kind]:
-        leaf.add_argument(name, **spec)
-    args = leaf.parse_args(argv[len(words):])
+    args = _read(kinds[kind], argv[len(words):])
+    if args is None:
+        import argparse
+
+        leaf = argparse.ArgumentParser(prog=" ".join(["carefulsync", *words]),
+                                       allow_abbrev=False)
+        for name, spec in kinds[kind]:
+            leaf.add_argument(name, **spec)
+        args = leaf.parse_args(argv[len(words):])
     args.command, args.kind = command, kind
     return args
 

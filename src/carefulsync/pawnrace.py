@@ -134,13 +134,15 @@ class SequenceCache:
         """Grow until a run exceeds ``value`` and, read at ``c``, the runs
         hold ``count`` terms.  With ``c``, stop early and return False once
         the last run needs a larger c (never, in a table of its own c)."""
-        # grown already, or refused: growth only appends, a run's a count
-        # before its b count and its floor last, so these unlocked reads see
-        # no more terms and no larger a floor than the table then holds; a
-        # read that sees too few terms and a floor <= c takes the lock below
-        if self._p[-1] > value and not (count and self._ends_a[-1] + c * self._ends_b[-1] < count):
+        # grown already, or refused, as the last complete run shows: growth
+        # only appends, and a run's floor last, so run i, read unlocked, is
+        # final, as is every run before it that ``at`` reads; a run being
+        # added may hold its a count without its b count yet.  A read that
+        # finds run i short and its floor <= c takes the lock below
+        i = len(self._floor) - 1
+        if self._p[i] > value and not (count and self._ends_a[i] + c * self._ends_b[i] < count):
             return True
-        if c is not None and self._floor[-1] > c:
+        if c is not None and self._floor[i] > c:
             return False
         with self._lock:
             while (self._p[-1] <= value

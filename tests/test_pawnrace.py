@@ -804,6 +804,59 @@ def test_a_grown_table_answers_without_its_lock(seed, c):
     assert lock.acquired > 0
 
 
+class _FinishingLock:
+    """The lock as a reader finds it while another thread is midway through
+    ``_extend_block``: taking it waits for that block to finish."""
+
+    def __init__(self, finish):
+        self.acquired, self._finish = 0, finish
+
+    def __enter__(self):
+        self.acquired += 1
+        self._finish()
+
+    def __exit__(self, *exc):
+        return False
+
+
+LISTS = ("_p", "_sums_a", "_sums_b", "_ends_a", "_ends_b", "_floor")
+
+
+@pytest.mark.parametrize("seed, c", [(None, 40), (3, 3)])
+def test_a_half_added_run_is_not_read(seed, c):
+    """A reader that finds the next run's a count appended but not yet its
+    b count or floor, as ``_extend_block`` appends them, waits for the
+    block and reads p(k) right, for k past the last complete run."""
+    table, whole = SequenceCache(seed), SequenceCache(seed)
+    for _ in range(6):
+        table._extend_block()
+        whole._extend_block()
+    whole._extend_block()
+
+    def end(t, i):
+        return t._ends_a[i] + c * t._ends_b[i]
+
+    # the first new run that adds to the a count, after the runs before it
+    n = len(table._p)
+    m = next(i for i in range(n, len(whole._p)) if whole._ends_a[i] > whole._ends_a[i - 1])
+    for name in LISTS:
+        getattr(table, name).extend(getattr(whole, name)[n:m])
+    for name in LISTS[:4]:
+        getattr(table, name).append(getattr(whole, name)[m])
+    k = end(table, m - 1) + 1
+    assert k <= table._ends_a[m] + c * table._ends_b[m - 1]  # what a mixed read would count
+
+    def finish():
+        for name in LISTS:
+            getattr(table, name)[:] = getattr(whole, name)
+        table._block, table._before = whole._block, whole._before
+
+    table._lock = lock = _FinishingLock(finish)
+    runs = table.at(c, index=k)
+    assert lock.acquired == 1
+    assert runs.p(k) == whole._p[m] == whole.at(c, index=k).p(k)
+
+
 def test_render_golden_two_pawns():
     trace = simulate_race(enumerate_plans(2, 1)[0], 1)
     assert render_race(trace) == (
