@@ -54,7 +54,9 @@ def _flag(name, **spec):
     return name, spec
 
 
-N = _flag("--n", type=int, required=True, help="automaton size")
+N = _flag("--n", type=int, required=True,
+          help=f"automaton size, at most {MAX_STATES} states; at that size `gen` "
+               f"peaks at 558 MB as JSON, 1.24 GB with --dot")
 PAWNS = _flag("--n", type=int, required=True,
               help=f"pawn count, at most {RACE_COUNT_MAX_N} for `count` and `enumerate`; "
                    f"`render` holds n(n-1) bytes, at most {RACE_MAX_BYTES}")
@@ -75,7 +77,9 @@ SOLVE = (_flag("--cap-subsets", type=int, default=SolveLimits.max_subsets),
 AUTOMATA = {
     "cerny": (N, C),
     "cerny-star": (N,),
-    "prime": (_flag("--primes", required=True, help="comma separated, e.g. 5,7,8,9"),
+    "prime": (_flag("--primes", required=True,
+                    help=f"comma separated, e.g. 5,7,8,9: p + 3 states per entry p, plus the "
+                         f"padding, at most {MAX_STATES}; at that size `gen prime` peaks at 830 MB"),
               _flag("--padding", type=int, default=0),
               _flag("--transitive", action="store_true")),
     "path": (_flag("--path", required=True, help="JSON automaton file"),),

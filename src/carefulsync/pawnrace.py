@@ -13,8 +13,8 @@ The split sequences p_c are held as runs of equal values in a growing
 table, ``SequenceCache``, whose run lengths are affine in c.  A table for
 one c fixes them; the template of ``run_template`` runs the recurrence once
 for every c from a small ``c_min`` on.  A query reads p_c, q_c and the
-twinverse from ``Runs``, the frozen view at its c that ``at`` makes of the
-template where it is exact for c, and of a table of that c alone below that.
+twinverse from ``Runs``, the view that ``at`` makes of the table of its c
+if one exists, else of the template where exact, else of a new table of c.
 """
 
 import threading
@@ -95,10 +95,9 @@ class SequenceCache:
     wherever the table is not exact for its c: a table of one c at any
     other c, and the template below c_min.
 
-    Values are exact Python ints.  Growth holds a lock and only appends,
-    a value and its sums before its counts and its floor last, so reads,
-    which take the lock only to grow, see final runs below the last while
-    another thread grows the table.
+    Values are exact Python ints.  Every read and every growth holds the
+    table's lock, and each public read takes it once; growth only appends,
+    so the first r runs that a ``Runs`` reads without it never change.
     """
 
     def __init__(self, c: int | None = None):
@@ -133,37 +132,29 @@ class SequenceCache:
     def _grow(self, value: int, count: int = 0, c: int | None = None) -> bool:
         """Grow until a run exceeds ``value`` and, read at ``c``, the runs
         hold ``count`` terms.  With ``c``, stop early and return False once
-        the last run needs a larger c (never, in a table of its own c)."""
-        # grown already, or refused, as the last complete run shows: growth
-        # only appends, and a run's floor last, so run i, read unlocked, is
-        # final, as is every run before it that ``at`` reads; a run being
-        # added may hold its a count without its b count yet.  A read that
-        # finds run i short and its floor <= c takes the lock below
-        i = len(self._floor) - 1
-        if self._p[i] > value and not (count and self._ends_a[i] + c * self._ends_b[i] < count):
-            return True
-        if c is not None and self._floor[i] > c:
-            return False
-        with self._lock:
-            while (self._p[-1] <= value
-                   or count and self._ends_a[-1] + c * self._ends_b[-1] < count):
-                if c is not None and self._floor[-1] > c:
-                    return False
-                self._extend_block()
+        the last run needs a larger c (never, in a table of its own c).
+        The caller holds the lock."""
+        while (self._p[-1] <= value
+               or count and self._ends_a[-1] + c * self._ends_b[-1] < count):
+            if c is not None and self._floor[-1] > c:
+                return False
+            self._extend_block()
         return True
 
     def runs(self, limit: int):
         """The distinct values v <= limit of p, and the a and b of the
         multiplicity a + b·c of each: exact for c >= ``c_min(limit)`` in the
         template, and with b = 0 at its own c in a table of one c."""
-        self._grow(limit)
-        r = bisect_right(self._p, limit)
-        return self._p[:r], _steps(self._ends_a[:r]), _steps(self._ends_b[:r])
+        with self._lock:
+            self._grow(limit)
+            r = bisect_right(self._p, limit)
+            return self._p[:r], _steps(self._ends_a[:r]), _steps(self._ends_b[:r])
 
     def c_min(self, limit: int) -> int:
         """The least c >= 1 from which the runs of values <= limit are exact."""
-        self._grow(limit)
-        return self._floor[max(bisect_right(self._p, limit) - 1, 0)]
+        with self._lock:
+            self._grow(limit)
+            return self._floor[max(bisect_right(self._p, limit) - 1, 0)]
 
     def at(self, c: int, limit: int | None = None, index: int = 0) -> "Runs | None":
         """The ``Runs`` of p_c that read the runs of values <= ``limit`` (or,
@@ -174,18 +165,17 @@ class SequenceCache:
         # end(i): the terms <= _p[i] at c; in a table of one c every b is 0
         ends_a, ends_b = self._ends_a, self._ends_b
         end = ends_a.__getitem__ if self._c else lambda i: ends_a[i] + c * ends_b[i]
-        if limit is None:
-            if not self._grow(0, index, c):
+        with self._lock:
+            if limit is None:
+                if not self._grow(0, index, c):
+                    return None
+                r = bisect_left(range(len(ends_b)), index, key=end) + 1  # through p_c(index)
+            elif self._grow(limit, c=c):
+                r = bisect_right(self._p, limit)
+            else:
                 return None
-            # search the runs before the last, final even while another
-            # thread grows the table; when none holds p_c(index), the last does
-            i = bisect_left(range(len(ends_b) - 1), index, key=end)
-            limit = self._p[i]
-        if not self._grow(limit, c=c):
-            return None
-        r = bisect_right(self._p, limit)
-        if self._floor[max(r - 1, 0)] > c:
-            return None
+            if self._floor[max(r - 1, 0)] > c:
+                return None
         return Runs(self, c, r, end)
 
 
@@ -197,7 +187,7 @@ class Runs:
     ``twinverse(n)`` is the least k with n < p(k), for every n up to the
     limit that ``at`` read.  Each is one bisection.  The view shares the
     table's lists, final below r, and copies none: at c = 1 every term is a
-    run of its own.
+    run of its own.  It reads them without the table's lock.
     """
 
     def __init__(self, table: SequenceCache, c: int, r: int, end):
@@ -232,7 +222,8 @@ class Runs:
 
 
 # Run tables of single c, each below the template's c_min for the query that
-# built it; c_min is below 40 for every value under 10^12.
+# built it; c_min is below 40 for every value under 10^12.  Only cache_for
+# adds one, under _caches_lock; a lookup is one dict read.
 _caches: dict[int, SequenceCache] = {}
 _caches_lock = threading.Lock()
 
@@ -258,9 +249,16 @@ def run_template() -> SequenceCache:
 
 def _runs_for(c: int, limit: int | None = None, index: int = 0) -> Runs:
     """The runs of p_c that answer every read of a value <= limit (or, with
-    ``limit`` None, of an index <= index): the template's where it is exact
-    for c, else those of the table of ``cache_for``."""
-    return run_template().at(c, limit, index) or cache_for(c).at(c, limit, index)
+    ``limit`` None, of an index <= index): those of the table of c where
+    one exists, which is exact for c, else the template's where it is
+    exact for c, else those of a new table of c."""
+    table = _caches.get(c)
+    if table is None:
+        runs = run_template().at(c, limit, index)
+        if runs is not None:
+            return runs
+        table = cache_for(c)
+    return table.at(c, limit, index)
 
 
 def cache_info() -> dict[str, int]:

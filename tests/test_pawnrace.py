@@ -5,9 +5,11 @@ import random
 import threading
 import tracemalloc
 from math import ceil, isqrt, log2
+from unittest import mock
 
 import oracle
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from oracle import TermSequence, exact_f, f_recursive, generic_twinverse, greedy_factorization
 
 from carefulsync import (
@@ -729,9 +731,15 @@ def test_concurrent_queries_are_consistent(monkeypatch):
 
     expected = {(n, c): f_closed(n, c) for n in (500, 1500) for c in (7, 19)}
     races = {(n, c): count_races(n, c) for n in (300, 2000) for c in (2, 11)}
-    # the template grows under the readers from scratch, and the sweepers
-    # read it and the per-c tables for every c
+    # index reads: c = 3 is below c_min, c = 40 above it
+    indices = {(c, k): sequences(c, k) for c in (3, 40) for k in (60, 800)}
+    limits = (300, 5000, 10**6)
+    template_runs = {limit: run_template().runs(limit) for limit in limits}
+    template_c_min = {limit: run_template().c_min(limit) for limit in limits}
+    # the template and the per-c tables grow under the readers from scratch,
+    # and the sweepers read them for every c
     monkeypatch.setattr(pawnrace, "_template", None)
+    monkeypatch.setattr(pawnrace, "_caches", {})
     sweep = {c: exact_f(300, c) for c in range(1, 130)}
     for c in (2, 11):
         pawnrace._o_tables.pop(c)  # make the threads fill the memo themselves
@@ -748,6 +756,15 @@ def test_concurrent_queries_are_consistent(monkeypatch):
             for (n, c), want in expected.items():
                 if f_closed(n, c) != want or f_recursive(n, c) != want:
                     errors.append((n, c))
+            for (c, k), want in indices.items():
+                if sequences(c, k) != want:
+                    errors.append(("index", c, k))
+            for limit in limits:
+                template = run_template()
+                if template.runs(limit) != template_runs[limit]:
+                    errors.append(("runs", limit))
+                if template.c_min(limit) != template_c_min[limit]:
+                    errors.append(("c_min", limit))
             local.at(13, 2000).twinverse(2000)
 
     def sweeper():
@@ -774,34 +791,90 @@ def test_concurrent_queries_are_consistent(monkeypatch):
     assert not errors
 
 
-class _CountingLock:
-    def __init__(self):
-        self.acquired, self._lock = 0, threading.Lock()
+@pytest.mark.parametrize("c", [1, 3])
+def test_a_table_of_c_answers_its_point_queries_alone(monkeypatch, c):
+    """Once the template has refused a query at c and a table of c exists,
+    every point query at c reads that table, small ones too; and a table
+    grows only while its lock is held."""
+    monkeypatch.setattr(pawnrace, "_caches", {})
+    monkeypatch.setattr(pawnrace, "_o_tables", {})
+    monkeypatch.setattr(pawnrace, "_template", None)
+    locked = []  # per block appended, whether the table's lock was held
+    extend = SequenceCache._extend_block
 
-    def __enter__(self):
-        self.acquired += 1
-        return self._lock.__enter__()
+    def extend_under_lock(table):
+        locked.append(table._lock.locked())
+        extend(table)
 
-    def __exit__(self, *exc):
-        return self._lock.__exit__(*exc)
+    monkeypatch.setattr(SequenceCache, "_extend_block", extend_under_lock)
+    template, n = run_template(), 3000
+    assert c < template.c_min(n)
+    twinverse(c, n)  # refused by the template: builds the table of c
+    assert list(pawnrace._caches) == [c]
+    asked = []
+    at = template.at
+    monkeypatch.setattr(template, "at", lambda *args, **kw: asked.append(args) or at(*args, **kw))
+    terms = TermSequence(c)
+    for k in (1, 5, 40, 3000):  # from what the template answers to past the table
+        assert sequences(c, k) == (terms.p(k), terms.q(k)), k
+    for m in (1, 2, 50, n, 10**6):
+        assert twinverse(c, m) == terms.twinverse(m), m
+    for m in (1, 40, n):
+        assert f_closed(m, c) == exact_f(m, c), m
+    assert count_races(300, c) == oracle.race_counts(300, c)[300]
+    assert asked == []
+    assert list(pawnrace._caches) == [c]
+    # the template's own reads grow it, under its lock too
+    assert template.runs(10**7)[0] and template.c_min(10**7) > c
+    assert template.at(40, index=800).p(800) == TermSequence(40).p(800)
+    assert len(locked) > 10 and all(locked)
 
 
-@pytest.mark.parametrize("seed, c", [(None, 300), (3, 3)])
-def test_a_grown_table_answers_without_its_lock(seed, c):
-    table = SequenceCache(seed)
+ROUTED_C = (1, 2, 3, 7, 12, 20, 40, 300)
 
-    def reads():
-        return (table.at(c, index=2000).p(2000), table.at(c, 5000).twinverse(5000),
-                table.runs(5000), table.c_min(5000))
 
-    first = reads()
-    table._lock = lock = _CountingLock()
-    assert reads() == first
-    if seed is None:  # the template refuses a c below c_min, grown or not
-        assert table.at(2, index=2000) is None and table.at(2, 10**9) is None
-    assert lock.acquired == 0
-    table.at(c, index=20000)  # growing still takes the lock
-    assert lock.acquired > 0
+def point_queries():
+    """Interleavings of the three point queries at c below and above c_min:
+    (name, c, argument)."""
+    return st.lists(st.one_of(
+        st.tuples(st.just("twinverse"), st.sampled_from(ROUTED_C), st.integers(1, 10**6)),
+        st.tuples(st.just("sequences"), st.sampled_from(ROUTED_C), st.integers(1, 3000)),
+        st.tuples(st.just("f_closed"), st.sampled_from(ROUTED_C), st.integers(1, 5000)),
+    ), min_size=1, max_size=12)
+
+
+# a table of c built when the template refused a large value, then small
+# queries at c that the template could have answered
+@example([("twinverse", 12, 10**6), ("sequences", 12, 5), ("twinverse", 12, 100),
+          ("f_closed", 12, 50)])
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(point_queries())
+def test_point_queries_read_one_exact_table(queries):
+    asked = []  # (c, refused, a table of c existed) of each read of the template
+    at = SequenceCache.at
+
+    def spy(table, c, limit=None, index=0):
+        had = c in pawnrace._caches
+        runs = at(table, c, limit, index)
+        if table is pawnrace._template:
+            asked.append((c, runs is None, had))
+        return runs
+
+    with (mock.patch.object(pawnrace, "_caches", {}),
+          mock.patch.object(pawnrace, "_template", None),
+          mock.patch.object(SequenceCache, "at", spy)):
+        for name, c, x in queries:
+            terms = oracle.term_sequence(c)
+            if name == "twinverse":
+                assert twinverse(c, x) == terms.twinverse(x), (c, x)
+            elif name == "sequences":
+                assert sequences(c, x) == (terms.p(x), terms.q(x)), (c, x)
+            else:
+                assert f_closed(x, c) == exact_f(x, c), (x, c)
+        # the template is asked at c only until it refuses, and a table of
+        # c exists exactly where it refused
+        assert not any(had for _, _, had in asked), asked
+        assert set(pawnrace._caches) == {c for c, refused, _ in asked if refused}
 
 
 class _FinishingLock:
